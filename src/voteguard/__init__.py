@@ -1,12 +1,12 @@
 """Bagging ensembles with vote-entropy uncertainty and threshold rejection."""
 
-from .core import (UNLABELED, ClassificationMetrics, Dataset, Sample,
-                   compute_metrics)
+from .core import UNLABELED, ClassificationMetrics, Dataset, compute_metrics
 from .data import (CsvSchema, DatasetTaxonomy, SyntheticSpec,
                    generate_synthetic, load_csv, load_manifest,
                    split_taxonomy, write_csv)
 from .ensemble import (Decision, EnsembleConfig, EnsembleModel, Prediction,
-                       Standardizer, Verdict, entropy_of, fit, gate, predict)
+                       Standardizer, Verdict, entropy_of, fit, gate, predict,
+                       rejected)
 from .harness import (StabilityReport, ThresholdSweepReport,
                       default_threshold_grid, emit_report, run_stability_sweep,
                       run_threshold_sweep)
@@ -17,11 +17,11 @@ from .persist import load_model, save_model
 __version__ = "0.1.0"
 
 __all__ = [
-    "UNLABELED", "ClassificationMetrics", "Dataset", "Sample",
-    "compute_metrics", "CsvSchema", "DatasetTaxonomy", "SyntheticSpec",
-    "generate_synthetic", "load_csv", "load_manifest", "split_taxonomy",
-    "write_csv", "Decision", "EnsembleConfig", "EnsembleModel", "Prediction",
-    "Standardizer", "Verdict", "entropy_of", "fit", "gate", "predict",
+    "UNLABELED", "ClassificationMetrics", "Dataset", "compute_metrics",
+    "CsvSchema", "DatasetTaxonomy", "SyntheticSpec", "generate_synthetic",
+    "load_csv", "load_manifest", "split_taxonomy", "write_csv", "Decision",
+    "EnsembleConfig", "EnsembleModel", "Prediction", "Standardizer",
+    "Verdict", "entropy_of", "fit", "gate", "predict", "rejected",
     "StabilityReport", "ThresholdSweepReport", "default_threshold_grid",
     "emit_report", "run_stability_sweep", "run_threshold_sweep",
     "GradientParams", "LearnerConfig", "TrainedLearner", "TreeParams",

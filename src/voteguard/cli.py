@@ -121,12 +121,13 @@ def _cmd_predict(args) -> int:
     eval_data = _load(args)
     names = model.class_names or tuple(
         str(i) for i in range(model.n_classes))
+    pred = ensemble.predict(model, eval_data.x)
+    reject = ensemble.rejected(pred.entropy, args.threshold)
     print("index\tapp_id\tverdict\tentropy")
-    for i in range(len(eval_data)):
-        verdict = ensemble.gate(model, eval_data.x[i], args.threshold)
-        name = (UNCERTAIN if verdict.label is None else names[verdict.label])
-        print(f"{i}\t{eval_data.app_ids[i]}\t{name}\t"
-              f"{verdict.prediction.entropy:.6f}")
+    for i, (app_id, label, h, r) in enumerate(zip(
+            eval_data.app_ids, pred.label.tolist(), pred.entropy.tolist(),
+            reject.tolist())):
+        print(f"{i}\t{app_id}\t{UNCERTAIN if r else names[label]}\t{h:.6f}")
     return 0
 
 
@@ -192,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--threshold", type=float, required=True,
-                   help="reject predictions whose entropy exceeds this")
+                   help="reject predictions whose entropy exceeds this "
+                        "(a finite number >= 0)")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("sweep-threshold",

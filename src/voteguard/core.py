@@ -1,4 +1,4 @@
-"""Shared domain types: samples, datasets, and classification metrics.
+"""Shared domain types: datasets and classification metrics.
 
 Labels are dense integer codes in [0, n_classes). A dataset may carry a
 side mapping of class names (e.g. "benign"/"malware") for display only;
@@ -9,24 +9,11 @@ workloads) carry the sentinel ``UNLABELED``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 UNLABELED = -1
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One feature vector with its application identity and optional label."""
-
-    features: np.ndarray
-    app_id: str
-    label: int | None = None
-
-    def __post_init__(self):
-        if not self.app_id:
-            raise ValueError("app_id must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -77,15 +64,6 @@ class Dataset:
     def fully_labeled(self) -> bool:
         return bool(np.all(self.y != UNLABELED))
 
-    def samples(self) -> Iterator[Sample]:
-        for i in range(len(self)):
-            label = int(self.y[i])
-            yield Sample(
-                features=self.x[i],
-                app_id=self.app_ids[i],
-                label=None if label == UNLABELED else label,
-            )
-
     def subset(self, indices: np.ndarray | Sequence[int]) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(
@@ -95,19 +73,6 @@ class Dataset:
             n_classes=self.n_classes,
             class_names=self.class_names,
         )
-
-    @classmethod
-    def from_samples(cls, samples: Sequence[Sample], n_classes: int,
-                     class_names: tuple[str, ...] | None = None) -> "Dataset":
-        if not samples:
-            raise ValueError("cannot build a dataset from zero samples")
-        x = np.stack([np.asarray(s.features, dtype=np.float64) for s in samples])
-        y = np.array(
-            [UNLABELED if s.label is None else s.label for s in samples],
-            dtype=np.int64,
-        )
-        return cls(x=x, y=y, app_ids=tuple(s.app_id for s in samples),
-                   n_classes=n_classes, class_names=class_names)
 
 
 @dataclass(frozen=True)

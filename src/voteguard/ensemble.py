@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import Dataset
-from .learners import LearnerConfig, TrainedLearner, train
+from .learners import LearnerConfig, TrainedLearner, check_features, train
 
 HARD_VOTE = "hard_vote"
 SOFT_AVERAGE = "soft_average"
@@ -78,10 +78,13 @@ def bootstrap_indices(master_seed: int, index: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Prediction:
+    """One sample's prediction; for a batch of n rows each field holds an
+    array with one row per sample."""
+
     vote_distribution: np.ndarray        # over n_classes, sums to 1
-    per_learner_labels: tuple[int, ...]
-    entropy: float
-    label: int
+    per_learner_labels: tuple[int, ...] | np.ndarray
+    entropy: float | np.ndarray
+    label: int | np.ndarray
 
 
 class Decision(enum.Enum):
@@ -158,50 +161,64 @@ def fit(config: EnsembleConfig, data: Dataset, n_workers: int = 1) -> EnsembleMo
                          class_names=data.class_names)
 
 
-def entropy_of(dist, log_base: float = 2.0) -> float:
-    """Shannon entropy of a probability vector, with 0*log(0) = 0.
+def entropy_of(dist, log_base: float = 2.0):
+    """Shannon entropy of a probability vector ``(K,)`` (a float), or of
+    each row of ``(n, K)`` (an array), with 0*log(0) = 0.
 
     The result is clamped to [0, log_base(K)] so downstream threshold
     comparisons never see negative-zero or rounding overshoot.
     """
     p = np.asarray(dist, dtype=np.float64)
-    if np.any(p < 0):
+    if (p < 0).any():
         raise ValueError("probability vector has a negative entry")
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"probability vector sums to {total}, not 1")
-    nz = p[p > 0]
-    h = -float(np.sum(nz * (np.log2(nz) if log_base == 2.0 else np.log(nz))))
-    hmax = math.log(p.shape[0], log_base)
-    return min(max(h, 0.0), hmax) + 0.0   # +0.0 normalizes -0.0
+    total = p.sum(axis=-1)
+    off = abs(total - 1.0) > 1e-6
+    if off.any():
+        raise ValueError(f"probability vector sums to {total[off].flat[0]}, not 1")
+    log = np.log2 if log_base == 2.0 else np.log
+    h = -(p * log(np.where(p > 0, p, 1.0))).sum(axis=-1)
+    hmax = math.log(p.shape[-1], log_base)
+    return np.minimum(np.maximum(h, 0.0), hmax) + 0.0   # +0.0 normalizes -0.0
 
 
 def predict(model: EnsembleModel, x) -> Prediction:
-    """Vote distribution, entropy, and argmax label for one input."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n_features,):
-        raise ValueError(
-            f"expected {model.n_features} features, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input contains non-finite values")
-    z = (x - model.standardizer.mean) / model.standardizer.std
-
-    labels = tuple(l.predict_label(z) for l in model.learners)
-    m = len(model.learners)
+    """Vote distribution, entropy and argmax label for one sample ``(d,)``,
+    or for each row of a batch ``(n, d)``; see :class:`Prediction`."""
+    x = check_features(x, model.n_features)
+    z = model.standardizer.transform(x)
+    labels = [l.predict_label(z) for l in model.learners]
+    m, k = len(labels), model.n_classes
+    n = len(x) if x.ndim == 2 else 1
+    votes = np.array(labels).reshape(m, n)
     if model.config.posterior_mode == HARD_VOTE:
-        dist = np.bincount(np.asarray(labels), minlength=model.n_classes) / m
+        # row i's votes land in bincount slots i*K .. i*K + K-1
+        slots = votes + k * np.arange(n)
+        dist = np.bincount(slots.ravel(), minlength=n * k).reshape(n, k) / m
     else:
-        dist = np.mean([l.predict_proba(z) for l in model.learners], axis=0)
+        dist = np.mean([l.predict_proba(z) for l in model.learners],
+                       axis=0).reshape(n, k)
     h = entropy_of(dist, model.config.entropy_log_base)
-    return Prediction(vote_distribution=dist, per_learner_labels=labels,
-                      entropy=h, label=int(np.argmax(dist)))
+    label = dist.argmax(axis=1)
+    if x.ndim == 1:
+        return Prediction(vote_distribution=dist[0],
+                          per_learner_labels=tuple(labels),
+                          entropy=float(h[0]), label=int(label[0]))
+    return Prediction(vote_distribution=dist, per_learner_labels=votes.T,
+                      entropy=h, label=label)
+
+
+def rejected(entropy, threshold: float):
+    """The gating rule, for one entropy or an array of them: reject iff the
+    entropy strictly exceeds ``threshold``, a finite number >= 0."""
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"threshold must be a finite number >= 0, got {threshold}")
+    return entropy > threshold
 
 
 def gate(model: EnsembleModel, x, threshold: float) -> Verdict:
-    """Accept the ensemble's label unless its entropy strictly exceeds
-    ``threshold``."""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
+    """Accept the ensemble's label for one sample ``(d,)`` unless its
+    entropy strictly exceeds ``threshold``."""
     pred = predict(model, x)
-    decision = Decision.REJECT if pred.entropy > threshold else Decision.ACCEPT
+    decision = (Decision.REJECT if rejected(pred.entropy, threshold)
+                else Decision.ACCEPT)
     return Verdict(prediction=pred, decision=decision, threshold_used=threshold)

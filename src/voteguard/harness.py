@@ -18,7 +18,8 @@ import numpy as np
 
 from .core import ClassificationMetrics, Dataset, compute_metrics
 from .data import DatasetTaxonomy
-from .ensemble import EnsembleConfig, EnsembleModel, fit, predict
+from .ensemble import EnsembleConfig, EnsembleModel, fit, predict, rejected
+from .persist import log_base_from_tag, log_base_tag
 
 SWEEP_SCHEMA = "voteguard-threshold-sweep"
 STABILITY_SCHEMA = "voteguard-stability-sweep"
@@ -105,21 +106,19 @@ def run_threshold_sweep(model: EnsembleModel, taxonomy: DatasetTaxonomy,
     if not test.fully_labeled:
         raise ValueError("test_known samples must be labeled")
 
-    preds = [predict(model, x) for x in test.x]
-    h_known = np.array([p.entropy for p in preds])
-    labels = np.array([p.label for p in preds])
+    known = predict(model, test.x)
+    h_known, labels = known.entropy, known.label
     truth = test.y
     h_unknown = None
     if taxonomy.unknown is not None and len(taxonomy.unknown) > 0:
-        h_unknown = np.array(
-            [predict(model, x).entropy for x in taxonomy.unknown.x])
+        h_unknown = predict(model, taxonomy.unknown.x).entropy
 
     baseline = compute_metrics(labels, truth, positive_class)
     points = []
     for tau in grid:
-        accepted = h_known <= tau
+        accepted = ~rejected(h_known, tau)
         known_rej = float(np.mean(~accepted))
-        unknown_rej = (float(np.mean(h_unknown > tau))
+        unknown_rej = (float(np.mean(rejected(h_unknown, tau)))
                        if h_unknown is not None else None)
         if not np.any(accepted):
             metrics, degenerate = None, True
@@ -159,7 +158,7 @@ def run_stability_sweep(config: EnsembleConfig, data: Dataset,
     points = []
     for m in m_grid:
         model = fit(replace(config, m=m), data, n_workers=n_workers)
-        h = np.array([predict(model, x).entropy for x in eval_set.x])
+        h = predict(model, eval_set.x).entropy
         points.append(StabilityPoint(m=m, mean_entropy=float(h.mean()),
                                      std_entropy=float(h.std())))
     return StabilityReport(points=tuple(points),
@@ -188,16 +187,12 @@ def _summary_dict(s: EntropySummary | None):
     return {k: _r6(v) for k, v in s.as_dict().items()}
 
 
-def _log_base_tag(base: float) -> str:
-    return "2" if base == 2.0 else "e"
-
-
 def report_to_dict(report) -> dict:
     if isinstance(report, ThresholdSweepReport):
         return {
             "schema": SWEEP_SCHEMA,
             "version": SCHEMA_VERSION,
-            "log_base": _log_base_tag(report.log_base),
+            "log_base": log_base_tag(report.log_base),
             "baseline_metrics": _metrics_dict(report.baseline_metrics),
             "known_entropy": _summary_dict(report.known_entropy),
             "unknown_entropy": _summary_dict(report.unknown_entropy),
@@ -213,7 +208,7 @@ def report_to_dict(report) -> dict:
         return {
             "schema": STABILITY_SCHEMA,
             "version": SCHEMA_VERSION,
-            "log_base": _log_base_tag(report.log_base),
+            "log_base": log_base_tag(report.log_base),
             "points": [{
                 "m": p.m,
                 "mean_entropy": _r6(p.mean_entropy),
@@ -225,7 +220,7 @@ def report_to_dict(report) -> dict:
 
 def report_from_dict(doc: dict):
     """Inverse of report_to_dict, up to the 6-significant-digit rounding."""
-    base = 2.0 if doc["log_base"] == "2" else math.e
+    base = log_base_from_tag(doc["log_base"])
     if doc.get("schema") == SWEEP_SCHEMA:
         def metrics(d):
             return ClassificationMetrics(**d) if d is not None else None

@@ -64,30 +64,40 @@ class LearnerConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
-def _check_input(x, n_features):
+def check_features(x, n_features: int) -> np.ndarray:
+    """``x`` as float64, one sample ``(d,)`` or a batch ``(n, d)``; raises
+    ValueError on any other shape or a non-finite value."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (n_features,):
+    if x.ndim not in (1, 2) or x.shape[-1] != n_features:
         raise ValueError(f"expected {n_features} features, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("input contains non-finite values")
     return x
 
 
 class TrainedLearner:
     """Common surface of fitted base classifiers. Immutable; predict is a
-    pure function of the stored parameters."""
+    pure function of the stored parameters. Each kind implements the batch
+    ``_labels(rows)`` and ``_proba(rows)``; one sample is a one-row batch."""
 
     n_classes: int
     n_features: int
     converged: bool
     seed_used: int
 
-    def predict_label(self, x) -> int:
-        proba = self.predict_proba(x)
-        return int(np.argmax(proba))       # argmax breaks ties toward lower index
+    def predict_label(self, x):
+        """An int for one sample ``(d,)``, ``(n,)`` ints for ``(n, d)``."""
+        x = check_features(x, self.n_features)
+        if x.ndim == 1:
+            return int(self._labels(x[None])[0])
+        return np.asarray(self._labels(x), dtype=np.int64)
 
     def predict_proba(self, x) -> np.ndarray:
-        raise NotImplementedError
+        """``(K,)`` for one sample ``(d,)``, ``(n, K)`` for ``(n, d)``."""
+        x = check_features(x, self.n_features)
+        if x.ndim == 1:
+            return self._proba(x[None])[0]
+        return self._proba(x)
 
 
 # ---------------------------------------------------------------------------
@@ -157,17 +167,25 @@ class TreeLearner(TrainedLearner):
     seed_used: int
     converged: bool = True
 
-    def _leaf_for(self, x):
-        node = self.nodes[0]
-        while node.feature != LEAF:
-            node = self.nodes[node.left if x[node.feature] <= node.threshold
-                              else node.right]
-        return node
+    def _leaves(self, rows):
+        nodes = self.nodes
+        leaves = []
+        for x in rows.tolist():
+            node = nodes[0]
+            while node.feature != LEAF:
+                node = nodes[node.left if x[node.feature] <= node.threshold
+                             else node.right]
+            leaves.append(node)
+        return leaves
 
-    def predict_proba(self, x) -> np.ndarray:
-        x = _check_input(x, self.n_features)
-        counts = self._leaf_for(x).counts
-        return counts / counts.sum()
+    def _labels(self, rows):
+        # argmax breaks ties toward the lower class index
+        return [int(leaf.counts.argmax()) for leaf in self._leaves(rows)]
+
+    def _proba(self, rows):
+        counts = np.array([leaf.counts for leaf in self._leaves(rows)])
+        counts = counts.reshape(len(rows), self.n_classes)
+        return counts / counts.sum(axis=1, keepdims=True)
 
 
 def _train_tree(config: LearnerConfig, data: Dataset) -> TreeLearner:
@@ -279,18 +297,20 @@ class LinearLearner(TrainedLearner):
     def n_features(self) -> int:
         return self.weights.shape[0]
 
-    def score(self, x) -> float:
-        x = _check_input(x, self.n_features)
-        return float(self.weights @ x + self.bias)
+    def _scores(self, rows):
+        # one dot product per row: a matrix-vector product may sum a row in
+        # another order depending on the rows batched with it
+        return np.vecdot(rows, self.weights) + self.bias
 
-    def predict_proba(self, x) -> np.ndarray:
+    def _labels(self, rows):
+        # score > 0 (tie -> class 0); fl(a + b) > 0 exactly when a > -b
+        return np.vecdot(rows, self.weights) > -self.bias
+
+    def _proba(self, rows):
         # Raw margin through a sigmoid for both linear kinds; the SVM output
         # is a monotone squashing, not a calibrated probability.
-        p1 = float(_sigmoid(np.array([self.score(x)]))[0])
-        return np.array([1.0 - p1, p1])
-
-    def predict_label(self, x) -> int:
-        return 1 if self.score(x) > 0 else 0
+        p1 = _sigmoid(self._scores(rows))
+        return np.column_stack([1.0 - p1, p1])
 
 
 @dataclass(frozen=True)
@@ -303,15 +323,13 @@ class ConstantLearner(TrainedLearner):
     seed_used: int
     converged: bool = True
 
-    def predict_proba(self, x) -> np.ndarray:
-        _check_input(x, self.n_features)
-        proba = np.zeros(self.n_classes)
-        proba[self.label] = 1.0
-        return proba
+    def _labels(self, rows):
+        return np.full(len(rows), self.label, dtype=np.int64)
 
-    def predict_label(self, x) -> int:
-        _check_input(x, self.n_features)
-        return self.label
+    def _proba(self, rows):
+        proba = np.zeros((len(rows), self.n_classes))
+        proba[:, self.label] = 1.0
+        return proba
 
 
 def _train_linear(config: LearnerConfig, data: Dataset) -> TrainedLearner:

@@ -27,16 +27,18 @@ class ModelFormatError(ValueError):
     """Raised when a model file is malformed or from an unknown version."""
 
 
-def _log_base_tag(base: float) -> str:
+def log_base_tag(base: float) -> str:
+    """The tag model files and reports store for an entropy log base."""
     return "2" if base == 2.0 else "e"
 
 
-def _log_base_from_tag(tag: str) -> float:
+def log_base_from_tag(tag: str) -> float:
+    """Inverse of :func:`log_base_tag`; raises ValueError on any other tag."""
     if tag == "2":
         return 2.0
     if tag == "e":
         return math.e
-    raise ModelFormatError(f"unknown entropy log base tag {tag!r}")
+    raise ValueError(f"unknown entropy log base tag {tag!r}")
 
 
 def _learner_to_dict(learner) -> dict:
@@ -90,7 +92,7 @@ def _config_to_dict(config: EnsembleConfig) -> dict:
         "m": config.m,
         "master_seed": config.master_seed,
         "posterior_mode": config.posterior_mode,
-        "entropy_log_base": _log_base_tag(config.entropy_log_base),
+        "entropy_log_base": log_base_tag(config.entropy_log_base),
         "base": {
             "kind": config.base.kind,
             "seed": config.base.seed,
@@ -115,7 +117,7 @@ def _config_from_dict(raw: dict) -> EnsembleConfig:
         m=raw["m"],
         master_seed=raw["master_seed"],
         posterior_mode=raw["posterior_mode"],
-        entropy_log_base=_log_base_from_tag(raw["entropy_log_base"]),
+        entropy_log_base=log_base_from_tag(raw["entropy_log_base"]),
         base=LearnerConfig(
             kind=base["kind"],
             seed=base["seed"],

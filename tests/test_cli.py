@@ -93,6 +93,18 @@ def test_predict_uncertain_verdict(pipeline_dir, tmp_path, capsys):
                for l in out.strip().splitlines()[1:])
 
 
+def test_bad_threshold_exits_1(pipeline_dir, capsys):
+    data = pipeline_dir / "data"
+    for threshold in ("-0.1", "nan", "inf", "-inf"):
+        code, out, err = run(capsys, "predict",
+                             "--model", str(pipeline_dir / "model.json"),
+                             "--data", str(data / "test_known.csv"),
+                             "--manifest", str(data / "manifest.json"),
+                             f"--threshold={threshold}")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_missing_required_flag_exits_2(capsys):
     code, _, err = run(capsys, "train", "--manifest", "m.json",
                        "--out", "model.json")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from voteguard.core import Dataset, Sample, compute_metrics
+from voteguard.core import Dataset, compute_metrics
 
 
 class TestComputeMetrics:
@@ -65,16 +65,6 @@ class TestDataset:
         with pytest.raises(ValueError, match="app_id"):
             Dataset(x=np.zeros((1, 1)), y=np.array([0]),
                     app_ids=("",), n_classes=2)
-
-    def test_from_samples_round_trip(self):
-        samples = [Sample(features=np.array([1.0, 2.0]), app_id="a", label=1),
-                   Sample(features=np.array([3.0, 4.0]), app_id="b")]
-        ds = Dataset.from_samples(samples, n_classes=2)
-        assert len(ds) == 2 and ds.d == 2
-        assert not ds.fully_labeled
-        back = list(ds.samples())
-        assert back[0].label == 1 and back[1].label is None
-        assert back[1].app_id == "b"
 
     def test_subset_preserves_alignment(self, small_dataset):
         sub = small_dataset.subset([3, 5, 7])

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from voteguard.core import Dataset
 from voteguard.ensemble import (Decision, EnsembleConfig, EnsembleModel,
@@ -112,8 +114,9 @@ class TestPredict:
     def test_dimension_mismatch(self, small_dataset):
         model = fit(EnsembleConfig(base=LearnerConfig(kind="tree"), m=2),
                     small_dataset)
-        with pytest.raises(ValueError, match="features"):
-            predict(model, [1.0])
+        for x in ([1.0], np.zeros((3, 3)), np.zeros((3, 2, 2))):
+            with pytest.raises(ValueError, match="features"):
+                predict(model, x)
 
 
 class TestFit:
@@ -194,8 +197,9 @@ class TestGate:
 
     def test_negative_threshold_rejected(self):
         model = constant_ensemble([1] * 2)
-        with pytest.raises(ValueError, match="threshold"):
-            gate(model, [0.0], threshold=-0.1)
+        for threshold in (-0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="threshold"):
+                gate(model, [0.0], threshold=threshold)
 
     def test_monotone_rejection_sets(self, small_dataset):
         overlap = make_binary_dataset(n=120, d=2, separation=0.5, seed=2)
@@ -206,6 +210,40 @@ class TestGate:
             rejected_t1 = set(np.nonzero(entropies > t1)[0])
             rejected_t2 = set(np.nonzero(entropies > t2)[0])
             assert rejected_t2 <= rejected_t1
+
+
+@pytest.fixture(scope="module")
+def fitted_models():
+    """One overlapping-class ensemble per learner kind, so votes split."""
+    data = make_binary_dataset(n=80, d=3, separation=1.0, seed=4)
+    return {kind: fit(EnsembleConfig(base=LearnerConfig(kind=kind), m=7,
+                                     master_seed=2), data)
+            for kind in ("tree", "logistic", "linear_svm")}
+
+
+@pytest.mark.parametrize("mode", ["hard_vote", "soft_average"])
+@pytest.mark.parametrize("kind", ["tree", "logistic", "linear_svm"])
+@settings(max_examples=40, deadline=None)
+@given(rows=arrays(np.float64, st.tuples(st.integers(1, 9), st.just(3)),
+                   elements=st.floats(-4, 4)))
+def test_batch_rows_equal_single_samples(fitted_models, kind, mode, rows):
+    model = fitted_models[kind]
+    model = replace(model, config=replace(model.config, posterior_mode=mode))
+    batch = predict(model, rows)
+    for i, x in enumerate(rows):
+        one = predict(model, x)
+        assert batch.vote_distribution[i].tobytes() == \
+            one.vote_distribution.tobytes()
+        assert tuple(batch.per_learner_labels[i].tolist()) == \
+            one.per_learner_labels
+        assert batch.entropy[i].tobytes() == np.float64(one.entropy).tobytes()
+        assert int(batch.label[i]) == one.label
+    z = model.standardizer.transform(rows)
+    for learner in model.learners:
+        assert learner.predict_label(z).tolist() == \
+            [learner.predict_label(r) for r in z]
+        assert learner.predict_proba(z).tobytes() == \
+            np.array([learner.predict_proba(r) for r in z]).tobytes()
 
 
 def test_config_validation():

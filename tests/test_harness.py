@@ -160,3 +160,10 @@ class TestEmitReport:
         _, _, report = overlap_sweep
         with pytest.raises(ValueError, match="format"):
             emit_report(report, tmp_path / "r.xml", fmt="xml")
+
+    def test_unknown_log_base_tag_rejected(self, overlap_sweep):
+        _, _, report = overlap_sweep
+        doc = report_to_dict(report)
+        doc["log_base"] = "10"
+        with pytest.raises(ValueError, match="log base tag"):
+            report_from_dict(doc)

@@ -73,13 +73,15 @@ class TestTree:
 
     def test_dimension_mismatch(self, small_dataset):
         learner = train(LearnerConfig(kind="tree"), small_dataset)
-        with pytest.raises(ValueError, match="features"):
-            learner.predict_label([1.0, 2.0, 3.0])
+        for x in ([1.0, 2.0, 3.0], np.zeros((4, 3)), np.zeros((4, 2, 2))):
+            with pytest.raises(ValueError, match="features"):
+                learner.predict_label(x)
 
     def test_nonfinite_input(self, small_dataset):
         learner = train(LearnerConfig(kind="tree"), small_dataset)
-        with pytest.raises(ValueError, match="non-finite"):
-            learner.predict_label([np.nan, 0.0])
+        for x in ([np.nan, 0.0], [[0.0, 1.0], [np.nan, 0.0], [2.0, 3.0]]):
+            with pytest.raises(ValueError, match="non-finite"):
+                learner.predict_label(x)
 
 
 def brute_force_split(x, y, n_classes=2):
