@@ -9,6 +9,7 @@ workloads) carry the sentinel ``UNLABELED``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -59,6 +60,15 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.x.shape[1]
+
+    @cached_property
+    def column_order(self) -> np.ndarray:
+        """``(d, n)``: row f lists the sample indices sorted stably by
+        feature f. Computed on first use and kept, so every tree fitted
+        on this dataset shares one sort. Read-only."""
+        order = np.argsort(self.x.T, axis=1, kind="stable")
+        order.flags.writeable = False
+        return order
 
     @property
     def fully_labeled(self) -> bool:

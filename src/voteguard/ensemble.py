@@ -154,6 +154,8 @@ class EnsembleModel:
 
 def fit(config: EnsembleConfig, data: Dataset, n_workers: int = 1) -> EnsembleModel:
     """Train M learners on bootstrap replicates of the standardized data.
+    A replicate is a draw of row indices into the one standardized
+    dataset, so no member copies the data, and trees share one presort.
 
     The result is identical for any ``n_workers``: every member's replicate
     and learner seed derive only from (master_seed, member index).
@@ -162,6 +164,8 @@ def fit(config: EnsembleConfig, data: Dataset, n_workers: int = 1) -> EnsembleMo
         raise ValueError("cannot fit an ensemble on an empty dataset")
     if not data.fully_labeled:
         raise ValueError("training data contains unlabeled samples")
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
 
     standardizer = Standardizer.fit(data.x)
     scaled = Dataset(x=standardizer.transform(data.x), y=data.y,
@@ -173,9 +177,9 @@ def fit(config: EnsembleConfig, data: Dataset, n_workers: int = 1) -> EnsembleMo
         idx = bootstrap_indices(config.master_seed, i, n)
         _, learner_seed = child_seeds(config.master_seed, i)
         member_config = replace(config.base, seed=learner_seed)
-        return train(member_config, scaled.subset(idx))
+        return train(member_config, scaled, idx)
 
-    if n_workers <= 1:
+    if n_workers == 1:
         learners = [train_member(i) for i in range(config.m)]
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:

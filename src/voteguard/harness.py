@@ -30,7 +30,10 @@ DEFAULT_GRID_POINTS = 50
 
 def default_threshold_grid(n_classes: int, log_base: float = 2.0,
                            points: int = DEFAULT_GRID_POINTS) -> list[float]:
-    """Evenly spaced thresholds over [0, log_base(n_classes)]."""
+    """Evenly spaced thresholds over [0, log_base(n_classes)], both ends
+    included, so ``points`` must be at least 2."""
+    if points < 2:
+        raise ValueError(f"a threshold grid needs at least 2 points, got {points}")
     top = math.log(n_classes, log_base)
     return [top * i / (points - 1) for i in range(points)]
 
@@ -99,6 +102,9 @@ def run_threshold_sweep(model: EnsembleModel, taxonomy: DatasetTaxonomy,
                                       model.config.entropy_log_base)
     if not grid:
         raise ValueError("threshold grid must be non-empty")
+    if not 0 <= positive_class < model.n_classes:
+        raise ValueError(f"positive_class must be in [0, {model.n_classes}), "
+                         f"got {positive_class}")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("threshold grid must be sorted ascending")
     test = taxonomy.test_known

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset
+from .core import UNLABELED, Dataset
 
 LEARNER_KINDS = ("tree", "logistic", "linear_svm")
 
@@ -40,14 +40,14 @@ class GradientParams:
     l2: float = 1e-4
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be a finite number > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.l2 < 0:
-            raise ValueError("l2 must be non-negative")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be a finite number > 0")
+        if not (math.isfinite(self.l2) and self.l2 >= 0):
+            raise ValueError("l2 must be a finite number >= 0")
 
 
 @dataclass(frozen=True)
@@ -121,41 +121,53 @@ def _gini(counts, n):
     return 1.0 - float(np.sum(p * p))
 
 
-def best_split(x, y, feature_indices, n_classes):
+def best_split(x, y, feature_indices, n_classes, weights=None, orders=None):
     """Best (feature, threshold, gain) by Gini gain over midpoint candidates.
 
+    ``orders`` is ``(d, m)``: ``orders[f]`` holds the m sample indices to
+    search, the same m for every f, sorted stably by ``x[:, f]``. Sample
+    r counts ``weights[r]`` times, a positive whole number. By default
+    every sample of ``x`` counts once and each column is sorted here.
     Ties break toward lower feature index, then lower threshold. Returns
     None when no candidate yields positive gain.
     """
-    n = y.shape[0]
-    total = np.bincount(y, minlength=n_classes).astype(np.float64)
+    if weights is None:
+        weights = np.ones(y.shape[0])
+    if orders is None:
+        orders = np.argsort(x, axis=0, kind="stable").T
+    rows = orders[0]
+    total = np.bincount(y[rows], weights=weights[rows], minlength=n_classes)
+    n = total.sum()
     parent = _gini(total, n)
 
     best = None
     best_gain = 0.0
     for f in feature_indices:
-        col = x[:, f]
-        order = np.argsort(col, kind="stable")
-        sv = col[order]
-        sy = y[order]
+        order = orders[f]
+        sv = x[order, f]
         boundaries = np.nonzero(sv[:-1] != sv[1:])[0]
         if boundaries.size == 0:
             continue
-        one_hot = np.zeros((n, n_classes))
-        one_hot[np.arange(n), sy] = 1.0
-        cum = np.cumsum(one_hot, axis=0)
-        left_counts = cum[boundaries]
-        right_counts = total - left_counts
-        n_left = (boundaries + 1).astype(np.float64)
+        sy, sw = y[order], weights[order]
+        # weighted class counts up to each boundary, one class at a time;
+        # every count is a whole number, so the sums are exact
+        left_counts = [np.cumsum(sw * (sy == c))[boundaries]
+                       for c in range(n_classes)]
+        n_left = np.cumsum(sw)[boundaries]
         n_right = n - n_left
-        gini_left = 1.0 - np.sum((left_counts / n_left[:, None]) ** 2, axis=1)
-        gini_right = 1.0 - np.sum((right_counts / n_right[:, None]) ** 2, axis=1)
+        # squared class shares, summed in class order
+        gini_left = 1.0 - sum((c / n_left) ** 2 for c in left_counts)
+        gini_right = 1.0 - sum(((t - c) / n_right) ** 2
+                               for t, c in zip(total, left_counts))
         gains = parent - (n_left / n) * gini_left - (n_right / n) * gini_right
         i = int(np.argmax(gains))          # first max -> lowest threshold
         if gains[i] > best_gain:
             best_gain = float(gains[i])
-            j = boundaries[i]
-            best = (int(f), (sv[j] + sv[j + 1]) / 2.0, best_gain)
+            lo, hi = sv[boundaries[i]], sv[boundaries[i] + 1]
+            # the midpoint of two neighbouring floats may round up to hi,
+            # and x <= hi would send hi left as well: split at lo instead
+            mid = (lo + hi) / 2.0
+            best = (int(f), mid if mid < hi else lo, best_gain)
     return best
 
 
@@ -188,7 +200,7 @@ class TreeLearner(TrainedLearner):
         return counts / counts.sum(axis=1, keepdims=True)
 
 
-def _train_tree(config: LearnerConfig, data: Dataset) -> TreeLearner:
+def _train_tree(config: LearnerConfig, data: Dataset, rows) -> TreeLearner:
     params = config.tree
     x, y = data.x, data.y
     n, d = x.shape
@@ -198,12 +210,21 @@ def _train_tree(config: LearnerConfig, data: Dataset) -> TreeLearner:
     else:
         k = d
 
+    weights = np.bincount(rows, minlength=n).astype(np.float64)
+    presort = data.column_order
+    # each feature's drawn rows, once each, in presorted order
+    orders = np.compress((weights[presort] > 0).ravel(), presort).reshape(d, -1)
+    go_left = np.empty(n, dtype=bool)
+
     nodes: list[TreeNode] = []
-    # stack entries: (sample indices, depth, parent node index, is_left_child)
-    stack = [(np.arange(n), 0, None, False)]
+    # stack entries: (per-feature sorted rows, depth, parent node index,
+    # is_left_child)
+    stack = [(orders, 0, None, False)]
     while stack:
-        idx, depth, parent, is_left = stack.pop()
-        counts = np.bincount(y[idx], minlength=data.n_classes).astype(np.float64)
+        orders, depth, parent, is_left = stack.pop()
+        here = orders[0]
+        counts = np.bincount(y[here], weights=weights[here],
+                             minlength=data.n_classes)
         me = len(nodes)
         if parent is not None:
             if is_left:
@@ -213,7 +234,7 @@ def _train_tree(config: LearnerConfig, data: Dataset) -> TreeLearner:
 
         pure = np.count_nonzero(counts) <= 1
         depth_capped = params.max_depth is not None and depth >= params.max_depth
-        if pure or depth_capped or idx.size < params.min_samples_split:
+        if pure or depth_capped or counts.sum() < params.min_samples_split:
             nodes.append(TreeNode(LEAF, 0.0, -1, -1, counts))
             continue
 
@@ -221,17 +242,21 @@ def _train_tree(config: LearnerConfig, data: Dataset) -> TreeLearner:
             feats = np.sort(rng.choice(d, size=k, replace=False))
         else:
             feats = np.arange(d)
-        split = best_split(x[idx], y[idx], feats, data.n_classes)
+        split = best_split(x, y, feats, data.n_classes, weights, orders)
         if split is None:
             nodes.append(TreeNode(LEAF, 0.0, -1, -1, counts))
             continue
 
         feature, threshold, _ = split
         nodes.append(TreeNode(feature, threshold, -1, -1, counts))
-        go_left = x[idx, feature] <= threshold
+        go_left[here] = x[here, feature] <= threshold
+        # a stable partition keeps each feature's list sorted
+        left = go_left[orders].ravel()
         # push right first so the left child is built (and draws RNG) first
-        stack.append((idx[~go_left], depth + 1, me, False))
-        stack.append((idx[go_left], depth + 1, me, True))
+        stack.append((np.compress(~left, orders).reshape(d, -1),
+                      depth + 1, me, False))
+        stack.append((np.compress(left, orders).reshape(d, -1),
+                      depth + 1, me, True))
 
     return TreeLearner(nodes=tuple(nodes), n_classes=data.n_classes,
                        n_features=d, seed_used=config.seed)
@@ -400,32 +425,39 @@ def _descend_hinge(g: GradientParams, x, z):
     return w, b, False, losses
 
 
-def _train_linear(config: LearnerConfig, data: Dataset) -> TrainedLearner:
+def _train_linear(config: LearnerConfig, data: Dataset, rows) -> TrainedLearner:
     if data.n_classes != 2:
         raise ValueError(f"{config.kind} supports binary problems only")
-    classes = np.unique(data.y)
+    x, y = data.x[rows], data.y[rows]
+    classes = np.unique(y)
     if classes.size == 1:
         return ConstantLearner(label=int(classes[0]), n_classes=data.n_classes,
                                n_features=data.d, seed_used=config.seed)
 
-    z = np.where(data.y == 1, 1.0, -1.0)
+    z = np.where(y == 1, 1.0, -1.0)
     solve = _newton_logistic if config.kind == "logistic" else _descend_hinge
-    w, b, converged, losses = solve(config.gradient, data.x, z)
+    w, b, converged, losses = solve(config.gradient, x, z)
     return LinearLearner(kind=config.kind, weights=w, bias=b,
                          n_classes=data.n_classes, converged=converged,
                          seed_used=config.seed, loss_curve=tuple(losses))
 
 
-def train(config: LearnerConfig, data: Dataset) -> TrainedLearner:
-    """Fit one base classifier. Deterministic given (config, data).
+def train(config: LearnerConfig, data: Dataset, rows=None) -> TrainedLearner:
+    """Fit one base classifier on ``data.x[rows]``: a row listed twice
+    counts twice, and the default lists every row once. Deterministic
+    given (config, data, rows).
 
     A learner that hits max_iters without meeting the tolerance is returned
     with converged=False, never raised.
     """
-    if len(data) == 0:
+    rows = (np.arange(len(data)) if rows is None
+            else np.asarray(rows, dtype=np.int64))
+    if rows.size == 0:
         raise ValueError("cannot train on an empty dataset")
-    if not data.fully_labeled:
+    if rows.ndim != 1 or rows.min() < 0 or rows.max() >= len(data):
+        raise ValueError(f"rows must be a list of indices below {len(data)}")
+    if np.any(data.y[rows] == UNLABELED):
         raise ValueError("training data contains unlabeled samples")
     if config.kind == "tree":
-        return _train_tree(config, data)
-    return _train_linear(config, data)
+        return _train_tree(config, data, rows)
+    return _train_linear(config, data, rows)

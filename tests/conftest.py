@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from voteguard.core import Dataset
+
+# The same examples on every run, and no per-example deadline: a slow
+# example on a loaded machine is not a failure.
+settings.register_profile("voteguard", derandomize=True, deadline=None)
+settings.load_profile("voteguard")
 
 
 def make_binary_dataset(n=60, d=2, separation=4.0, seed=0, n_classes=2):

@@ -161,3 +161,37 @@ def test_replay_is_byte_identical(tmp_path):
         outs.append(d)
     for name in ("data/train.csv", "model.json", "sweep.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_non_finite_or_bad_training_flags_exit_1(pipeline_dir, tmp_path, capsys):
+    data = pipeline_dir / "data"
+    out = tmp_path / "model.json"
+    for flag, value in [("--learning-rate", "nan"), ("--learning-rate", "inf"),
+                        ("--tolerance", "nan"), ("--l2", "nan"),
+                        ("--l2", "-inf"), ("--workers", "0"),
+                        ("--workers", "-3")]:
+        code, _, err = run(capsys, "train", "--data", str(data / "train.csv"),
+                           "--manifest", str(data / "manifest.json"),
+                           "--out", str(out), "--learner", "linear_svm",
+                           "--m", "2", f"{flag}={value}")
+        assert code == 1, (flag, value)
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--grid-points", "1"),
+                                        ("--grid-points", "0"),
+                                        ("--positive-class", "2"),
+                                        ("--positive-class", "-1")])
+def test_bad_sweep_flags_exit_1(pipeline_dir, tmp_path, capsys, flag, value):
+    data = pipeline_dir / "data"
+    out = tmp_path / "sweep.json"
+    code, _, err = run(capsys, "sweep-threshold",
+                       "--model", str(pipeline_dir / "model.json"),
+                       "--test-known", str(data / "test_known.csv"),
+                       "--unknown", str(data / "unknown.csv"),
+                       "--manifest", str(data / "manifest.json"),
+                       "--out", str(out), f"{flag}={value}")
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -141,6 +142,29 @@ class TestFit:
         for x in small_dataset.x:
             assert predict(a, x).per_learner_labels == \
                 predict(b, x).per_learner_labels
+
+    def test_threads_sharing_one_presort_build_the_serial_trees(self):
+        # all members read the presort that the first of them caches on
+        # the shared standardized data; switch threads as often as possible
+        data = make_binary_dataset(n=300, d=4, seed=3)
+        config = EnsembleConfig(base=LearnerConfig(kind="tree"), m=16,
+                                master_seed=2)
+        serial = fit(config, data)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = fit(config, data, n_workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial.learners, threaded.learners):
+            assert [(n.feature, n.threshold, n.left, n.right) for n in a.nodes] \
+                == [(n.feature, n.threshold, n.left, n.right) for n in b.nodes]
+
+    def test_worker_count_below_one_rejected(self, small_dataset):
+        config = EnsembleConfig(base=LearnerConfig(kind="tree"), m=2)
+        for n_workers in (0, -3):
+            with pytest.raises(ValueError, match="n_workers"):
+                fit(config, small_dataset, n_workers=n_workers)
 
     def test_seed_isolation(self, small_dataset):
         n = len(small_dataset)

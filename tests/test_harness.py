@@ -87,6 +87,12 @@ class TestThresholdSweep:
         with pytest.raises(ValueError, match="non-empty"):
             run_threshold_sweep(model, tax, grid=[])
 
+    def test_positive_class_out_of_range_rejected(self, overlap_sweep):
+        model, tax, _ = overlap_sweep
+        for positive_class in (-1, model.n_classes):
+            with pytest.raises(ValueError, match="positive_class"):
+                run_threshold_sweep(model, tax, positive_class=positive_class)
+
 
 class TestDefaultGrid:
     def test_spans_entropy_range(self):
@@ -95,6 +101,11 @@ class TestDefaultGrid:
         assert grid[0] == 0.0 and grid[-1] == pytest.approx(1.0)
         grid_e = default_threshold_grid(3, math.e)
         assert grid_e[-1] == pytest.approx(math.log(3))
+
+    def test_fewer_than_two_points_rejected(self):
+        for points in (1, 0, -4):
+            with pytest.raises(ValueError, match="at least 2"):
+                default_threshold_grid(2, 2.0, points=points)
 
 
 class TestStabilitySweep:

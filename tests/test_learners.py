@@ -1,7 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from voteguard.core import Dataset
 from voteguard.data import SyntheticSpec, generate_synthetic
@@ -251,3 +254,106 @@ class TestTrainValidation:
             TreeParams(min_samples_split=1)
         with pytest.raises(ValueError):
             GradientParams(learning_rate=0.0)
+
+
+def assert_same_learner(a, b):
+    assert type(a) is type(b)
+    assert a.converged == b.converged
+    if hasattr(a, "nodes"):
+        assert len(a.nodes) == len(b.nodes)
+        for na, nb in zip(a.nodes, b.nodes):
+            assert (na.feature, na.threshold, na.left, na.right) == \
+                   (nb.feature, nb.threshold, nb.left, nb.right)
+            assert np.array_equal(na.counts, nb.counts)
+    elif hasattr(a, "weights"):
+        assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
+    else:
+        assert a.label == b.label
+
+
+def leaf_of(learner, row):
+    i = 0
+    while learner.nodes[i].feature >= 0:
+        node = learner.nodes[i]
+        i = node.left if row[node.feature] <= node.threshold else node.right
+    return i
+
+
+@st.composite
+def row_draws(draw, kind):
+    """A small dataset on a coarse grid (so feature values tie), and a
+    bootstrap-like draw of its rows with repeats."""
+    n_classes = draw(st.sampled_from([2, 3])) if kind == "tree" else 2
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    x = rng.integers(-3, 4, size=(n, d)) / 2.0
+    y = rng.integers(0, n_classes, size=n)
+    rows = rng.integers(0, n, size=n + draw(st.integers(-n + 1, n)))
+    tree = TreeParams(
+        max_depth=draw(st.one_of(st.none(), st.integers(1, 4))),
+        min_samples_split=draw(st.integers(2, 5)),
+        feature_subsample=draw(st.sampled_from(["all", "sqrt"])))
+    config = LearnerConfig(kind=kind, tree=tree,
+                           gradient=GradientParams(max_iters=50),
+                           seed=draw(st.integers(0, 2 ** 32)))
+    data = Dataset(x=x, y=y, app_ids=("a",) * n, n_classes=n_classes)
+    return config, data, rows
+
+
+@pytest.mark.parametrize("kind", ["tree", "logistic", "linear_svm"])
+@settings(max_examples=100)
+@given(case=st.data())
+def test_rows_equal_subset(kind, case):
+    # fitting on row indices is fitting on the copied rows
+    config, data, rows = case.draw(row_draws(kind))
+    learner = train(config, data, rows)
+    assert_same_learner(learner, train(config, data.subset(rows)))
+    if config.kind == "tree":
+        # each leaf counts exactly the drawn rows that prediction routes to it
+        routed = np.array([leaf_of(learner, data.x[r]) for r in rows])
+        for i, node in enumerate(learner.nodes):
+            if node.feature < 0:
+                assert np.array_equal(node.counts, np.bincount(
+                    data.y[rows[routed == i]], minlength=data.n_classes))
+
+
+@settings(max_examples=100)
+@given(data=st.data(), n=st.integers(1, 25), n_classes=st.integers(2, 4))
+def test_weighted_split_equals_repeated_rows(data, n, n_classes):
+    x = data.draw(arrays(np.float64, (n, 3), elements=st.integers(-2, 2)))
+    y = data.draw(arrays(np.int64, n, elements=st.integers(0, n_classes - 1)))
+    weights = data.draw(arrays(np.int64, n, elements=st.integers(1, 4)))
+    feats = np.arange(3)
+    orders = np.argsort(x, axis=0, kind="stable").T
+    repeated = np.repeat(np.arange(n), weights)
+    assert best_split(x, y, feats, n_classes, weights.astype(float), orders) \
+        == best_split(x[repeated], y[repeated], feats, n_classes)
+
+
+def test_split_between_neighbouring_floats():
+    # (lo + hi) / 2 rounds up to hi here; a threshold of hi sent both rows
+    # left, and with no depth cap the same split repeated without end
+    lo = np.nextafter(0.5, 1.0)
+    hi = np.nextafter(lo, 1.0)
+    assert (lo + hi) / 2.0 == hi
+    data = one_d([lo, hi], [0, 1])
+    cfg = LearnerConfig(kind="tree", tree=TreeParams(max_depth=1))
+    learner = train(cfg, data)
+    assert learner.predict_label(data.x).tolist() == [0, 1]
+    assert len(train(LearnerConfig(kind="tree"), data).nodes) == 3
+
+
+def test_rows_out_of_range_rejected(small_dataset):
+    for rows in ([0, len(small_dataset)], [-1, 0], [[0, 1]]):
+        with pytest.raises(ValueError, match="indices"):
+            train(LearnerConfig(kind="tree"), small_dataset, rows)
+    with pytest.raises(ValueError, match="empty"):
+        train(LearnerConfig(kind="tree"), small_dataset, [])
+
+
+@pytest.mark.parametrize("field_name", ["learning_rate", "tolerance", "l2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_gradient_params_rejected(field_name, value):
+    with pytest.raises(ValueError, match="finite"):
+        GradientParams(**{field_name: value})
