@@ -27,8 +27,6 @@ def _learner_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--min-samples-split", type=int, default=2)
     parser.add_argument("--feature-subsample", choices=("all", "sqrt"),
                         default="sqrt")
-    parser.add_argument("--learning-rate", type=float, default=0.1,
-                        help="gradient-descent step, linear_svm only")
     parser.add_argument("--max-iters", type=int, default=1000)
     parser.add_argument("--tolerance", type=float, default=1e-6)
     parser.add_argument("--l2", type=float, default=1e-4)
@@ -52,8 +50,7 @@ def _ensemble_config(args, m=None) -> ensemble.EnsembleConfig:
         tree=TreeParams(max_depth=args.max_depth,
                         min_samples_split=args.min_samples_split,
                         feature_subsample=args.feature_subsample),
-        gradient=GradientParams(learning_rate=args.learning_rate,
-                                max_iters=args.max_iters,
+        gradient=GradientParams(max_iters=args.max_iters,
                                 tolerance=args.tolerance, l2=args.l2),
     )
     return ensemble.EnsembleConfig(

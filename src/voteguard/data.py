@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -109,7 +110,7 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
                                     f"in column {col!r}")
                     v = 0.0
                 else:
-                    if not np.isfinite(v):
+                    if not math.isfinite(v):
                         problems.append(f"row {lineno}: non-finite value "
                                         f"in column {col!r}")
                 features.append(v)

@@ -19,7 +19,7 @@ import numpy as np
 from .core import ClassificationMetrics, Dataset, compute_metrics
 from .data import DatasetTaxonomy
 from .ensemble import EnsembleConfig, EnsembleModel, fit, predict, rejected
-from .persist import log_base_from_tag, log_base_tag
+from .persist import log_base_tag
 
 SWEEP_SCHEMA = "voteguard-threshold-sweep"
 STABILITY_SCHEMA = "voteguard-stability-sweep"
@@ -222,37 +222,6 @@ def report_to_dict(report) -> dict:
             } for p in report.points],
         }
     raise TypeError(f"unknown report type {type(report).__name__}")
-
-
-def report_from_dict(doc: dict):
-    """Inverse of report_to_dict, up to the 6-significant-digit rounding."""
-    base = log_base_from_tag(doc["log_base"])
-    if doc.get("schema") == SWEEP_SCHEMA:
-        def metrics(d):
-            return ClassificationMetrics(**d) if d is not None else None
-
-        def summary(d):
-            return EntropySummary(**d) if d is not None else None
-
-        return ThresholdSweepReport(
-            points=tuple(SweepPoint(
-                threshold=p["threshold"],
-                known_rejection_rate=p["known_rejection_rate"],
-                unknown_rejection_rate=p["unknown_rejection_rate"],
-                metrics=metrics(p["metrics"]),
-                metrics_degenerate=p["metrics_degenerate"],
-            ) for p in doc["points"]),
-            baseline_metrics=metrics(doc["baseline_metrics"]),
-            known_entropy=summary(doc["known_entropy"]),
-            unknown_entropy=summary(doc["unknown_entropy"]),
-            log_base=base,
-        )
-    if doc.get("schema") == STABILITY_SCHEMA:
-        return StabilityReport(
-            points=tuple(StabilityPoint(**p) for p in doc["points"]),
-            log_base=base,
-        )
-    raise ValueError(f"unknown report schema {doc.get('schema')!r}")
 
 
 _SWEEP_CSV_COLUMNS = ("threshold", "known_rejection_rate",

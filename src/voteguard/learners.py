@@ -34,14 +34,11 @@ class TreeParams:
 
 @dataclass(frozen=True)
 class GradientParams:
-    learning_rate: float = 0.1           # linear_svm only; logistic is Newton
     max_iters: int = 1000
     tolerance: float = 1e-6
     l2: float = 1e-4
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be a finite number > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
@@ -263,7 +260,7 @@ def _train_tree(config: LearnerConfig, data: Dataset, rows) -> TreeLearner:
 
 
 # ---------------------------------------------------------------------------
-# Linear models (logistic: damped Newton; linear SVM: gradient descent)
+# Linear models, both fitted by damped Newton (linear SVM: L2-loss)
 # ---------------------------------------------------------------------------
 
 def _sigmoid(s):
@@ -295,17 +292,37 @@ def logistic_gradient(w, b, x, z, l2):
 
 
 def hinge_loss(w, b, x, z, l2):
-    """Mean hinge loss on +-1 targets ``z`` plus an L2 penalty on the weights."""
+    """Mean squared hinge ``max(0, 1 - m)^2`` over the margins
+    ``m = z * (x @ w + b)`` on +-1 targets ``z``, plus an L2 penalty on the
+    weights: the L2-loss SVM objective."""
     m = z * (x @ w + b)
-    return float(np.mean(np.maximum(0.0, 1.0 - m)) + 0.5 * l2 * (w @ w))
+    return float(np.mean(np.maximum(0.0, 1.0 - m) ** 2) + 0.5 * l2 * (w @ w))
 
 
 def hinge_gradient(w, b, x, z, l2):
+    """Gradient of the squared hinge ``hinge_loss``."""
     m = z * (x @ w + b)
-    active = (m < 1.0).astype(np.float64)
-    gw = -(x.T @ (z * active)) / x.shape[0] + l2 * w
-    gb = -float(np.mean(z * active))
+    slack = np.maximum(0.0, 1.0 - m)
+    gw = -2.0 * (x.T @ (z * slack)) / x.shape[0] + l2 * w
+    gb = -2.0 * float(np.mean(z * slack))
     return gw, gb
+
+
+def _logistic_curvature(w, b, x, z):
+    p = _sigmoid(x @ w + b)
+    return p * (1.0 - p)
+
+
+def _hinge_curvature(w, b, x, z):
+    # generalized Hessian weight: 2 inside the margin, 0 outside
+    return 2.0 * (z * (x @ w + b) < 1.0)
+
+
+# (loss, gradient, per-sample curvature) minimized for each linear kind
+_OBJECTIVES = {
+    "logistic": (logistic_loss, logistic_gradient, _logistic_curvature),
+    "linear_svm": (hinge_loss, hinge_gradient, _hinge_curvature),
+}
 
 
 @dataclass(frozen=True)
@@ -357,32 +374,31 @@ class ConstantLearner(TrainedLearner):
         return proba
 
 
-def _newton_logistic(g: GradientParams, x, z):
-    """Minimize ``logistic_loss`` by damped Newton: each step solves the
+def _newton(g: GradientParams, x, z, loss, gradient, curvature):
+    """Minimize ``loss`` by damped Newton: each step solves the (generalized)
     Hessian system and backtracks from step 1 until the Armijo test holds.
     Stops once the Newton decrement lambda^2 / 2 is below the tolerance,
-    after taking that last step."""
+    after taking that last step. The squared hinge is piecewise quadratic,
+    so full steps reach its optimum in finitely many iterations."""
     n, d = x.shape
     xb = np.column_stack([x, np.ones(n)])
     # The bias is unpenalized. The jitter keeps the solve defined for l2=0,
-    # where the Hessian is singular if the samples span fewer than d + 1
-    # dimensions, and fades as the weights grow on separable data.
+    # where the Hessian is singular if the samples (for the hinge: those
+    # inside the margin) span fewer than d + 1 dimensions.
     penalty = np.diag(np.append(np.full(d, g.l2), 0.0) + 1e-12)
     w, b = np.zeros(d), 0.0
-    prev = logistic_loss(w, b, x, z, g.l2)
+    prev = loss(w, b, x, z, g.l2)
     losses = [prev]
     for _ in range(g.max_iters):
-        gw, gb = logistic_gradient(w, b, x, z, g.l2)
+        gw, gb = gradient(w, b, x, z, g.l2)
         grad = np.append(gw, gb)
-        p = _sigmoid(x @ w + b)
-        hessian = (xb.T * (p * (1.0 - p))) @ xb / n + penalty
+        hessian = (xb.T * curvature(w, b, x, z)) @ xb / n + penalty
         step = -np.linalg.solve(hessian, grad)
         slope = float(grad @ step)           # -lambda^2
         done = -slope / 2.0 < g.tolerance
         rate = 1.0
         for _ in range(50):
-            cur = logistic_loss(w + rate * step[:d], b + rate * step[d],
-                                x, z, g.l2)
+            cur = loss(w + rate * step[:d], b + rate * step[d], x, z, g.l2)
             if cur <= prev + 1e-4 * rate * slope:
                 break
             rate *= 0.5
@@ -397,34 +413,6 @@ def _newton_logistic(g: GradientParams, x, z):
     return w, b, False, losses
 
 
-def _descend_hinge(g: GradientParams, x, z):
-    """Full-batch gradient descent on ``hinge_loss``. Backtracking keeps the
-    loss non-increasing even though the objective is nonsmooth, where a
-    fixed step oscillates near the optimum."""
-    w = np.zeros(x.shape[1])
-    b = 0.0
-    prev = hinge_loss(w, b, x, z, g.l2)
-    losses = [prev]
-    for _ in range(g.max_iters):
-        gw, gb = hinge_gradient(w, b, x, z, g.l2)
-        rate = g.learning_rate
-        for _ in range(30):
-            w_next = w - rate * gw
-            b_next = b - rate * gb
-            cur = hinge_loss(w_next, b_next, x, z, g.l2)
-            if cur <= prev:
-                break
-            rate *= 0.5
-        if cur > prev:                   # no descent step found
-            return w, b, True, losses
-        w, b = w_next, b_next
-        losses.append(cur)
-        if abs(prev - cur) < g.tolerance:
-            return w, b, True, losses
-        prev = cur
-    return w, b, False, losses
-
-
 def _train_linear(config: LearnerConfig, data: Dataset, rows) -> TrainedLearner:
     if data.n_classes != 2:
         raise ValueError(f"{config.kind} supports binary problems only")
@@ -435,8 +423,8 @@ def _train_linear(config: LearnerConfig, data: Dataset, rows) -> TrainedLearner:
                                n_features=data.d, seed_used=config.seed)
 
     z = np.where(y == 1, 1.0, -1.0)
-    solve = _newton_logistic if config.kind == "logistic" else _descend_hinge
-    w, b, converged, losses = solve(config.gradient, x, z)
+    w, b, converged, losses = _newton(config.gradient, x, z,
+                                      *_OBJECTIVES[config.kind])
     return LinearLearner(kind=config.kind, weights=w, bias=b,
                          n_classes=data.n_classes, converged=converged,
                          seed_used=config.seed, loss_curve=tuple(losses))

@@ -12,6 +12,7 @@ deep trees serialize without recursion.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -104,13 +105,22 @@ def _config_to_dict(config: EnsembleConfig) -> dict:
                 "feature_subsample": config.base.tree.feature_subsample,
             },
             "gradient": {
-                "learning_rate": config.base.gradient.learning_rate,
                 "max_iters": config.base.gradient.max_iters,
                 "tolerance": config.base.gradient.tolerance,
                 "l2": config.base.gradient.l2,
             },
         },
     }
+
+
+def _params(cls, raw: dict, ignored=()):
+    """``cls`` built from a config block; a field ``cls`` does not have is
+    an error unless ``ignored`` names it."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    unknown = sorted(set(raw) - names - set(ignored))
+    if unknown:
+        raise ModelFormatError(f"unknown {cls.__name__} fields {unknown}")
+    return cls(**{k: v for k, v in raw.items() if k in names})
 
 
 def _config_from_dict(raw: dict) -> EnsembleConfig:
@@ -123,8 +133,11 @@ def _config_from_dict(raw: dict) -> EnsembleConfig:
         base=LearnerConfig(
             kind=base["kind"],
             seed=base["seed"],
-            tree=TreeParams(**base["tree"]),
-            gradient=GradientParams(**base["gradient"]),
+            tree=_params(TreeParams, base["tree"]),
+            # files written while linear_svm used gradient descent carry
+            # its step size
+            gradient=_params(GradientParams, base["gradient"],
+                             ignored=("learning_rate",)),
         ),
     )
 
@@ -153,14 +166,24 @@ def save_model(model: EnsembleModel, path) -> None:
 
 
 def load_model(path) -> EnsembleModel:
+    """Read a model file; raises ModelFormatError, naming ``path``, when the
+    file is not a model of this format or lacks a key it needs."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != FORMAT_NAME:
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ModelFormatError(f"{path}: not a {FORMAT_NAME} file")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ModelFormatError(
             f"{path}: unsupported format_version {doc.get('format_version')}")
+    try:
+        return _model_from_dict(doc)
+    except KeyError as exc:
+        raise ModelFormatError(f"{path}: missing key {exc}") from None
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
 
+
+def _model_from_dict(doc: dict) -> EnsembleModel:
     n_classes = doc["n_classes"]
     n_features = doc["n_features"]
     standardizer = Standardizer(
@@ -176,7 +199,7 @@ def load_model(path) -> EnsembleModel:
         if support.low.shape != (n_features,) or \
                 support.high.shape != (n_features,):
             raise ModelFormatError(
-                f"{path}: support box does not have {n_features} features")
+                f"support box does not have {n_features} features")
     learners = tuple(_learner_from_dict(raw, n_classes, n_features)
                      for raw in doc["learners"])
     class_names = tuple(doc["class_names"]) if doc.get("class_names") else None

@@ -166,8 +166,7 @@ def test_replay_is_byte_identical(tmp_path):
 def test_non_finite_or_bad_training_flags_exit_1(pipeline_dir, tmp_path, capsys):
     data = pipeline_dir / "data"
     out = tmp_path / "model.json"
-    for flag, value in [("--learning-rate", "nan"), ("--learning-rate", "inf"),
-                        ("--tolerance", "nan"), ("--l2", "nan"),
+    for flag, value in [("--tolerance", "nan"), ("--l2", "nan"),
                         ("--l2", "-inf"), ("--workers", "0"),
                         ("--workers", "-3")]:
         code, _, err = run(capsys, "train", "--data", str(data / "train.csv"),
@@ -195,3 +194,23 @@ def test_bad_sweep_flags_exit_1(pipeline_dir, tmp_path, capsys, flag, value):
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("missing", ["learners", "config.base"])
+def test_model_missing_key_exits_1(pipeline_dir, tmp_path, capsys, missing):
+    doc = json.loads((pipeline_dir / "model.json").read_text())
+    *parents, key = missing.split(".")
+    block = doc
+    for name in parents:
+        block = block[name]
+    del block[key]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    data = pipeline_dir / "data"
+    code, out, err = run(capsys, "predict", "--model", str(model),
+                         "--data", str(data / "test_known.csv"),
+                         "--manifest", str(data / "manifest.json"),
+                         "--threshold", "0.5")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(model) in err and repr(key) in err

@@ -39,6 +39,15 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match="row 3"):
             load_csv(p, SCHEMA)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf"])
+    def test_infinite_feature_rejected_whole_file(self, tmp_path, cell):
+        p = tmp_path / "d.csv"
+        p.write_text("f0,f1,label,app\n"
+                     "0.1,0.2,benign,calc\n"
+                     f"0.1,{cell},benign,calc\n")
+        with pytest.raises(CsvFormatError, match="row 3: non-finite.*'f1'"):
+            load_csv(p, SCHEMA)
+
     def test_unparsable_value_names_row_and_column(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("f0,f1,label,app\n0.1,oops,benign,calc\n")

@@ -179,6 +179,34 @@ class TestLinearModels:
                                    GradientParams().l2)
         assert np.linalg.norm(np.append(gw, gb)) <= 1e-6
 
+    def test_linear_svm_reaches_optimum_at_paper_scale(self):
+        tax = generate_synthetic(SyntheticSpec(regime="ood", n_train=2000,
+                                               d=8, seed=0))
+        x = Standardizer.fit(tax.train.x).transform(tax.train.x)
+        scaled = Dataset(x=x, y=tax.train.y, app_ids=tax.train.app_ids,
+                         n_classes=2)
+        member = scaled.subset(bootstrap_indices(0, 0, len(scaled)))
+        g = GradientParams()
+        learner = train(LearnerConfig(kind="linear_svm", gradient=g), member)
+        assert learner.converged is True
+        tight = train(LearnerConfig(kind="linear_svm",
+                                    gradient=GradientParams(tolerance=1e-15)),
+                      member)
+        z = np.where(member.y == 1, 1.0, -1.0)
+        loss = hinge_loss(learner.weights, learner.bias, member.x, z, g.l2)
+        best = hinge_loss(tight.weights, tight.bias, member.x, z, g.l2)
+        assert 0.0 <= loss - best <= g.tolerance
+
+    def test_linear_svm_unregularized_separable_neither_raises_nor_warns(self):
+        data = make_binary_dataset(n=5, d=8, separation=10.0, seed=0)
+        cfg = LearnerConfig(kind="linear_svm", gradient=GradientParams(l2=0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            learner = train(cfg, data)
+        assert learner.converged
+        assert np.all(np.isfinite(learner.weights))
+        assert np.array_equal(learner.predict_label(data.x), data.y)
+
     def test_logistic_unregularized_separable_neither_raises_nor_warns(self):
         # five samples in eight dimensions: separable, and the unpenalized
         # Hessian is singular at every step
@@ -252,8 +280,6 @@ class TestTrainValidation:
             LearnerConfig(kind="perceptron")
         with pytest.raises(ValueError):
             TreeParams(min_samples_split=1)
-        with pytest.raises(ValueError):
-            GradientParams(learning_rate=0.0)
 
 
 def assert_same_learner(a, b):
@@ -352,7 +378,7 @@ def test_rows_out_of_range_rejected(small_dataset):
         train(LearnerConfig(kind="tree"), small_dataset, [])
 
 
-@pytest.mark.parametrize("field_name", ["learning_rate", "tolerance", "l2"])
+@pytest.mark.parametrize("field_name", ["tolerance", "l2"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_gradient_params_rejected(field_name, value):
     with pytest.raises(ValueError, match="finite"):

@@ -93,8 +93,49 @@ def test_rejects_wrong_format(tmp_path):
         load_model(path)
 
 
+def test_rejects_json_that_is_not_an_object(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('["voteguard-ensemble"]')
+    with pytest.raises(ModelFormatError, match="not a"):
+        load_model(path)
+
+
 def test_rejects_future_version(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "voteguard-ensemble", "format_version": 99}')
     with pytest.raises(ModelFormatError, match="format_version"):
+        load_model(path)
+
+
+def test_legacy_learning_rate_key_loads_bit_identically(tmp_path):
+    data = make_binary_dataset(n=80, d=3, separation=2.0, seed=4)
+    model = fit(EnsembleConfig(base=LearnerConfig(kind="linear_svm"), m=4),
+                data)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    assert "learning_rate" not in doc["config"]["base"]["gradient"]
+    doc["config"]["base"]["gradient"]["learning_rate"] = 0.1
+    path.write_text(json.dumps(doc))
+    loaded = load_model(path)
+    assert loaded.config == model.config
+    x = np.random.default_rng(0).uniform(-5, 5, size=(50, 3))
+    a, b = predict(model, x), predict(loaded, x)
+    assert np.array_equal(a.per_learner_labels, b.per_learner_labels)
+    assert a.entropy.tobytes() == b.entropy.tobytes()
+    for la, lb in zip(model.learners, loaded.learners):
+        assert la.weights.tobytes() == lb.weights.tobytes()
+        assert la.bias == lb.bias
+
+
+@pytest.mark.parametrize("block", ["tree", "gradient"])
+def test_unknown_config_field_rejected(tmp_path, block):
+    data = make_binary_dataset(n=30, d=3, seed=1)
+    model = fit(EnsembleConfig(base=LearnerConfig(kind="tree"), m=2), data)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    doc["config"]["base"][block]["momentum"] = 0.9
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="momentum"):
         load_model(path)
