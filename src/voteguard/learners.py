@@ -7,6 +7,7 @@ to be bagged; see :mod:`voteguard.ensemble`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -169,6 +170,71 @@ def best_split(x, y, feature_indices, n_classes, weights=None, orders=None):
 
 
 @dataclass(frozen=True)
+class Forest:
+    """Trees stacked into flat node arrays, walked together.
+
+    Node i of N is a split when ``split[i]``: a sample with
+    ``x[feature[i]] <= threshold[i]`` goes to ``children[0, i]``, any other
+    to ``children[1, i]``. A leaf's children point to itself. ``label[i]``
+    is the argmax of node i's training counts (ties toward the lower class)
+    and ``shares[i]`` their normalized ``(K,)`` row. Tree t starts at node
+    ``roots[t]``. Child indices must exceed their parent's, as in every
+    tree ``train`` builds, so every walk ends.
+    """
+
+    roots: np.ndarray
+    split: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    children: np.ndarray
+    label: np.ndarray
+    shares: np.ndarray
+
+    @classmethod
+    def stack(cls, trees, n_classes: int) -> "Forest":
+        """One forest from node lists, each a tree in its own indices."""
+        sizes = [len(nodes) for nodes in trees]
+        roots = np.cumsum([0, *sizes])[:-1]
+        nodes = [node for tree in trees for node in tree]
+        feature = np.array([n.feature for n in nodes], dtype=np.int64)
+        split = feature != LEAF
+        children = np.array([[n.left for n in nodes], [n.right for n in nodes]],
+                            dtype=np.int64).reshape(2, -1)
+        children += np.repeat(roots, sizes)
+        children[:, ~split] = np.flatnonzero(~split)
+        counts = np.array([n.counts for n in nodes],
+                          dtype=np.float64).reshape(len(nodes), n_classes)
+        return cls(roots=roots, split=split, feature=feature,
+                   threshold=np.array([n.threshold for n in nodes],
+                                      dtype=np.float64),
+                   children=children, label=counts.argmax(axis=1),
+                   shares=counts / counts.sum(axis=1, keepdims=True))
+
+    def leaves(self, rows) -> np.ndarray:
+        """``(n, T)``: the leaf that sample i reaches in tree t. All (sample,
+        tree) pairs descend together, and a pair leaves the walk at its
+        leaf."""
+        n, d = rows.shape
+        t = self.roots.size
+        # pair p = i * T + j is sample i in tree j; feature f of sample i
+        # is flat[base[p] + f]
+        node = np.tile(self.roots, n)
+        base = np.repeat(np.arange(0, n * d, d), t)
+        flat = rows.ravel()
+        # all left children, then all right ones: node i goes right to
+        # step[i + N]
+        step, size = self.children.ravel(), self.split.size
+        todo = np.flatnonzero(self.split[node])
+        while todo.size:
+            at = node[todo]
+            right = flat[base[todo] + self.feature[at]] > self.threshold[at]
+            at = step[at + size * right]
+            node[todo] = at
+            todo = todo[self.split[at]]
+        return node.reshape(n, t)
+
+
+@dataclass(frozen=True)
 class TreeLearner(TrainedLearner):
     nodes: tuple[TreeNode, ...]
     n_classes: int
@@ -176,25 +242,16 @@ class TreeLearner(TrainedLearner):
     seed_used: int
     converged: bool = True
 
-    def _leaves(self, rows):
-        nodes = self.nodes
-        leaves = []
-        for x in rows.tolist():
-            node = nodes[0]
-            while node.feature != LEAF:
-                node = nodes[node.left if x[node.feature] <= node.threshold
-                             else node.right]
-            leaves.append(node)
-        return leaves
+    @functools.cached_property
+    def forest(self) -> Forest:
+        """This tree alone as a :class:`Forest`, built on first use."""
+        return Forest.stack([self.nodes], self.n_classes)
 
     def _labels(self, rows):
-        # argmax breaks ties toward the lower class index
-        return [int(leaf.counts.argmax()) for leaf in self._leaves(rows)]
+        return self.forest.label[self.forest.leaves(rows)[:, 0]]
 
     def _proba(self, rows):
-        counts = np.array([leaf.counts for leaf in self._leaves(rows)])
-        counts = counts.reshape(len(rows), self.n_classes)
-        return counts / counts.sum(axis=1, keepdims=True)
+        return self.forest.shares[self.forest.leaves(rows)[:, 0]]
 
 
 def _train_tree(config: LearnerConfig, data: Dataset, rows) -> TreeLearner:

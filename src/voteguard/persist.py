@@ -7,7 +7,8 @@ support box loads as a model that accepts every input on support. Floats
 are written with full repr precision so a save/load round trip reproduces
 predictions bit-exactly.
 Tree nodes are stored as a flat list with child indices, so arbitrarily
-deep trees serialize without recursion.
+deep trees serialize without recursion. The loader checks that each
+split's children come after it, so every walk of a loaded tree ends.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import numpy as np
 
 from .ensemble import EnsembleConfig, EnsembleModel, Standardizer, SupportBox
-from .learners import (ConstantLearner, GradientParams, LearnerConfig,
+from .learners import (LEAF, ConstantLearner, GradientParams, LearnerConfig,
                        LinearLearner, TreeLearner, TreeNode, TreeParams)
 
 FORMAT_NAME = "voteguard-ensemble"
@@ -66,15 +67,62 @@ def _learner_to_dict(learner) -> dict:
     raise ModelFormatError(f"cannot serialize learner {type(learner).__name__}")
 
 
+def _is_int(value) -> bool:
+    return type(value) is int                # JSON true and false are not
+
+
+def _tree_nodes(raw, n_classes: int, n_features: int) -> tuple[TreeNode, ...]:
+    """A saved node list, checked so that every walk of it ends: each
+    split's children lie after it, as in the preorder ``train`` writes."""
+    if not (isinstance(raw, list) and raw
+            and all(type(node) is list and len(node) == 5 for node in raw)):
+        raise ModelFormatError("tree nodes must be a non-empty list of "
+                               "[feature, threshold, left, right, counts]")
+    columns = feature, threshold, left, right, counts = tuple(zip(*raw))
+    if not all(type(row) is list and len(row) == n_classes for row in counts):
+        raise ModelFormatError(
+            f"tree node counts must be lists of {n_classes} numbers")
+    if not (all(_is_int(v) for column in (feature, left, right)
+                for v in column)
+            and all(type(v) in (int, float) for v in threshold)
+            and all(type(v) in (int, float) for row in counts for v in row)):
+        raise ModelFormatError("tree node features and children must be "
+                               "integers, thresholds and counts numbers")
+    try:
+        f, lo, hi = (np.array(c, dtype=np.int64) for c in (feature, left, right))
+        t = np.array(threshold, dtype=np.float64)
+        c = np.array(counts, dtype=np.float64)
+    except OverflowError:
+        raise ModelFormatError("tree node value out of range") from None
+    i, n = np.arange(len(raw)), len(raw)
+    leaf = f == LEAF
+    problems = (
+        (~leaf & ((f < 0) | (f >= n_features)),
+         f"feature is neither {LEAF} (a leaf) nor an index below {n_features}"),
+        (~np.isfinite(t), "threshold is not finite"),
+        (leaf & ((lo != LEAF) | (hi != LEAF)),
+         f"a leaf's children must be {LEAF}"),
+        (~leaf & ((lo <= i) | (hi <= i) | (lo >= n) | (hi >= n)),
+         f"children must be node indices above the node's own and below {n}"),
+        (~np.isfinite(c).all(axis=1) | (c < 0).any(axis=1)
+         | ~(c.sum(axis=1) > 0),
+         "counts must be finite, >= 0 and not all 0"),
+    )
+    for bad, what in problems:
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise ModelFormatError(f"tree node {j} {raw[j]!r}: {what}")
+    return tuple(TreeNode(*node, counts=row)
+                 for *node, row in zip(*columns[:4], c))
+
+
 def _learner_from_dict(raw: dict, n_classes: int, n_features: int):
     kind = raw.get("type")
     if kind == "tree":
-        nodes = tuple(
-            TreeNode(feature=f, threshold=t, left=l, right=r,
-                     counts=np.array(counts, dtype=np.float64))
-            for f, t, l, r, counts in raw["nodes"])
-        return TreeLearner(nodes=nodes, n_classes=n_classes,
-                           n_features=n_features, seed_used=raw["seed_used"],
+        return TreeLearner(nodes=_tree_nodes(raw["nodes"], n_classes,
+                                             n_features),
+                           n_classes=n_classes, n_features=n_features,
+                           seed_used=raw["seed_used"],
                            converged=raw["converged"])
     if kind == "linear":
         return LinearLearner(kind=raw["kind"],
@@ -83,7 +131,12 @@ def _learner_from_dict(raw: dict, n_classes: int, n_features: int):
                              converged=raw["converged"],
                              seed_used=raw["seed_used"])
     if kind == "constant":
-        return ConstantLearner(label=raw["label"], n_classes=n_classes,
+        label = raw["label"]
+        if not (_is_int(label) and 0 <= label < n_classes):
+            raise ModelFormatError(
+                f"constant learner label {label!r} is not a class index "
+                f"below {n_classes}")
+        return ConstantLearner(label=label, n_classes=n_classes,
                                n_features=n_features,
                                seed_used=raw["seed_used"],
                                converged=raw["converged"])
@@ -113,6 +166,12 @@ def _config_to_dict(config: EnsembleConfig) -> dict:
     }
 
 
+def _object(raw, name: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ModelFormatError(f"{name} must be an object")
+    return raw
+
+
 def _params(cls, raw: dict, ignored=()):
     """``cls`` built from a config block; a field ``cls`` does not have is
     an error unless ``ignored`` names it."""
@@ -124,7 +183,7 @@ def _params(cls, raw: dict, ignored=()):
 
 
 def _config_from_dict(raw: dict) -> EnsembleConfig:
-    base = raw["base"]
+    base = _object(raw["base"], "config.base")
     return EnsembleConfig(
         m=raw["m"],
         master_seed=raw["master_seed"],
@@ -133,10 +192,11 @@ def _config_from_dict(raw: dict) -> EnsembleConfig:
         base=LearnerConfig(
             kind=base["kind"],
             seed=base["seed"],
-            tree=_params(TreeParams, base["tree"]),
+            tree=_params(TreeParams, _object(base["tree"], "config.base.tree")),
             # files written while linear_svm used gradient descent carry
             # its step size
-            gradient=_params(GradientParams, base["gradient"],
+            gradient=_params(GradientParams,
+                             _object(base["gradient"], "config.base.gradient"),
                              ignored=("learning_rate",)),
         ),
     )
@@ -167,7 +227,8 @@ def save_model(model: EnsembleModel, path) -> None:
 
 def load_model(path) -> EnsembleModel:
     """Read a model file; raises ModelFormatError, naming ``path``, when the
-    file is not a model of this format or lacks a key it needs."""
+    file is not a model of this format, lacks a key it needs or holds a
+    value the model cannot use."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
@@ -179,13 +240,36 @@ def load_model(path) -> EnsembleModel:
         return _model_from_dict(doc)
     except KeyError as exc:
         raise ModelFormatError(f"{path}: missing key {exc}") from None
-    except ModelFormatError as exc:
+    except ValueError as exc:           # ModelFormatError included
         raise ModelFormatError(f"{path}: {exc}") from None
 
 
 def _model_from_dict(doc: dict) -> EnsembleModel:
     n_classes = doc["n_classes"]
     n_features = doc["n_features"]
+    if not (_is_int(n_classes) and n_classes >= 2):
+        raise ModelFormatError(
+            f"n_classes must be an integer >= 2, got {n_classes!r}")
+    if not (_is_int(n_features) and n_features >= 1):
+        raise ModelFormatError(
+            f"n_features must be an integer >= 1, got {n_features!r}")
+    names = doc.get("class_names")
+    if names is not None and not (
+            isinstance(names, list) and len(names) == n_classes
+            and all(isinstance(name, str) for name in names)
+            and len(set(names)) == n_classes):
+        raise ModelFormatError(
+            f"class_names must be {n_classes} unique strings, got {names!r}")
+    raw_learners = doc["learners"]
+    if not (isinstance(raw_learners, list) and raw_learners
+            and all(isinstance(raw, dict) for raw in raw_learners)):
+        raise ModelFormatError("learners must be a non-empty list of objects")
+    raw_config = _object(doc["config"], "config")
+    if not (_is_int(raw_config["m"]) and raw_config["m"] == len(raw_learners)):
+        raise ModelFormatError(
+            f"config.m is {raw_config['m']!r} but the file holds "
+            f"{len(raw_learners)} learners")
+    config = _config_from_dict(raw_config)
     standardizer = Standardizer(
         mean=np.array(doc["standardizer"]["mean"], dtype=np.float64),
         std=np.array(doc["standardizer"]["std"], dtype=np.float64),
@@ -200,10 +284,13 @@ def _model_from_dict(doc: dict) -> EnsembleModel:
                 support.high.shape != (n_features,):
             raise ModelFormatError(
                 f"support box does not have {n_features} features")
-    learners = tuple(_learner_from_dict(raw, n_classes, n_features)
-                     for raw in doc["learners"])
-    class_names = tuple(doc["class_names"]) if doc.get("class_names") else None
-    return EnsembleModel(learners=learners, standardizer=standardizer,
-                         config=_config_from_dict(doc["config"]),
-                         n_classes=n_classes, class_names=class_names,
+    learners = []
+    for i, raw in enumerate(raw_learners):
+        try:
+            learners.append(_learner_from_dict(raw, n_classes, n_features))
+        except ModelFormatError as exc:
+            raise ModelFormatError(f"learner {i}: {exc}") from None
+    return EnsembleModel(learners=tuple(learners), standardizer=standardizer,
+                         config=config, n_classes=n_classes,
+                         class_names=tuple(names) if names else None,
                          support=support)

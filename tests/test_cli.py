@@ -214,3 +214,66 @@ def test_model_missing_key_exits_1(pipeline_dir, tmp_path, capsys, missing):
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(model) in err and repr(key) in err
+
+
+def _split_node(doc):
+    """The first tree's node list and the index of its first split."""
+    nodes = doc["learners"][0]["nodes"]
+    return nodes, next(i for i, node in enumerate(nodes) if node[0] >= 0)
+
+
+def _self_child(doc):
+    nodes, i = _split_node(doc)
+    nodes[i][2] = i
+
+
+def _node_field(field, value):
+    def mutate(doc):
+        nodes, i = _split_node(doc)
+        nodes[i][field] = value
+    return mutate
+
+
+def _short_counts(doc):
+    nodes = doc["learners"][0]["nodes"]
+    leaf = next(node for node in nodes if node[0] == -1)
+    leaf[4] = leaf[4][:1]
+
+
+def _set(key, value):
+    def mutate(doc):
+        *parents, last = key.split(".")
+        block = doc
+        for name in parents:
+            block = block[name]
+        block[last] = value(block[last]) if callable(value) else value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _self_child,
+    _node_field(0, 99),
+    _node_field(3, 10 ** 6),
+    _node_field(1, "0.5"),
+    _short_counts,
+    _set("learners", 5),
+    _set("learners", []),
+    _set("config.m", 3),
+    _set("n_classes", 1),
+    _set("class_names", lambda names: names[:1]),
+], ids=["self-child", "feature-99", "child-1e6", "string-threshold",
+        "counts-one-short", "learners-5", "learners-empty", "m-3",
+        "n-classes-1", "class-names-one-short"])
+def test_malformed_model_exits_1(pipeline_dir, tmp_path, capsys, mutate):
+    doc = json.loads((pipeline_dir / "model.json").read_text())
+    mutate(doc)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    data = pipeline_dir / "data"
+    code, out, err = run(capsys, "predict", "--model", str(model),
+                         "--data", str(data / "test_known.csv"),
+                         "--manifest", str(data / "manifest.json"),
+                         "--threshold", "0.5")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(model) in err

@@ -11,8 +11,10 @@ from voteguard.core import Dataset
 from voteguard.ensemble import (Decision, EnsembleConfig, EnsembleModel,
                                 Standardizer, bootstrap_indices, entropy_of,
                                 fit, gate, predict)
-from voteguard.learners import ConstantLearner, LearnerConfig
+from voteguard.learners import (ConstantLearner, LearnerConfig, TreeParams,
+                                train)
 from conftest import make_binary_dataset
+from test_learners import leaf_of
 
 
 class TestEntropyOf:
@@ -296,6 +298,53 @@ def test_batch_rows_equal_single_samples(fitted_models, kind, mode, rows):
             [learner.predict_label(r) for r in z]
         assert learner.predict_proba(z).tobytes() == \
             np.array([learner.predict_proba(r) for r in z]).tobytes()
+
+
+@st.composite
+def tree_ensembles(draw):
+    """Trees of differing depths, single leaves among them, on 2 or 3
+    classes, and rows to predict."""
+    n_classes = draw(st.sampled_from([2, 3]))
+    n, d = draw(st.integers(2, 30)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    data = Dataset(x=rng.integers(-3, 4, size=(n, d)) / 2.0,
+                   y=rng.integers(0, n_classes, size=n),
+                   app_ids=("a",) * n, n_classes=n_classes)
+    learners = []
+    for seed in range(draw(st.integers(1, 6))):
+        tree = TreeParams(max_depth=draw(st.one_of(st.none(),
+                                                   st.integers(1, 4))))
+        rows = rng.integers(0, n, size=n)
+        if draw(st.booleans()):                  # one class: a single leaf
+            rows = rows[data.y[rows] == data.y[rows[0]]]
+        learners.append(train(LearnerConfig(kind="tree", tree=tree,
+                                            seed=seed), data, rows))
+    mode = draw(st.sampled_from(["hard_vote", "soft_average"]))
+    model = EnsembleModel(
+        learners=tuple(learners),
+        standardizer=Standardizer(mean=np.zeros(d), std=np.ones(d)),
+        config=EnsembleConfig(m=len(learners), posterior_mode=mode),
+        n_classes=n_classes)
+    return model, rng.integers(-4, 5, size=(draw(st.integers(1, 8)), d)) / 2.0
+
+
+@settings(max_examples=200)
+@given(case=tree_ensembles())
+def test_stacked_walk_equals_node_by_node_walk(case):
+    model, rows = case
+    batch = predict(model, rows)
+    for i, x in enumerate(rows):
+        counts = [l.nodes[leaf_of(l, x)].counts for l in model.learners]
+        votes = tuple(int(c.argmax()) for c in counts)
+        if model.config.posterior_mode == "hard_vote":
+            dist = np.bincount(votes, minlength=model.n_classes) / len(votes)
+        else:
+            dist = np.mean([c / c.sum() for c in counts], axis=0)
+        one = predict(model, x)
+        assert one.per_learner_labels == votes
+        assert tuple(batch.per_learner_labels[i].tolist()) == votes
+        assert one.vote_distribution.tobytes() == dist.tobytes()
+        assert batch.vote_distribution[i].tobytes() == dist.tobytes()
 
 
 def test_config_validation():

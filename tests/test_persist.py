@@ -1,10 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from voteguard.ensemble import EnsembleConfig, fit, gate, predict
-from voteguard.learners import LearnerConfig
+from voteguard.learners import ConstantLearner, LearnerConfig
 from voteguard.persist import ModelFormatError, load_model, save_model
 from conftest import make_binary_dataset
 
@@ -76,6 +77,35 @@ def test_constant_learner_round_trip(tmp_path):
     save_model(model, path)
     loaded = load_model(path)
     assert predict(loaded, [0.0, 0.0]).label == 1
+
+
+@pytest.mark.parametrize("mode", ["hard_vote", "soft_average"])
+def test_mixed_members_vote_in_member_order(tmp_path, mode):
+    data = make_binary_dataset(n=80, d=3, separation=1.0, seed=4)
+    trees = fit(EnsembleConfig(base=LearnerConfig(kind="tree"), m=3), data)
+    linear = fit(EnsembleConfig(base=LearnerConfig(kind="logistic"), m=2),
+                 data)
+    constant = ConstantLearner(label=1, n_classes=2, n_features=3,
+                               seed_used=0)
+    t, l = trees.learners, linear.learners
+    members = (l[0], t[0], constant, t[1], l[1], t[2])
+    model = replace(trees, learners=members,
+                    config=replace(trees.config, m=6, posterior_mode=mode))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    x = np.random.default_rng(0).uniform(-3, 3, size=(40, 3))
+    z = loaded.standardizer.transform(x)
+    expected = np.column_stack([m.predict_label(z) for m in loaded.learners])
+    proba = np.mean([m.predict_proba(z) for m in loaded.learners], axis=0)
+    pred = predict(loaded, x)
+    assert [type(m) for m in loaded.learners] == [type(m) for m in members]
+    assert np.array_equal(pred.per_learner_labels, expected)
+    assert pred.per_learner_labels[:, 2].tolist() == [1] * 40
+    if mode == "soft_average":
+        assert pred.vote_distribution.tobytes() == proba.tobytes()
+    for i, row in enumerate(x):
+        assert predict(loaded, row).per_learner_labels == tuple(expected[i])
 
 
 def test_class_names_survive(tmp_path):
