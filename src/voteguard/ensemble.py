@@ -231,27 +231,37 @@ def entropy_of(dist, log_base: float = 2.0):
 def predict(model: EnsembleModel, x) -> Prediction:
     """Vote distribution, entropy, argmax label and training-box support
     for one sample ``(d,)``, or for each row of a batch ``(n, d)``; see
-    :class:`Prediction`. All tree members are walked together, through
-    ``model.forest``; other members predict on their own."""
+    :class:`Prediction`.
+
+    One sample asks every member for its vote; a tree member walks it in
+    Python, cheaper for one row than a numpy step per tree level. A batch
+    walks all tree members together, through ``model.forest``, and asks
+    the other members for theirs."""
     x = check_features(x, model.n_features)
     z = model.standardizer.transform(x)
     rows = z.reshape(-1, model.n_features)
     n, m, k = len(rows), len(model.learners), model.n_classes
-    trees, others = model.member_positions
     soft = model.config.posterior_mode == SOFT_AVERAGE
-    votes = np.empty((n, m), dtype=np.int64)
-    # one row per member, in member order, so that the mean adds the
-    # members in the order a mean over their own predict_proba does
-    shares = np.empty((m, n, k)) if soft else None
-    if trees.size:
-        leaves = model.forest.leaves(rows)           # (n, trees)
-        votes[:, trees] = model.forest.label[leaves]
+    # shares: one row per member, in member order, so that the mean adds
+    # the members in the order a mean over their own predict_proba does
+    if x.ndim == 1:
+        votes = np.array([[l.predict_label(z) for l in model.learners]],
+                         dtype=np.int64)
         if soft:
-            shares[trees] = model.forest.shares[leaves].transpose(1, 0, 2)
-    for i in others.tolist():
-        votes[:, i] = model.learners[i].predict_label(rows)
-        if soft:
-            shares[i] = model.learners[i].predict_proba(rows)
+            shares = np.array([l.predict_proba(z) for l in model.learners])[:, None]
+    else:
+        trees, others = model.member_positions
+        votes = np.empty((n, m), dtype=np.int64)
+        shares = np.empty((m, n, k)) if soft else None
+        if trees.size:
+            leaves = model.forest.leaves(rows)           # (n, trees)
+            votes[:, trees] = model.forest.label[leaves]
+            if soft:
+                shares[trees] = model.forest.shares[leaves].transpose(1, 0, 2)
+        for i in others.tolist():
+            votes[:, i] = model.learners[i].predict_label(rows)
+            if soft:
+                shares[i] = model.learners[i].predict_proba(rows)
     if soft:
         dist = shares.mean(axis=0)
     else:

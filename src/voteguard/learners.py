@@ -68,7 +68,10 @@ def check_features(x, n_features: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != n_features:
         raise ValueError(f"expected {n_features} features, got shape {x.shape}")
-    if not np.isfinite(x).all():
+    # one sample is checked in Python: for d values this costs a quarter
+    # of a numpy reduction, and an ensemble checks each sample M + 1 times
+    if not (all(map(math.isfinite, x.tolist())) if x.ndim == 1
+            else np.isfinite(x).all()):
         raise ValueError("input contains non-finite values")
     return x
 
@@ -243,15 +246,35 @@ class TreeLearner(TrainedLearner):
     converged: bool = True
 
     @functools.cached_property
-    def forest(self) -> Forest:
-        """This tree alone as a :class:`Forest`, built on first use."""
-        return Forest.stack([self.nodes], self.n_classes)
+    def _walk(self):
+        """This tree's nodes as Python lists (feature, threshold, left and
+        right child) for the walk, then each node's argmax label as a list
+        and its ``(N, K)`` class shares, as :class:`Forest` builds them.
+        Built on first use."""
+        forest = Forest.stack([self.nodes], self.n_classes)
+        return (forest.feature.tolist(), forest.threshold.tolist(),
+                *forest.children.tolist(), forest.label.tolist(), forest.shares)
+
+    def _leaves(self, rows):
+        """The leaf each row reaches, one row at a time in Python. A row
+        costs a few comparisons per level, where a numpy step costs
+        microseconds, so this is the cheap walk for the single samples an
+        ensemble gates; :class:`Forest` walks an ensemble's batches."""
+        feature, threshold, left, right = self._walk[:4]
+        leaves = []
+        for x in rows.tolist():
+            i = 0
+            while feature[i] != LEAF:
+                i = left[i] if x[feature[i]] <= threshold[i] else right[i]
+            leaves.append(i)
+        return leaves
 
     def _labels(self, rows):
-        return self.forest.label[self.forest.leaves(rows)[:, 0]]
+        label = self._walk[4]
+        return [label[i] for i in self._leaves(rows)]
 
     def _proba(self, rows):
-        return self.forest.shares[self.forest.leaves(rows)[:, 0]]
+        return self._walk[5][self._leaves(rows)]
 
 
 def _train_tree(config: LearnerConfig, data: Dataset, rows) -> TreeLearner:

@@ -90,6 +90,19 @@ class TestTree:
             with pytest.raises(ValueError, match="non-finite"):
                 learner.predict_label(x)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_single_sample(self, small_dataset, bad):
+        learner = train(LearnerConfig(kind="tree"), small_dataset)
+        for method in (learner.predict_label, learner.predict_proba):
+            with pytest.raises(ValueError, match="non-finite"):
+                method([0.0, bad])
+
+    def test_sample_on_threshold_goes_left(self):
+        learner = train(LearnerConfig(kind="tree"), one_d([0.0, 1.0], [0, 1]))
+        at = learner.nodes[0].threshold
+        assert learner.predict_label([at]) == 0
+        assert learner.predict_label([[at], [1.0]]).tolist() == [0, 1]
+
 
 def brute_force_split(x, y, n_classes=2):
     def gini(labels):
