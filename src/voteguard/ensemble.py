@@ -12,7 +12,6 @@ its entropy exceeds a threshold or its input lies outside that box.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -20,8 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import Dataset
-from .learners import (Forest, LearnerConfig, TrainedLearner, TreeLearner,
-                       check_features, train)
+from .learners import LearnerConfig, TrainedLearner, check_features, train
 
 HARD_VOTE = "hard_vote"
 SOFT_AVERAGE = "soft_average"
@@ -142,21 +140,6 @@ class EnsembleModel:
     def n_features(self) -> int:
         return self.standardizer.mean.shape[0]
 
-    @functools.cached_property
-    def member_positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """Where the tree members stand in ``learners``, which vote through
-        :attr:`forest`, and where the others stand."""
-        is_tree = np.array([isinstance(l, TreeLearner) for l in self.learners],
-                           dtype=bool)
-        return np.flatnonzero(is_tree), np.flatnonzero(~is_tree)
-
-    @functools.cached_property
-    def forest(self) -> Forest:
-        """The tree members stacked into one :class:`Forest`, in member
-        order. Built on first use and kept."""
-        return Forest.stack([l.nodes for l in self.learners
-                             if isinstance(l, TreeLearner)], self.n_classes)
-
     def summary(self) -> dict:
         kinds = [type(l).__name__ for l in self.learners]
         return {
@@ -231,53 +214,30 @@ def entropy_of(dist, log_base: float = 2.0):
 def predict(model: EnsembleModel, x) -> Prediction:
     """Vote distribution, entropy, argmax label and training-box support
     for one sample ``(d,)``, or for each row of a batch ``(n, d)``; see
-    :class:`Prediction`.
-
-    One sample asks every member for its vote; a tree member walks it in
-    Python, cheaper for one row than a numpy step per tree level. A batch
-    walks all tree members together, through ``model.forest``, and asks
-    the other members for theirs."""
+    :class:`Prediction`."""
     x = check_features(x, model.n_features)
     z = model.standardizer.transform(x)
-    rows = z.reshape(-1, model.n_features)
-    n, m, k = len(rows), len(model.learners), model.n_classes
-    soft = model.config.posterior_mode == SOFT_AVERAGE
-    # shares: one row per member, in member order, so that the mean adds
-    # the members in the order a mean over their own predict_proba does
-    if x.ndim == 1:
-        votes = np.array([[l.predict_label(z) for l in model.learners]],
-                         dtype=np.int64)
-        if soft:
-            shares = np.array([l.predict_proba(z) for l in model.learners])[:, None]
-    else:
-        trees, others = model.member_positions
-        votes = np.empty((n, m), dtype=np.int64)
-        shares = np.empty((m, n, k)) if soft else None
-        if trees.size:
-            leaves = model.forest.leaves(rows)           # (n, trees)
-            votes[:, trees] = model.forest.label[leaves]
-            if soft:
-                shares[trees] = model.forest.shares[leaves].transpose(1, 0, 2)
-        for i in others.tolist():
-            votes[:, i] = model.learners[i].predict_label(rows)
-            if soft:
-                shares[i] = model.learners[i].predict_proba(rows)
-    if soft:
-        dist = shares.mean(axis=0)
-    else:
+    labels = [l.predict_label(z) for l in model.learners]
+    m, k = len(labels), model.n_classes
+    n = len(x) if x.ndim == 2 else 1
+    votes = np.array(labels).reshape(m, n)
+    if model.config.posterior_mode == HARD_VOTE:
         # row i's votes land in bincount slots i*K .. i*K + K-1
-        slots = votes + k * np.arange(n)[:, None]
+        slots = votes + k * np.arange(n)
         dist = np.bincount(slots.ravel(), minlength=n * k).reshape(n, k) / m
+    else:
+        dist = np.mean([l.predict_proba(z) for l in model.learners],
+                       axis=0).reshape(n, k)
     h = entropy_of(dist, model.config.entropy_log_base)
     label = dist.argmax(axis=1)
     inside = (np.ones(z.shape[:-1], dtype=bool) if model.support is None
               else model.support.contains(z))
     if x.ndim == 1:
         return Prediction(vote_distribution=dist[0],
-                          per_learner_labels=tuple(votes[0].tolist()),
+                          per_learner_labels=tuple(labels),
                           entropy=float(h[0]), label=int(label[0]),
                           support=bool(inside))
-    return Prediction(vote_distribution=dist, per_learner_labels=votes,
+    return Prediction(vote_distribution=dist, per_learner_labels=votes.T,
                       entropy=h, label=label, support=inside)
 
 

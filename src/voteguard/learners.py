@@ -173,71 +173,6 @@ def best_split(x, y, feature_indices, n_classes, weights=None, orders=None):
 
 
 @dataclass(frozen=True)
-class Forest:
-    """Trees stacked into flat node arrays, walked together.
-
-    Node i of N is a split when ``split[i]``: a sample with
-    ``x[feature[i]] <= threshold[i]`` goes to ``children[0, i]``, any other
-    to ``children[1, i]``. A leaf's children point to itself. ``label[i]``
-    is the argmax of node i's training counts (ties toward the lower class)
-    and ``shares[i]`` their normalized ``(K,)`` row. Tree t starts at node
-    ``roots[t]``. Child indices must exceed their parent's, as in every
-    tree ``train`` builds, so every walk ends.
-    """
-
-    roots: np.ndarray
-    split: np.ndarray
-    feature: np.ndarray
-    threshold: np.ndarray
-    children: np.ndarray
-    label: np.ndarray
-    shares: np.ndarray
-
-    @classmethod
-    def stack(cls, trees, n_classes: int) -> "Forest":
-        """One forest from node lists, each a tree in its own indices."""
-        sizes = [len(nodes) for nodes in trees]
-        roots = np.cumsum([0, *sizes])[:-1]
-        nodes = [node for tree in trees for node in tree]
-        feature = np.array([n.feature for n in nodes], dtype=np.int64)
-        split = feature != LEAF
-        children = np.array([[n.left for n in nodes], [n.right for n in nodes]],
-                            dtype=np.int64).reshape(2, -1)
-        children += np.repeat(roots, sizes)
-        children[:, ~split] = np.flatnonzero(~split)
-        counts = np.array([n.counts for n in nodes],
-                          dtype=np.float64).reshape(len(nodes), n_classes)
-        return cls(roots=roots, split=split, feature=feature,
-                   threshold=np.array([n.threshold for n in nodes],
-                                      dtype=np.float64),
-                   children=children, label=counts.argmax(axis=1),
-                   shares=counts / counts.sum(axis=1, keepdims=True))
-
-    def leaves(self, rows) -> np.ndarray:
-        """``(n, T)``: the leaf that sample i reaches in tree t. All (sample,
-        tree) pairs descend together, and a pair leaves the walk at its
-        leaf."""
-        n, d = rows.shape
-        t = self.roots.size
-        # pair p = i * T + j is sample i in tree j; feature f of sample i
-        # is flat[base[p] + f]
-        node = np.tile(self.roots, n)
-        base = np.repeat(np.arange(0, n * d, d), t)
-        flat = rows.ravel()
-        # all left children, then all right ones: node i goes right to
-        # step[i + N]
-        step, size = self.children.ravel(), self.split.size
-        todo = np.flatnonzero(self.split[node])
-        while todo.size:
-            at = node[todo]
-            right = flat[base[todo] + self.feature[at]] > self.threshold[at]
-            at = step[at + size * right]
-            node[todo] = at
-            todo = todo[self.split[at]]
-        return node.reshape(n, t)
-
-
-@dataclass(frozen=True)
 class TreeLearner(TrainedLearner):
     nodes: tuple[TreeNode, ...]
     n_classes: int
@@ -247,19 +182,21 @@ class TreeLearner(TrainedLearner):
 
     @functools.cached_property
     def _walk(self):
-        """This tree's nodes as Python lists (feature, threshold, left and
-        right child) for the walk, then each node's argmax label as a list
-        and its ``(N, K)`` class shares, as :class:`Forest` builds them.
-        Built on first use."""
-        forest = Forest.stack([self.nodes], self.n_classes)
-        return (forest.feature.tolist(), forest.threshold.tolist(),
-                *forest.children.tolist(), forest.label.tolist(), forest.shares)
+        """This tree as flat lists, built on first use: each node's feature,
+        threshold, left and right child for :meth:`_leaves`, then its
+        argmax label (ties toward the lower class) and its class shares,
+        an ``(N, K)`` array."""
+        nodes = self.nodes
+        counts = np.array([n.counts for n in nodes],
+                          dtype=np.float64).reshape(len(nodes), self.n_classes)
+        return ([int(n.feature) for n in nodes],
+                [float(n.threshold) for n in nodes],
+                [int(n.left) for n in nodes], [int(n.right) for n in nodes],
+                counts.argmax(axis=1).tolist(),
+                counts / counts.sum(axis=1, keepdims=True))
 
     def _leaves(self, rows):
-        """The leaf each row reaches, one row at a time in Python. A row
-        costs a few comparisons per level, where a numpy step costs
-        microseconds, so this is the cheap walk for the single samples an
-        ensemble gates; :class:`Forest` walks an ensemble's batches."""
+        """The leaf each row reaches, one row at a time."""
         feature, threshold, left, right = self._walk[:4]
         leaves = []
         for x in rows.tolist():

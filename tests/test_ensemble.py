@@ -330,7 +330,7 @@ def tree_ensembles(draw):
 
 @settings(max_examples=200)
 @given(case=tree_ensembles())
-def test_stacked_walk_equals_node_by_node_walk(case):
+def test_tree_votes_equal_node_by_node_walk(case):
     model, rows = case
     batch = predict(model, rows)
     for i, x in enumerate(rows):
@@ -345,19 +345,6 @@ def test_stacked_walk_equals_node_by_node_walk(case):
         assert tuple(batch.per_learner_labels[i].tolist()) == votes
         assert one.vote_distribution.tobytes() == dist.tobytes()
         assert batch.vote_distribution[i].tobytes() == dist.tobytes()
-
-
-def test_sample_on_threshold_goes_left_alone_and_in_a_batch():
-    data = Dataset(x=np.array([[0.0], [1.0]]), y=np.array([0, 1]),
-                   app_ids=("a",) * 2, n_classes=2)
-    tree = train(LearnerConfig(kind="tree"), data)
-    model = EnsembleModel(
-        learners=(tree,), standardizer=Standardizer(mean=np.zeros(1),
-                                                    std=np.ones(1)),
-        config=EnsembleConfig(m=1), n_classes=2)
-    at = tree.nodes[0].threshold
-    assert predict(model, [at]).per_learner_labels == (0,)
-    assert predict(model, [[at], [1.0]]).per_learner_labels.tolist() == [[0], [1]]
 
 
 def test_config_validation():
