@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -61,20 +61,71 @@ def load_manifest(path) -> tuple[CsvSchema, frozenset[str]]:
     """Read the JSON manifest describing a CSV dataset.
 
     Expected keys: classes (ordered list), label_column, app_id_column,
-    feature_columns, unknown_app_ids (optional).
+    feature_columns, unknown_app_ids (optional). Raises CsvFormatError,
+    naming ``path``, when a key is missing or holds a value of the wrong
+    shape.
     """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
+
+    def strings(key, what, least=0, unique=True):
+        v = raw[key]
+        if not (isinstance(v, list) and len(v) >= least
+                and all(isinstance(s, str) for s in v)
+                and (not unique or len(set(v)) == len(v))):
+            raise CsvFormatError(
+                f"{path}: manifest {key} must be {what}, got {v!r}")
+        return v
+
+    if not isinstance(raw, dict):
+        raise CsvFormatError(f"{path}: manifest must be a JSON object")
     try:
+        for key in ("label_column", "app_id_column"):
+            if not isinstance(raw[key], str):
+                raise CsvFormatError(f"{path}: manifest {key} must be a "
+                                     f"string, got {raw[key]!r}")
         schema = CsvSchema(
             label_column=raw["label_column"],
             app_id_column=raw["app_id_column"],
-            feature_columns=tuple(raw["feature_columns"]),
-            class_names=tuple(raw["classes"]),
+            feature_columns=tuple(strings(
+                "feature_columns", "a non-empty list of unique strings", 1)),
+            class_names=tuple(strings(
+                "classes", "a list of at least two unique strings", 2)),
         )
     except KeyError as exc:
-        raise CsvFormatError(f"manifest missing key {exc}") from None
-    return schema, frozenset(raw.get("unknown_app_ids", ()))
+        raise CsvFormatError(f"{path}: manifest missing key {exc}") from None
+    unknown = (strings("unknown_app_ids", "a list of strings", unique=False)
+               if "unknown_app_ids" in raw else ())
+    return schema, frozenset(unknown)
+
+
+def _diagnose(row, lineno, schema, columns, label_of):
+    """One row's features, label and app id, read cell by cell, and each
+    bad cell's problem as ``(position, message)``: positions 0..d-1 are the
+    features, d the label and d+1 the app id. A cell the row lacks reads
+    as None. Non-finite values are returned as parsed; the caller checks
+    them."""
+    cells = [row[i] if i < len(row) else None for i in columns]
+    d = len(schema.feature_columns)
+    features, problems = [], []
+    for j, (col, cell) in enumerate(zip(schema.feature_columns, cells)):
+        try:
+            features.append(float(cell))
+        except (TypeError, ValueError):
+            problems.append((j, f"row {lineno}: bad value {cell!r} "
+                                f"in column {col!r}"))
+            features.append(0.0)
+    label_raw = (cells[d] or "").strip()
+    label = label_of.get(label_raw)
+    if label is None:
+        problems.append((d, f"row {lineno}: label {label_raw!r} not in "
+                            f"declared classes {list(schema.class_names)}"))
+        label = UNLABELED
+    app_id = (cells[d + 1] or "").strip()
+    if not app_id:
+        problems.append((d + 1, f"row {lineno}: empty app_id"))
+        app_id = "?"
+    return features, label, app_id, problems
 
 
 def load_csv(path, schema: CsvSchema) -> Dataset:
@@ -82,62 +133,77 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
 
     Labels must be class names from the schema; an empty label cell marks
     an unlabeled sample (unknown bucket). Any non-finite or unparsable
-    feature fails the load with the offending row numbers.
+    feature fails the load with the offending row numbers: the physical
+    line each record starts on, the header being line 1. Blank lines are
+    skipped, a short row reads its missing cells as None (a bad feature,
+    an empty label or app id) and cells past the header are ignored.
     """
-    label_of = {name: i for i, name in enumerate(schema.class_names)}
-    rows_x: list[list[float]] = []
+    d = len(schema.feature_columns)
+    # an empty label cell is unlabeled, whatever the class names
+    label_of = {**{name: i for i, name in enumerate(schema.class_names)},
+                "": UNLABELED}
+    values = array("d")                  # row-major features
     rows_y: list[int] = []
     app_ids: list[str] = []
-    problems: list[str] = []
+    lines = array("l")                   # the line each row starts on
+    # (row index, position in the row, message); see _diagnose
+    problems: list[tuple[int, int, str]] = []
 
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise CsvFormatError(f"{path}: empty file, no header row")
-        missing = [c for c in (schema.label_column, schema.app_id_column,
-                               *schema.feature_columns)
-                   if c not in reader.fieldnames]
+        wanted = (*schema.feature_columns, schema.label_column,
+                  schema.app_id_column)
+        missing = [c for c in wanted if c not in header]
         if missing:
             raise CsvFormatError(f"{path}: missing columns {missing}")
+        for c in dict.fromkeys(wanted):
+            if header.count(c) > 1:
+                raise CsvFormatError(f"{path}: column {c!r} appears "
+                                     f"{header.count(c)} times in the header")
+        columns = [header.index(c) for c in wanted]
+        feature_at, (label_at, app_at) = columns[:d], columns[d:]
 
-        for lineno, row in enumerate(reader, start=2):
-            features = []
-            for col in schema.feature_columns:
-                try:
-                    v = float(row[col])
-                except (TypeError, ValueError):
-                    problems.append(f"row {lineno}: bad value {row[col]!r} "
-                                    f"in column {col!r}")
-                    v = 0.0
-                else:
-                    if not math.isfinite(v):
-                        problems.append(f"row {lineno}: non-finite value "
-                                        f"in column {col!r}")
-                features.append(v)
-            label_raw = (row[schema.label_column] or "").strip()
-            if label_raw == "":
-                rows_y.append(UNLABELED)
-            elif label_raw in label_of:
-                rows_y.append(label_of[label_raw])
-            else:
-                problems.append(f"row {lineno}: label {label_raw!r} not in "
-                                f"declared classes {list(schema.class_names)}")
-                rows_y.append(UNLABELED)
-            app_id = (row[schema.app_id_column] or "").strip()
-            if not app_id:
-                problems.append(f"row {lineno}: empty app_id")
-                app_id = "?"
-            rows_x.append(features)
+        next_line = reader.line_num + 1
+        for row in reader:
+            lineno, next_line = next_line, reader.line_num + 1
+            if not row:
+                continue
+            try:
+                values.extend(map(float, map(row.__getitem__, feature_at)))
+                label = label_of.get(row[label_at].strip())
+                app_id = row[app_at].strip()
+                if label is None or not app_id:
+                    raise ValueError
+            except (ValueError, IndexError):
+                # this row only: drop what it appended, then diagnose it
+                del values[len(rows_y) * d:]
+                row_x, label, app_id, found = _diagnose(row, lineno, schema,
+                                                        columns, label_of)
+                values.extend(row_x)
+                problems.extend((len(rows_y), j, m) for j, m in found)
+            rows_y.append(label)
             app_ids.append(app_id)
+            lines.append(lineno)
 
+    x = np.frombuffer(values).reshape(-1, d)      # a view, not a copy
+    finite = np.isfinite(x)
+    if not finite.all():
+        problems.extend((int(r), int(j), f"row {lines[r]}: non-finite value "
+                                          f"in column "
+                                          f"{schema.feature_columns[j]!r}")
+                        for r, j in zip(*np.nonzero(~finite)))
     if problems:
-        shown = "; ".join(problems[:10])
+        problems.sort()
+        shown = "; ".join(m for _, _, m in problems[:10])
         more = f" (+{len(problems) - 10} more)" if len(problems) > 10 else ""
         raise CsvFormatError(f"{path}: {shown}{more}")
-    if not rows_x:
+    if not rows_y:
         raise CsvFormatError(f"{path}: no data rows")
-    return Dataset(x=np.array(rows_x), y=np.array(rows_y),
-                   app_ids=tuple(app_ids), n_classes=len(schema.class_names),
+    return Dataset(x=x, y=np.array(rows_y), app_ids=tuple(app_ids),
+                   n_classes=len(schema.class_names),
                    class_names=schema.class_names)
 
 

@@ -281,12 +281,8 @@ def _train_tree(config: LearnerConfig, data: Dataset, rows) -> TreeLearner:
 # ---------------------------------------------------------------------------
 
 def _sigmoid(s):
-    out = np.empty_like(s, dtype=np.float64)
-    pos = s >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
-    e = np.exp(s[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(s))               # overflow-safe on both sides
+    return np.where(s >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _softplus(s):
@@ -294,52 +290,74 @@ def _softplus(s):
     return np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))
 
 
+# Each linear kind's objective before the L2 penalty, as functions of the
+# scores s = x @ w + b on +-1 targets z: the mean loss, and per sample n
+# times its slope d loss/ds and its (generalized) curvature d2 loss/ds2.
+
+def _log_loss(s, z):
+    return np.mean(_softplus(-(z * s)))
+
+
+def _log_slope(s, z):
+    return -(z * _sigmoid(-(z * s)))
+
+
+def _log_curvature(s, z):
+    p = _sigmoid(s)
+    return p * (1.0 - p)
+
+
+def _squared_hinge(s, z):
+    return np.mean(np.maximum(0.0, 1.0 - z * s) ** 2)
+
+
+def _squared_hinge_slope(s, z):
+    return -2.0 * (z * np.maximum(0.0, 1.0 - z * s))
+
+
+def _squared_hinge_curvature(s, z):
+    # 2 inside the margin, 0 outside
+    return 2.0 * (z * s < 1.0)
+
+
+# (loss, slope, curvature) minimized for each linear kind
+_OBJECTIVES = {
+    "logistic": (_log_loss, _log_slope, _log_curvature),
+    "linear_svm": (_squared_hinge, _squared_hinge_slope,
+                   _squared_hinge_curvature),
+}
+
+
+def _penalized(loss, w, s, z, l2):
+    """``loss`` at scores ``s`` plus the L2 penalty on the weights ``w``."""
+    return float(loss(s, z) + 0.5 * l2 * (w @ w))
+
+
+def _gradient(slope, w, x, l2):
+    """(d/dw, d/db) of a penalized objective whose slopes at ``x`` are
+    ``slope``."""
+    return (x.T @ slope) / x.shape[0] + l2 * w, float(np.mean(slope))
+
+
 def logistic_loss(w, b, x, z, l2):
     """Mean log loss on +-1 targets ``z`` plus an L2 penalty on the weights."""
-    m = z * (x @ w + b)
-    return float(np.mean(_softplus(-m)) + 0.5 * l2 * (w @ w))
+    return _penalized(_log_loss, w, x @ w + b, z, l2)
 
 
 def logistic_gradient(w, b, x, z, l2):
-    m = z * (x @ w + b)
-    p = _sigmoid(-m)
-    gw = -(x.T @ (z * p)) / x.shape[0] + l2 * w
-    gb = -float(np.mean(z * p))
-    return gw, gb
+    return _gradient(_log_slope(x @ w + b, z), w, x, l2)
 
 
 def hinge_loss(w, b, x, z, l2):
     """Mean squared hinge ``max(0, 1 - m)^2`` over the margins
     ``m = z * (x @ w + b)`` on +-1 targets ``z``, plus an L2 penalty on the
     weights: the L2-loss SVM objective."""
-    m = z * (x @ w + b)
-    return float(np.mean(np.maximum(0.0, 1.0 - m) ** 2) + 0.5 * l2 * (w @ w))
+    return _penalized(_squared_hinge, w, x @ w + b, z, l2)
 
 
 def hinge_gradient(w, b, x, z, l2):
     """Gradient of the squared hinge ``hinge_loss``."""
-    m = z * (x @ w + b)
-    slack = np.maximum(0.0, 1.0 - m)
-    gw = -2.0 * (x.T @ (z * slack)) / x.shape[0] + l2 * w
-    gb = -2.0 * float(np.mean(z * slack))
-    return gw, gb
-
-
-def _logistic_curvature(w, b, x, z):
-    p = _sigmoid(x @ w + b)
-    return p * (1.0 - p)
-
-
-def _hinge_curvature(w, b, x, z):
-    # generalized Hessian weight: 2 inside the margin, 0 outside
-    return 2.0 * (z * (x @ w + b) < 1.0)
-
-
-# (loss, gradient, per-sample curvature) minimized for each linear kind
-_OBJECTIVES = {
-    "logistic": (logistic_loss, logistic_gradient, _logistic_curvature),
-    "linear_svm": (hinge_loss, hinge_gradient, _hinge_curvature),
-}
+    return _gradient(_squared_hinge_slope(x @ w + b, z), w, x, l2)
 
 
 @dataclass(frozen=True)
@@ -391,12 +409,13 @@ class ConstantLearner(TrainedLearner):
         return proba
 
 
-def _newton(g: GradientParams, x, z, loss, gradient, curvature):
-    """Minimize ``loss`` by damped Newton: each step solves the (generalized)
-    Hessian system and backtracks from step 1 until the Armijo test holds.
-    Stops once the Newton decrement lambda^2 / 2 is below the tolerance,
-    after taking that last step. The squared hinge is piecewise quadratic,
-    so full steps reach its optimum in finitely many iterations."""
+def _newton(g: GradientParams, x, z, loss, slope, curvature):
+    """Minimize the penalized ``loss`` by damped Newton: each step solves the
+    (generalized) Hessian system and backtracks from step 1 until the Armijo
+    test holds. Stops once the Newton decrement lambda^2 / 2 is below the
+    tolerance, after taking that last step. The squared hinge is piecewise
+    quadratic, so full steps reach its optimum in finitely many iterations.
+    Each step starts from the scores of the trial it accepted."""
     n, d = x.shape
     xb = np.column_stack([x, np.ones(n)])
     # The bias is unpenalized. The jitter keeps the solve defined for l2=0,
@@ -404,25 +423,28 @@ def _newton(g: GradientParams, x, z, loss, gradient, curvature):
     # inside the margin) span fewer than d + 1 dimensions.
     penalty = np.diag(np.append(np.full(d, g.l2), 0.0) + 1e-12)
     w, b = np.zeros(d), 0.0
-    prev = loss(w, b, x, z, g.l2)
+    s = x @ w + b
+    prev = _penalized(loss, w, s, z, g.l2)
     losses = [prev]
     for _ in range(g.max_iters):
-        gw, gb = gradient(w, b, x, z, g.l2)
+        gw, gb = _gradient(slope(s, z), w, x, g.l2)
         grad = np.append(gw, gb)
-        hessian = (xb.T * curvature(w, b, x, z)) @ xb / n + penalty
+        hessian = (xb.T * curvature(s, z)) @ xb / n + penalty
         step = -np.linalg.solve(hessian, grad)
-        slope = float(grad @ step)           # -lambda^2
-        done = -slope / 2.0 < g.tolerance
+        slope_along = float(grad @ step)     # -lambda^2
+        done = -slope_along / 2.0 < g.tolerance
         rate = 1.0
         for _ in range(50):
-            cur = loss(w + rate * step[:d], b + rate * step[d], x, z, g.l2)
-            if cur <= prev + 1e-4 * rate * slope:
+            tw, tb = w + rate * step[:d], b + rate * float(step[d])
+            ts = x @ tw + tb
+            cur = _penalized(loss, tw, ts, z, g.l2)
+            if cur <= prev + 1e-4 * rate * slope_along:
                 break
             rate *= 0.5
         else:
             # no step lowers the loss beyond rounding: optimal if done
             return w, b, done, losses
-        w, b = w + rate * step[:d], b + rate * float(step[d])
+        w, b, s = tw, tb, ts
         losses.append(cur)
         prev = cur
         if done:

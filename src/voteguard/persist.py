@@ -71,6 +71,23 @@ def _is_int(value) -> bool:
     return type(value) is int                # JSON true and false are not
 
 
+def _is_finite_number(value) -> bool:
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:                    # an int past float's range
+        return False
+
+
+def _vector(raw, name: str, n_features: int) -> np.ndarray:
+    """``raw`` as a float64 array, checked to be ``n_features`` finite
+    numbers."""
+    if not (isinstance(raw, list) and len(raw) == n_features
+            and all(map(_is_finite_number, raw))):
+        raise ModelFormatError(
+            f"{name} must be a list of {n_features} finite numbers")
+    return np.array(raw, dtype=np.float64)
+
+
 def _tree_nodes(raw, n_classes: int, n_features: int) -> tuple[TreeNode, ...]:
     """A saved node list, checked so that every walk of it ends: each
     split's children lie after it, as in the preorder ``train`` writes."""
@@ -125,9 +142,13 @@ def _learner_from_dict(raw: dict, n_classes: int, n_features: int):
                            seed_used=raw["seed_used"],
                            converged=raw["converged"])
     if kind == "linear":
+        bias = raw["bias"]
+        if not _is_finite_number(bias):
+            raise ModelFormatError(f"bias {bias!r} is not a finite number")
         return LinearLearner(kind=raw["kind"],
-                             weights=np.array(raw["weights"], dtype=np.float64),
-                             bias=float(raw["bias"]), n_classes=n_classes,
+                             weights=_vector(raw["weights"], "weights",
+                                             n_features),
+                             bias=float(bias), n_classes=n_classes,
                              converged=raw["converged"],
                              seed_used=raw["seed_used"])
     if kind == "constant":
@@ -184,6 +205,26 @@ def _params(cls, raw: dict, ignored=()):
 
 def _config_from_dict(raw: dict) -> EnsembleConfig:
     base = _object(raw["base"], "config.base")
+    tree = _object(base["tree"], "config.base.tree")
+    gradient = _object(base["gradient"], "config.base.gradient")
+    # the types the config classes compare and compute with; they check
+    # the values themselves
+    for name, block, key, ok, what in (
+            ("config", raw, "master_seed", _is_int, "an integer"),
+            ("config.base", base, "seed", _is_int, "an integer"),
+            ("config.base.tree", tree, "max_depth",
+             lambda v: v is None or _is_int(v), "an integer or null"),
+            ("config.base.tree", tree, "min_samples_split", _is_int,
+             "an integer"),
+            ("config.base.gradient", gradient, "max_iters", _is_int,
+             "an integer"),
+            ("config.base.gradient", gradient, "tolerance",
+             _is_finite_number, "a finite number"),
+            ("config.base.gradient", gradient, "l2", _is_finite_number,
+             "a finite number")):
+        if key in block and not ok(block[key]):
+            raise ModelFormatError(
+                f"{name}.{key} must be {what}, got {block[key]!r}")
     return EnsembleConfig(
         m=raw["m"],
         master_seed=raw["master_seed"],
@@ -192,11 +233,10 @@ def _config_from_dict(raw: dict) -> EnsembleConfig:
         base=LearnerConfig(
             kind=base["kind"],
             seed=base["seed"],
-            tree=_params(TreeParams, _object(base["tree"], "config.base.tree")),
+            tree=_params(TreeParams, tree),
             # files written while linear_svm used gradient descent carry
             # its step size
-            gradient=_params(GradientParams,
-                             _object(base["gradient"], "config.base.gradient"),
+            gradient=_params(GradientParams, gradient,
                              ignored=("learning_rate",)),
         ),
     )
@@ -270,20 +310,20 @@ def _model_from_dict(doc: dict) -> EnsembleModel:
             f"config.m is {raw_config['m']!r} but the file holds "
             f"{len(raw_learners)} learners")
     config = _config_from_dict(raw_config)
+    raw_std = _object(doc["standardizer"], "standardizer")
     standardizer = Standardizer(
-        mean=np.array(doc["standardizer"]["mean"], dtype=np.float64),
-        std=np.array(doc["standardizer"]["std"], dtype=np.float64),
+        mean=_vector(raw_std["mean"], "standardizer mean", n_features),
+        std=_vector(raw_std["std"], "standardizer std", n_features),
     )
+    if not (standardizer.std > 0).all():
+        raise ModelFormatError("standardizer std must be > 0 throughout")
     support = None
     if doc.get("support") is not None:
+        raw_box = _object(doc["support"], "support box")
         support = SupportBox(
-            low=np.array(doc["support"]["low"], dtype=np.float64),
-            high=np.array(doc["support"]["high"], dtype=np.float64),
+            low=_vector(raw_box["low"], "support box low", n_features),
+            high=_vector(raw_box["high"], "support box high", n_features),
         )
-        if support.low.shape != (n_features,) or \
-                support.high.shape != (n_features,):
-            raise ModelFormatError(
-                f"support box does not have {n_features} features")
     learners = []
     for i, raw in enumerate(raw_learners):
         try:

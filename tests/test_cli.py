@@ -22,6 +22,10 @@ def pipeline_dir(tmp_path_factory):
     assert cli_main(["train", "--data", str(data / "train.csv"),
                      "--manifest", str(data / "manifest.json"),
                      "--out", str(root / "model.json"), "--m", "9"]) == 0
+    assert cli_main(["train", "--data", str(data / "train.csv"),
+                     "--manifest", str(data / "manifest.json"),
+                     "--out", str(root / "linear.json"), "--m", "3",
+                     "--learner", "logistic"]) == 0
     return root
 
 
@@ -250,6 +254,13 @@ def _set(key, value):
     return mutate
 
 
+def _set_linear(key, value):
+    def mutate(doc):
+        _set(key, value)(doc["learners"][0])
+    mutate.linear = True
+    return mutate
+
+
 @pytest.mark.parametrize("mutate", [
     _self_child,
     _node_field(0, 99),
@@ -261,11 +272,40 @@ def _set(key, value):
     _set("config.m", 3),
     _set("n_classes", 1),
     _set("class_names", lambda names: names[:1]),
+    _set("standardizer", [0.0]),
+    _set("standardizer.mean", lambda mean: mean[:3]),
+    _set("standardizer.std", lambda std: [0.0, *std[1:]]),
+    _set("standardizer.std", lambda std: [-1.0, *std[1:]]),
+    _set("standardizer.mean", lambda mean: [float("nan"), *mean[1:]]),
+    _set("standardizer.mean", lambda mean: ["0", *mean[1:]]),
+    _set("support.low", lambda low: [*low[:3], float("-inf")]),
+    _set("support.high", lambda high: [10 ** 400, *high[1:]]),
+    _set("config.master_seed", "0"),
+    _set("config.base.seed", 0.5),
+    _set("config.base.tree.max_depth", "3"),
+    _set("config.base.tree.min_samples_split", 2.5),
+    _set("config.base.tree.feature_subsample", "most"),
+    _set("config.base.gradient.max_iters", True),
+    _set("config.base.gradient.tolerance", float("nan")),
+    _set("config.base.gradient.l2", "1e-4"),
+    _set("config.posterior_mode", ["hard_vote"]),
+    _set("config.entropy_log_base", 10),
+    _set_linear("weights", lambda weights: weights[:3]),
+    _set_linear("weights", lambda weights: [float("inf"), *weights[1:]]),
+    _set_linear("bias", "0.5"),
+    _set_linear("bias", float("nan")),
 ], ids=["self-child", "feature-99", "child-1e6", "string-threshold",
         "counts-one-short", "learners-5", "learners-empty", "m-3",
-        "n-classes-1", "class-names-one-short"])
+        "n-classes-1", "class-names-one-short", "standardizer-list",
+        "mean-one-short", "std-0", "std-negative", "mean-nan", "mean-string",
+        "low-inf", "high-huge-int", "master-seed-string", "seed-float",
+        "max-depth-string", "min-samples-split-float",
+        "feature-subsample-most", "max-iters-bool", "tolerance-nan",
+        "l2-string", "posterior-mode-list", "log-base-10",
+        "weights-one-short", "weights-inf", "bias-string", "bias-nan"])
 def test_malformed_model_exits_1(pipeline_dir, tmp_path, capsys, mutate):
-    doc = json.loads((pipeline_dir / "model.json").read_text())
+    name = "linear.json" if getattr(mutate, "linear", False) else "model.json"
+    doc = json.loads((pipeline_dir / name).read_text())
     mutate(doc)
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc))
@@ -277,3 +317,33 @@ def test_malformed_model_exits_1(pipeline_dir, tmp_path, capsys, mutate):
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(model) in err
+
+
+@pytest.mark.parametrize("change", [
+    lambda m: [m],
+    lambda m: {**m, "label_column": 5},
+    lambda m: {**m, "app_id_column": None},
+    lambda m: {**m, "feature_columns": "f0"},
+    lambda m: {**m, "feature_columns": []},
+    lambda m: {**m, "feature_columns": ["f0", "f0"]},
+    lambda m: {**m, "classes": ["benign"]},
+    lambda m: {**m, "classes": ["benign", "benign"]},
+    lambda m: {**m, "classes": ["benign", 1]},
+    lambda m: {**m, "unknown_app_ids": "unknown"},
+    lambda m: {**m, "unknown_app_ids": [None]},
+], ids=["list", "label-column-int", "app-id-column-null",
+        "features-string", "features-empty", "features-twice",
+        "one-class", "class-twice", "class-int", "unknown-string",
+        "unknown-null"])
+def test_malformed_manifest_exits_1(pipeline_dir, tmp_path, capsys, change):
+    data = pipeline_dir / "data"
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(
+        change(json.loads((data / "manifest.json").read_text()))))
+    code, out, err = run(capsys, "predict",
+                         "--model", str(pipeline_dir / "model.json"),
+                         "--data", str(data / "test_known.csv"),
+                         "--manifest", str(manifest), "--threshold", "0.5")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(manifest) in err

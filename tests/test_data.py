@@ -1,7 +1,12 @@
+import csv
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from voteguard.core import UNLABELED, Dataset
 from voteguard.data import (CsvFormatError, CsvSchema, DatasetTaxonomy,
@@ -84,6 +89,124 @@ class TestLoadCsv:
         np.testing.assert_array_equal(back.x, ds.x)
         np.testing.assert_array_equal(back.y, ds.y)
         assert back.app_ids == ds.app_ids
+
+
+    def test_rows_numbered_by_line_after_a_blank_line(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("f0,f1,label,app\n"
+                     "0.1,0.2,benign,calc\n"
+                     "\n"
+                     "0.1,oops,benign,calc\n")
+        with pytest.raises(CsvFormatError,
+                           match="row 4: bad value 'oops' in column 'f1'"):
+            load_csv(p, SCHEMA)
+
+    def test_rows_numbered_by_line_after_a_multi_line_record(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text('f0,f1,label,app\n'
+                     '0.1,0.2,"benign\n",calc\n'
+                     '0.3,0.4,malware,worm\n')
+        assert load_csv(p, SCHEMA).y.tolist() == [0, 1]
+        p.write_text('f0,f1,label,app\n'
+                     '0.1,0.2,"benign\n",calc\n'
+                     'oops,0.4,malware,worm\n')
+        with pytest.raises(CsvFormatError,
+                           match="row 4: bad value 'oops' in column 'f0'"):
+            load_csv(p, SCHEMA)
+
+    def test_short_row_reads_missing_cells_as_empty(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("f0,f1,app,label,extra\n"
+                     "0.1,0.2,calc\n"
+                     "0.3,0.4,worm,malware,ignored,ignored\n")
+        ds = load_csv(p, SCHEMA)
+        assert ds.y.tolist() == [UNLABELED, 1]
+        assert ds.app_ids == ("calc", "worm")
+
+    def test_schema_column_named_twice_rejected(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("f0,f1,label,app,f1\n0.1,0.2,benign,calc,9.9\n")
+        with pytest.raises(CsvFormatError,
+                           match="column 'f1' appears 2 times in the header"):
+            load_csv(p, SCHEMA)
+        p.write_text("f0,f1,label,app,note,note\n0.1,0.2,benign,calc,a,b\n")
+        assert load_csv(p, SCHEMA).x.tolist() == [[0.1, 0.2]]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=20))
+@example([(-0.0, 5e-324), (1e308, -1e308), (2.2250738585072014e-308,
+                                            -1.5e-310)])
+def test_write_load_round_trips_floats_bit_for_bit(rows):
+    ds = Dataset(x=np.array(rows, dtype=np.float64).reshape(-1, 2),
+                 y=np.zeros(len(rows), dtype=np.int64),
+                 app_ids=("a",) * len(rows), n_classes=2,
+                 class_names=SCHEMA.class_names)
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "d.csv"
+        write_csv(ds, p, SCHEMA)
+        back = load_csv(p, SCHEMA)
+    assert back.x.tobytes() == ds.x.tobytes()
+
+
+CELL = st.one_of(FINITE.map(repr),
+                 st.sampled_from(["oops", "", "nan", "-inf", " 1.5 ", "1e999"]))
+ROW = st.tuples(st.lists(CELL, min_size=2, max_size=2),
+                st.sampled_from(["benign", " malware ", "", "goodware"]),
+                st.sampled_from(["calc", "", "  "]),
+                st.integers(1, 4),       # cells written; a short row ends early
+                st.booleans())           # a blank line before the row
+
+
+def _expected_problems(cells, lineno):
+    """The problems of one row, read cell by cell."""
+    f0, f1, label, app = [*cells, None, None, None][:4]
+    problems = []
+    for col, cell in (("f0", f0), ("f1", f1)):
+        try:
+            v = float(cell)
+        except (TypeError, ValueError):
+            problems.append(f"row {lineno}: bad value {cell!r} "
+                            f"in column {col!r}")
+        else:
+            if not math.isfinite(v):
+                problems.append(f"row {lineno}: non-finite value "
+                                f"in column {col!r}")
+    label = (label or "").strip()
+    if label not in ("", "benign", "malware"):
+        problems.append(f"row {lineno}: label {label!r} not in declared "
+                        f"classes ['benign', 'malware']")
+    if not (app or "").strip():
+        problems.append(f"row {lineno}: empty app_id")
+    return problems
+
+
+@given(st.lists(ROW, min_size=1, max_size=25))
+def test_problems_listed_by_row_then_column_and_capped(rows):
+    out = io.StringIO()
+    out.write("f0,f1,label,app\n")
+    writer = csv.writer(out, lineterminator="\n")
+    lineno, expected = 1, []
+    for features, label, app, kept, blank in rows:
+        if blank:
+            out.write("\n")
+            lineno += 1
+        cells = [*features, label, app][:kept]
+        writer.writerow(cells)
+        lineno += 1
+        expected += _expected_problems(cells, lineno)
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "d.csv"
+        p.write_text(out.getvalue())
+        if not expected:
+            assert len(load_csv(p, SCHEMA)) == len(rows)
+            return
+        with pytest.raises(CsvFormatError) as info:
+            load_csv(p, SCHEMA)
+    more = f" (+{len(expected) - 10} more)" if len(expected) > 10 else ""
+    assert str(info.value) == f"{p}: {'; '.join(expected[:10])}{more}"
 
 
 def test_load_manifest(tmp_path):

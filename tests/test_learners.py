@@ -9,10 +9,11 @@ from hypothesis.extra.numpy import arrays
 from voteguard.core import Dataset
 from voteguard.data import SyntheticSpec, generate_synthetic
 from voteguard.ensemble import Standardizer, bootstrap_indices
-from voteguard.learners import (ConstantLearner, GradientParams, LearnerConfig,
-                                LinearLearner, TreeParams,
-                                best_split, hinge_gradient, hinge_loss,
-                                logistic_gradient, logistic_loss, train)
+from voteguard.learners import (_OBJECTIVES, ConstantLearner, GradientParams,
+                                LearnerConfig, LinearLearner, TreeParams,
+                                _gradient, _penalized, _sigmoid, best_split,
+                                hinge_gradient, hinge_loss, logistic_gradient,
+                                logistic_loss, train)
 from conftest import make_binary_dataset
 
 
@@ -260,6 +261,51 @@ def test_gradients_match_finite_differences(loss_fn, grad_fn):
             assert abs(fd - gw[j]) <= 1e-5 * max(1.0, abs(fd))
         fd_b = (loss_fn(w, b + h, x, z, l2) - loss_fn(w, b - h, x, z, l2)) / (2 * h)
         assert abs(fd_b - gb) <= 1e-5 * max(1.0, abs(fd_b))
+
+
+@pytest.mark.parametrize("kind,loss_fn,grad_fn", [
+    ("logistic", logistic_loss, logistic_gradient),
+    ("linear_svm", hinge_loss, hinge_gradient),
+])
+def test_score_objective_matches_public_functions(kind, loss_fn, grad_fn):
+    # Newton works from the scores s = x @ w + b; the public functions
+    # that criterion 07 checks must give the same bits
+    loss, slope, curvature = _OBJECTIVES[kind]
+    rng = np.random.default_rng(11)
+    h = 1e-6
+    for trial in range(20):
+        n, d = int(rng.integers(1, 60)), int(rng.integers(1, 6))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        x = scale * rng.standard_normal((n, d))
+        z = np.where(rng.integers(0, 2, n) == 1, 1.0, -1.0)
+        w, b = rng.standard_normal(d), float(rng.standard_normal())
+        l2 = float(rng.choice([0.0, 1e-4, 1.0]))
+        s = x @ w + b
+        assert _penalized(loss, w, s, z, l2) == loss_fn(w, b, x, z, l2)
+        gw, gb = _gradient(slope(s, z), w, x, l2)
+        pw, pb = grad_fn(w, b, x, z, l2)
+        assert gw.tobytes() == pw.tobytes() and gb == pb
+        # slope and curvature are the per-sample derivatives of the loss
+        one = [loss(s[i:i + 1] + e, z[i:i + 1]) for i in range(n)
+               for e in (h, -h)]
+        fd = (np.array(one[::2]) - np.array(one[1::2])) / (2 * h)
+        np.testing.assert_allclose(slope(s, z), fd, rtol=1e-5, atol=1e-6)
+        fd2 = (slope(s + h, z) - slope(s - h, z)) / (2 * h)
+        kink = np.abs(z * s - 1.0) < 2 * h    # the hinge's curvature jumps
+        np.testing.assert_allclose(curvature(s, z)[~kink], fd2[~kink],
+                                   rtol=1e-4, atol=1e-6)
+
+
+def test_sigmoid_matches_masked_formula_bit_for_bit():
+    s = np.array([-800.0, -40.0, -1.5, -1e-300, -0.0, 0.0, 5e-324, 0.3,
+                  36.0, 800.0])
+    # the earlier form: each side of 0 through its own exp
+    expected = np.empty_like(s)
+    pos = s >= 0
+    expected[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
+    e = np.exp(s[~pos])
+    expected[~pos] = e / (1.0 + e)
+    assert _sigmoid(s).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["logistic", "linear_svm"])
