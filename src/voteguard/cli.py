@@ -62,9 +62,23 @@ def _ensemble_config(args, m=None) -> ensemble.EnsembleConfig:
     )
 
 
-def _load(args, attr="data"):
-    schema, _ = datamod.load_manifest(args.manifest)
-    return datamod.load_csv(getattr(args, attr), schema)
+def _load(args, known=(), other=()):
+    """The datasets the flags ``known`` then ``other`` name (None for a
+    flag not given), read under one load of the manifest. ``known`` data
+    is fitted or scored as known, so a row whose app id the manifest
+    declares unknown fails the command; ``other`` data may hold any."""
+    schema, unknown_ids = datamod.load_manifest(args.manifest)
+    loaded = []
+    for attr in (*known, *other):
+        path = getattr(args, attr)
+        data = None if path is None else datamod.load_csv(path, schema)
+        if attr in known:
+            declared = unknown_ids.intersection(data.app_ids)
+            if declared:
+                raise ValueError(f"{path}: app ids declared unknown in "
+                                 f"{args.manifest}: {sorted(declared)[:5]}")
+        loaded.append(data)
+    return loaded
 
 
 def _cmd_synth(args) -> int:
@@ -101,22 +115,22 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    train_data = _load(args)
+    train_data, = _load(args, known=("data",))
     config = _ensemble_config(args)
     model = ensemble.fit(config, train_data, n_workers=args.workers)
     persist.save_model(model, args.out)
-    summary = model.summary()
-    print(f"trained m={summary['m']} {args.learner} ensemble "
+    print(f"trained m={len(model.learners)} {args.learner} ensemble "
           f"on {len(train_data)} samples -> {args.out}")
-    if summary["n_not_converged"]:
-        print(f"warning: {summary['n_not_converged']} base classifiers "
+    not_converged = sum(not learner.converged for learner in model.learners)
+    if not_converged:
+        print(f"warning: {not_converged} base classifiers "
               f"did not converge", file=sys.stderr)
     return 0
 
 
 def _cmd_predict(args) -> int:
     model = persist.load_model(args.model)
-    eval_data = _load(args)
+    eval_data, = _load(args, other=("data",))
     names = model.class_names or tuple(
         str(i) for i in range(model.n_classes))
     pred = ensemble.predict(model, eval_data.x)
@@ -131,10 +145,8 @@ def _cmd_predict(args) -> int:
 
 def _cmd_sweep_threshold(args) -> int:
     model = persist.load_model(args.model)
-    test_known = _load(args, "test_known")
-    unknown = None
-    if args.unknown is not None:
-        unknown = _load(args, "unknown")
+    test_known, unknown = _load(args, known=("test_known",),
+                                other=("unknown",))
     taxonomy = datamod.DatasetTaxonomy(train=test_known, test_known=test_known,
                                        unknown=unknown)
     grid = harness.default_threshold_grid(model.n_classes,
@@ -148,9 +160,7 @@ def _cmd_sweep_threshold(args) -> int:
 
 
 def _cmd_sweep_size(args) -> int:
-    train_data = _load(args)
-    schema, _ = datamod.load_manifest(args.manifest)
-    eval_data = datamod.load_csv(args.eval, schema)
+    train_data, eval_data = _load(args, known=("data",), other=("eval",))
     m_grid = [int(v) for v in args.m_grid.split(",") if v.strip()]
     config = _ensemble_config(args, m=max(m_grid))
     report = harness.run_stability_sweep(config, train_data, eval_data, m_grid,

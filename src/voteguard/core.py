@@ -74,16 +74,6 @@ class Dataset:
     def fully_labeled(self) -> bool:
         return bool(np.all(self.y != UNLABELED))
 
-    def subset(self, indices: np.ndarray | Sequence[int]) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            x=self.x[idx],
-            y=self.y[idx],
-            app_ids=tuple(self.app_ids[i] for i in idx),
-            n_classes=self.n_classes,
-            class_names=self.class_names,
-        )
-
 
 @dataclass(frozen=True)
 class ClassificationMetrics:
@@ -102,13 +92,6 @@ class ClassificationMetrics:
     recall: float
     f1: float
     accuracy: float
-
-    def as_dict(self) -> dict:
-        return {
-            "tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn,
-            "precision": self.precision, "recall": self.recall,
-            "f1": self.f1, "accuracy": self.accuracy,
-        }
 
 
 def compute_metrics(predicted: Sequence[int], truth: Sequence[int],

@@ -1,9 +1,10 @@
-"""Dataset ingestion, known/unknown bucketing, and synthetic regimes.
+"""Dataset ingestion and synthetic regimes.
 
 Ingestion is CSV-only: feature extraction from raw hardware signals is
 upstream of this package. Parsing is strict; a single bad row fails the
 whole load with row numbers in the error, since silently dropped rows
-would corrupt downstream uncertainty experiments.
+would corrupt downstream uncertainty experiments. CSVs and manifests are
+UTF-8 text, with or without a byte-order mark.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import csv
 import json
 from array import array
 from dataclasses import dataclass
-from typing import Iterable
+from pathlib import Path
 
 import numpy as np
 
@@ -63,10 +64,17 @@ def load_manifest(path) -> tuple[CsvSchema, frozenset[str]]:
     Expected keys: classes (ordered list), label_column, app_id_column,
     feature_columns, unknown_app_ids (optional). Raises CsvFormatError,
     naming ``path``, when a key is missing or holds a value of the wrong
-    shape.
+    shape, or when the file is not UTF-8 JSON.
     """
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            raw = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise CsvFormatError(f"{path}: manifest is not valid JSON: "
+                             f"{exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: manifest is not UTF-8 text: "
+                             f"{exc}") from None
 
     def strings(key, what, least=0, unique=True):
         v = raw[key]
@@ -136,7 +144,9 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     feature fails the load with the offending row numbers: the physical
     line each record starts on, the header being line 1. Blank lines are
     skipped, a short row reads its missing cells as None (a bad feature,
-    an empty label or app id) and cells past the header are ignored.
+    an empty label or app id) and cells past the header are ignored. A
+    file that is not UTF-8 text fails with the line of its first bad byte,
+    and one the csv module cannot split with the line it failed on.
     """
     d = len(schema.feature_columns)
     # an empty label cell is unlabeled, whatever the class names
@@ -149,44 +159,59 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     # (row index, position in the row, message); see _diagnose
     problems: list[tuple[int, int, str]] = []
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise CsvFormatError(f"{path}: empty file, no header row")
-        wanted = (*schema.feature_columns, schema.label_column,
-                  schema.app_id_column)
-        missing = [c for c in wanted if c not in header]
-        if missing:
-            raise CsvFormatError(f"{path}: missing columns {missing}")
-        for c in dict.fromkeys(wanted):
-            if header.count(c) > 1:
-                raise CsvFormatError(f"{path}: column {c!r} appears "
-                                     f"{header.count(c)} times in the header")
-        columns = [header.index(c) for c in wanted]
-        feature_at, (label_at, app_at) = columns[:d], columns[d:]
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise CsvFormatError(f"{path}: empty file, no header row")
+            wanted = (*schema.feature_columns, schema.label_column,
+                      schema.app_id_column)
+            missing = [c for c in wanted if c not in header]
+            if missing:
+                raise CsvFormatError(f"{path}: missing columns {missing}")
+            for c in dict.fromkeys(wanted):
+                if header.count(c) > 1:
+                    raise CsvFormatError(
+                        f"{path}: column {c!r} appears "
+                        f"{header.count(c)} times in the header")
+            columns = [header.index(c) for c in wanted]
+            feature_at, (label_at, app_at) = columns[:d], columns[d:]
 
-        next_line = reader.line_num + 1
-        for row in reader:
-            lineno, next_line = next_line, reader.line_num + 1
-            if not row:
-                continue
-            try:
-                values.extend(map(float, map(row.__getitem__, feature_at)))
-                label = label_of.get(row[label_at].strip())
-                app_id = row[app_at].strip()
-                if label is None or not app_id:
-                    raise ValueError
-            except (ValueError, IndexError):
-                # this row only: drop what it appended, then diagnose it
-                del values[len(rows_y) * d:]
-                row_x, label, app_id, found = _diagnose(row, lineno, schema,
-                                                        columns, label_of)
-                values.extend(row_x)
-                problems.extend((len(rows_y), j, m) for j, m in found)
-            rows_y.append(label)
-            app_ids.append(app_id)
-            lines.append(lineno)
+            next_line = reader.line_num + 1
+            for row in reader:
+                lineno, next_line = next_line, reader.line_num + 1
+                if not row:
+                    continue
+                try:
+                    values.extend(map(float, map(row.__getitem__, feature_at)))
+                    label = label_of.get(row[label_at].strip())
+                    app_id = row[app_at].strip()
+                    if label is None or not app_id:
+                        raise ValueError
+                except (ValueError, IndexError):
+                    # this row only: drop what it appended, then diagnose it
+                    del values[len(rows_y) * d:]
+                    row_x, label, app_id, found = _diagnose(
+                        row, lineno, schema, columns, label_of)
+                    values.extend(row_x)
+                    problems.extend((len(rows_y), j, m) for j, m in found)
+                rows_y.append(label)
+                app_ids.append(app_id)
+                lines.append(lineno)
+    except UnicodeDecodeError:
+        # a streamed decode counts bytes from its chunk: find the byte again
+        raw = Path(path).read_bytes()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise CsvFormatError(f"{path}: line {line}: not UTF-8 text: "
+                                 f"{exc}") from None
+        raise
+    except csv.Error as exc:                 # e.g. a cell past the size limit
+        raise CsvFormatError(
+            f"{path}: line {reader.line_num}: {exc}") from None
 
     x = np.frombuffer(values).reshape(-1, d)      # a view, not a copy
     finite = np.isfinite(x)
@@ -218,51 +243,6 @@ def write_csv(data: Dataset, path, schema: CsvSchema) -> None:
             name = "" if label == UNLABELED else schema.class_names[label]
             writer.writerow([*(repr(float(v)) for v in data.x[i]), name,
                              data.app_ids[i]])
-
-
-def split_taxonomy(data: Dataset, unknown_app_ids: Iterable[str],
-                   test_fraction: float, seed: int) -> DatasetTaxonomy:
-    """Bucket by application identity, then stratified train/test split.
-
-    Every sample whose app_id is listed goes to the unknown bucket; the
-    rest are split per class at ``test_fraction``, deterministically
-    under ``seed``.
-    """
-    if not 0 < test_fraction < 1:
-        raise ValueError("test_fraction must lie in (0, 1)")
-    unknown_ids = frozenset(unknown_app_ids)
-    present = set(data.app_ids)
-    stray = unknown_ids - present
-    if stray:
-        raise ValueError(f"unknown_app_ids not present in data: {sorted(stray)[:5]}")
-
-    is_unknown = np.array([a in unknown_ids for a in data.app_ids])
-    known_idx = np.nonzero(~is_unknown)[0]
-    unknown_idx = np.nonzero(is_unknown)[0]
-    if known_idx.size == 0:
-        raise ValueError("unknown_app_ids covers the entire dataset")
-
-    known_y = data.y[known_idx]
-    if np.any(known_y == UNLABELED):
-        raise ValueError("known-bucket samples must be labeled")
-
-    rng = np.random.default_rng(seed)
-    test_parts = []
-    train_parts = []
-    for c in range(data.n_classes):
-        c_idx = known_idx[known_y == c]
-        if c_idx.size < 2:
-            raise ValueError(f"class {c} has fewer than 2 known samples")
-        perm = rng.permutation(c_idx.size)
-        n_test = int(np.floor(test_fraction * c_idx.size + 0.5))
-        n_test = min(max(n_test, 1), c_idx.size - 1)
-        test_parts.append(c_idx[perm[:n_test]])
-        train_parts.append(c_idx[perm[n_test:]])
-
-    train = data.subset(np.sort(np.concatenate(train_parts)))
-    test = data.subset(np.sort(np.concatenate(test_parts)))
-    unknown = data.subset(unknown_idx) if unknown_idx.size else None
-    return DatasetTaxonomy(train=train, test_known=test, unknown=unknown)
 
 
 @dataclass(frozen=True)

@@ -140,17 +140,6 @@ class EnsembleModel:
     def n_features(self) -> int:
         return self.standardizer.mean.shape[0]
 
-    def summary(self) -> dict:
-        kinds = [type(l).__name__ for l in self.learners]
-        return {
-            "m": len(self.learners),
-            "n_classes": self.n_classes,
-            "n_features": self.n_features,
-            "posterior_mode": self.config.posterior_mode,
-            "learner_kinds": sorted(set(kinds)),
-            "n_not_converged": sum(1 for l in self.learners if not l.converged),
-        }
-
 
 def fit(config: EnsembleConfig, data: Dataset, n_workers: int = 1) -> EnsembleModel:
     """Train M learners on bootstrap replicates of the standardized data.

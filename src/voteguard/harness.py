@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -50,10 +50,6 @@ class EntropySummary:
     def of(cls, values: np.ndarray) -> "EntropySummary":
         q = np.percentile(values, [0, 25, 50, 75, 100])
         return cls(*(float(v) for v in q))
-
-    def as_dict(self) -> dict:
-        return {"min": self.min, "q1": self.q1, "median": self.median,
-                "q3": self.q3, "max": self.max}
 
 
 @dataclass(frozen=True)
@@ -183,14 +179,14 @@ def _r6(v):
 def _metrics_dict(m: ClassificationMetrics | None):
     if m is None:
         return None
-    d = m.as_dict()
-    return {k: (_r6(v) if isinstance(v, float) else v) for k, v in d.items()}
+    return {k: (_r6(v) if isinstance(v, float) else v)
+            for k, v in asdict(m).items()}
 
 
 def _summary_dict(s: EntropySummary | None):
     if s is None:
         return None
-    return {k: _r6(v) for k, v in s.as_dict().items()}
+    return {k: _r6(v) for k, v in asdict(s).items()}
 
 
 def report_to_dict(report) -> dict:
@@ -227,6 +223,7 @@ def report_to_dict(report) -> dict:
 _SWEEP_CSV_COLUMNS = ("threshold", "known_rejection_rate",
                       "unknown_rejection_rate", "precision", "recall", "f1",
                       "accuracy", "tp", "fp", "tn", "fn", "metrics_degenerate")
+_STABILITY_CSV_COLUMNS = ("m", "mean_entropy", "std_entropy")
 
 
 def _fmt(v):
@@ -241,36 +238,23 @@ def _fmt(v):
 
 def emit_report(report, path, fmt: str = "json") -> None:
     """Write a report with a stable field order and 6-significant-digit
-    floats, so replays with identical inputs are byte-identical."""
+    floats, so replays with identical inputs are byte-identical. A CSV
+    row holds one point of :func:`report_to_dict`, its metrics flattened
+    into it."""
+    if fmt not in ("json", "csv"):
+        raise ValueError(f"unknown report format {fmt!r}")
+    doc = report_to_dict(report)
     if fmt == "json":
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report_to_dict(report), fh, indent=1, sort_keys=True)
+            json.dump(doc, fh, indent=1, sort_keys=True)
             fh.write("\n")
         return
-    if fmt != "csv":
-        raise ValueError(f"unknown report format {fmt!r}")
 
+    columns = (_SWEEP_CSV_COLUMNS if doc["schema"] == SWEEP_SCHEMA
+               else _STABILITY_CSV_COLUMNS)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if isinstance(report, ThresholdSweepReport):
-            writer.writerow(_SWEEP_CSV_COLUMNS)
-            for p in report.points:
-                m = p.metrics
-                writer.writerow([
-                    _fmt(p.threshold), _fmt(p.known_rejection_rate),
-                    _fmt(p.unknown_rejection_rate),
-                    _fmt(m.precision if m else None),
-                    _fmt(m.recall if m else None),
-                    _fmt(m.f1 if m else None),
-                    _fmt(m.accuracy if m else None),
-                    _fmt(m.tp if m else None), _fmt(m.fp if m else None),
-                    _fmt(m.tn if m else None), _fmt(m.fn if m else None),
-                    _fmt(p.metrics_degenerate),
-                ])
-        elif isinstance(report, StabilityReport):
-            writer.writerow(("m", "mean_entropy", "std_entropy"))
-            for p in report.points:
-                writer.writerow([_fmt(p.m), _fmt(p.mean_entropy),
-                                 _fmt(p.std_entropy)])
-        else:
-            raise TypeError(f"unknown report type {type(report).__name__}")
+        writer.writerow(columns)
+        for point in doc["points"]:
+            cells = {**point, **(point.get("metrics") or {})}
+            writer.writerow([_fmt(cells.get(c)) for c in columns])

@@ -268,9 +268,16 @@ def save_model(model: EnsembleModel, path) -> None:
 def load_model(path) -> EnsembleModel:
     """Read a model file; raises ModelFormatError, naming ``path``, when the
     file is not a model of this format, lacks a key it needs or holds a
-    value the model cannot use."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    value the model cannot use, or is not UTF-8 JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(f"{path}: model file is not valid JSON: "
+                               f"{exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"{path}: model file is not UTF-8 text: "
+                               f"{exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ModelFormatError(f"{path}: not a {FORMAT_NAME} file")
     if doc.get("format_version") != FORMAT_VERSION:

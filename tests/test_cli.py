@@ -347,3 +347,134 @@ def test_malformed_manifest_exits_1(pipeline_dir, tmp_path, capsys, change):
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(manifest) in err
+
+
+def test_unconverged_members_warn(pipeline_dir, tmp_path, capsys):
+    data = pipeline_dir / "data"
+    code, _, err = run(capsys, "train", "--data", str(data / "train.csv"),
+                       "--manifest", str(data / "manifest.json"),
+                       "--out", str(tmp_path / "model.json"),
+                       "--learner", "linear_svm", "--max-iters", "1",
+                       "--m", "4")
+    assert code == 0
+    assert err == "warning: 4 base classifiers did not converge\n"
+
+
+@pytest.mark.parametrize("target,content", [
+    ("manifest.json", b'{"classes": ["benign"\n'),
+    ("model.json", b'{"classes": ["benign"\n'),
+    ("model.json", b"\xff\xfe{}"),
+    ("test_known.csv", "knéwn".encode("latin-1")),
+    ("test_known.csv", b"k" * 200_000),
+], ids=["manifest-json", "model-json", "model-utf16", "csv-latin1",
+        "csv-cell-too-long"])
+def test_unreadable_input_exits_1(pipeline_dir, tmp_path, capsys, target,
+                                  content):
+    data = pipeline_dir / "data"
+    paths = {"model.json": pipeline_dir / "model.json",
+             "manifest.json": data / "manifest.json",
+             "test_known.csv": data / "test_known.csv"}
+    bad = tmp_path / target
+    if target.endswith(".csv"):          # ``content`` is line 3's app id
+        lines = paths[target].read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b"known", content)
+        content = b"".join(lines)
+    bad.write_bytes(content)
+    paths[target] = bad
+    code, out, err = run(capsys, "predict",
+                         "--model", str(paths["model.json"]),
+                         "--data", str(paths["test_known.csv"]),
+                         "--manifest", str(paths["manifest.json"]),
+                         "--threshold", "0.5")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    if target.endswith(".csv"):
+        assert err.startswith(f"error: {bad}: line 3: ")
+
+
+@pytest.fixture(scope="module")
+def overlap_dir(tmp_path_factory):
+    """Overlap data (its unknown rows are labeled, so they could be fitted)
+    and ``mixed.csv``: ``train.csv`` with ``unknown.csv``'s rows appended."""
+    root = tmp_path_factory.mktemp("overlap")
+    assert cli_main(["synth", "--regime", "overlap", "--out-dir", str(root),
+                     "--n-train", "120", "--n-test", "60", "--n-unknown",
+                     "60", "--d", "3", "--class-separation", "0.5",
+                     "--seed", "2"]) == 0
+    unknown_rows = (root / "unknown.csv").read_text().splitlines(True)[1:]
+    (root / "mixed.csv").write_text((root / "train.csv").read_text()
+                                    + "".join(unknown_rows))
+    assert cli_main(["train", "--data", str(root / "train.csv"),
+                     "--manifest", str(root / "manifest.json"),
+                     "--out", str(root / "model.json"), "--m", "3"]) == 0
+    return root
+
+
+def _argv(command, csv_flag, root, csv, out):
+    """``command`` on the overlap data, with ``csv_flag`` naming ``csv``."""
+    flags = {
+        "train": {"--data": root / "train.csv", "--out": out, "--m": 3},
+        "predict": {"--model": root / "model.json",
+                    "--data": root / "test_known.csv", "--threshold": 0.5},
+        "sweep-size": {"--data": root / "train.csv",
+                       "--eval": root / "test_known.csv", "--m-grid": "1,2",
+                       "--out": out},
+        "sweep-threshold": {"--model": root / "model.json",
+                            "--test-known": root / "test_known.csv",
+                            "--unknown": root / "unknown.csv", "--out": out},
+    }[command]
+    flags.update({"--manifest": root / "manifest.json", csv_flag: csv})
+    return [command, *(str(v) for item in flags.items() for v in item)]
+
+
+@pytest.mark.parametrize("command,csv_flag,clean", [
+    ("train", "--data", "train.csv"),
+    ("sweep-size", "--data", "train.csv"),
+    ("sweep-threshold", "--test-known", "test_known.csv"),
+], ids=["train-data", "sweep-size-data", "sweep-threshold-test-known"])
+def test_known_input_rejects_declared_unknown_app_ids(
+        overlap_dir, tmp_path, capsys, command, csv_flag, clean):
+    out = tmp_path / "out"
+    code, _, _ = run(capsys, *_argv(command, csv_flag, overlap_dir,
+                                    overlap_dir / clean, out))
+    assert code == 0
+    out.unlink()
+    mixed, manifest = overlap_dir / "mixed.csv", overlap_dir / "manifest.json"
+    code, stdout, err = run(capsys, *_argv(command, csv_flag, overlap_dir,
+                                           mixed, out))
+    assert code == 1 and stdout == "" and not out.exists()
+    assert err == (f"error: {mixed}: app ids declared unknown in "
+                   f"{manifest}: ['unknown']\n")
+
+
+@pytest.mark.parametrize("command,csv_flag", [
+    ("predict", "--data"),
+    ("sweep-size", "--eval"),
+    ("sweep-threshold", "--unknown"),
+], ids=["predict-data", "sweep-size-eval", "sweep-threshold-unknown"])
+def test_other_inputs_accept_unknown_rows(overlap_dir, tmp_path, capsys,
+                                          command, csv_flag):
+    code, _, err = run(capsys, *_argv(command, csv_flag, overlap_dir,
+                                      overlap_dir / "unknown.csv",
+                                      tmp_path / "out"))
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("unknown_ids", [[], None], ids=["empty", "absent"])
+def test_no_declared_unknown_app_ids_leaves_train_unchanged(
+        overlap_dir, tmp_path, capsys, unknown_ids):
+    doc = json.loads((overlap_dir / "manifest.json").read_text())
+    if unknown_ids is None:
+        del doc["unknown_app_ids"]
+    else:
+        doc["unknown_app_ids"] = unknown_ids
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    for name in ("train.csv", "mixed.csv"):
+        code, _, err = run(capsys, "train", "--data", str(overlap_dir / name),
+                           "--manifest", str(manifest),
+                           "--out", str(tmp_path / f"{name}.model"),
+                           "--m", "3")
+        assert code == 0, err
+    assert (tmp_path / "train.csv.model").read_bytes() == \
+        (overlap_dir / "model.json").read_bytes()

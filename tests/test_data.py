@@ -11,7 +11,7 @@ from hypothesis import example, given, strategies as st
 from voteguard.core import UNLABELED, Dataset
 from voteguard.data import (CsvFormatError, CsvSchema, DatasetTaxonomy,
                             SyntheticSpec, generate_synthetic, load_csv,
-                            load_manifest, split_taxonomy, write_csv)
+                            load_manifest, write_csv)
 
 SCHEMA = CsvSchema(label_column="label", app_id_column="app",
                    feature_columns=("f0", "f1"),
@@ -219,6 +219,25 @@ def test_load_manifest(tmp_path):
     assert unknown == {"worm"}
 
 
+def test_byte_order_mark_is_accepted(tmp_path):
+    spec = SyntheticSpec(regime="ood", n_train=20, n_test=2, n_unknown=0, d=2)
+    write_csv(generate_synthetic(spec).train, tmp_path / "d.csv", SCHEMA)
+    (tmp_path / "m.json").write_text(
+        '{"classes": ["benign", "malware"], "label_column": "label",'
+        ' "app_id_column": "app", "feature_columns": ["f0", "f1"],'
+        ' "unknown_app_ids": ["worm"]}')
+    for name in ("d.csv", "m.json"):
+        (tmp_path / f"bom-{name}").write_bytes(
+            b"\xef\xbb\xbf" + (tmp_path / name).read_bytes())
+    assert load_manifest(tmp_path / "bom-m.json") == \
+        load_manifest(tmp_path / "m.json")
+    plain, bom = (load_csv(tmp_path / name, SCHEMA)
+                  for name in ("d.csv", "bom-d.csv"))
+    assert np.array_equal(plain.x, bom.x) and np.array_equal(plain.y, bom.y)
+    assert (plain.app_ids, plain.n_classes, plain.class_names) == \
+        (bom.app_ids, bom.n_classes, bom.class_names)
+
+
 def app_dataset(counts_by_app, seed=0):
     """counts_by_app: {app_id: (n_class0, n_class1)}"""
     rng = np.random.default_rng(seed)
@@ -230,59 +249,6 @@ def app_dataset(counts_by_app, seed=0):
             apps.extend([app] * n)
     return Dataset(x=np.vstack(xs), y=np.concatenate(ys),
                    app_ids=tuple(apps), n_classes=2)
-
-
-class TestSplitTaxonomy:
-    def test_paper_scale_counts(self):
-        data = app_dataset({"a": (700, 700), "b": (700, 700)})
-        tax = split_taxonomy(data, set(), test_fraction=0.25, seed=0)
-        assert len(tax.train) == 2100
-        assert len(tax.test_known) == 700
-        assert tax.unknown is None
-
-    def test_stratification_counts(self):
-        data = app_dataset({"a": (60, 40)})
-        tax = split_taxonomy(data, set(), test_fraction=0.2, seed=0)
-        assert np.sum(tax.test_known.y == 0) == 12
-        assert np.sum(tax.test_known.y == 1) == 8
-
-    def test_unknown_bucket_disjoint(self):
-        data = app_dataset({"a": (30, 30), "b": (10, 10), "z": (5, 5)})
-        tax = split_taxonomy(data, {"z"}, test_fraction=0.25, seed=3)
-        assert set(tax.unknown.app_ids) == {"z"}
-        assert "z" not in set(tax.train.app_ids) | set(tax.test_known.app_ids)
-        assert len(tax.unknown) == 10
-
-    def test_deterministic_under_seed(self):
-        data = app_dataset({"a": (50, 50)})
-        t1 = split_taxonomy(data, set(), 0.3, seed=7)
-        t2 = split_taxonomy(data, set(), 0.3, seed=7)
-        np.testing.assert_array_equal(t1.train.x, t2.train.x)
-        t3 = split_taxonomy(data, set(), 0.3, seed=8)
-        assert not np.array_equal(t1.train.x, t3.train.x)
-
-    def test_train_test_disjoint(self):
-        data = app_dataset({"a": (50, 50)})
-        tax = split_taxonomy(data, set(), 0.3, seed=1)
-        train_rows = {tuple(r) for r in tax.train.x}
-        test_rows = {tuple(r) for r in tax.test_known.x}
-        assert not train_rows & test_rows
-        assert len(tax.train) + len(tax.test_known) == 100
-
-    def test_unknown_covering_everything_rejected(self):
-        data = app_dataset({"a": (10, 10)})
-        with pytest.raises(ValueError, match="entire dataset"):
-            split_taxonomy(data, {"a"}, 0.3, seed=0)
-
-    def test_class_missing_from_known_rejected(self):
-        data = app_dataset({"a": (10, 0), "b": (0, 10)})
-        with pytest.raises(ValueError, match="class 1"):
-            split_taxonomy(data, {"b"}, 0.3, seed=0)
-
-    def test_absent_unknown_app_rejected(self):
-        data = app_dataset({"a": (10, 10)})
-        with pytest.raises(ValueError, match="not present"):
-            split_taxonomy(data, {"ghost"}, 0.3, seed=0)
 
 
 class TestGenerateSynthetic:

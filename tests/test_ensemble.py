@@ -187,15 +187,6 @@ class TestFit:
         assert np.all(model.standardizer.std > 0)
         predict(model, [1.0, 0.1])
 
-    def test_summary_surfaces_non_convergence(self, small_dataset):
-        from voteguard.learners import GradientParams
-        config = EnsembleConfig(
-            base=LearnerConfig(kind="linear_svm",
-                               gradient=GradientParams(max_iters=1)),
-            m=4)
-        model = fit(config, small_dataset)
-        assert model.summary()["n_not_converged"] == 4
-
     def test_rejects_unlabeled(self):
         data = Dataset(x=np.zeros((2, 1)), y=np.array([0, -1]),
                        app_ids=("a", "b"), n_classes=2)

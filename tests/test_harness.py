@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -140,6 +141,35 @@ class TestEmitReport:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 4            # header + 3 grid points
         assert lines[0].startswith("threshold,known_rejection_rate")
+
+    @pytest.mark.parametrize("sweep", ["threshold", "no-unknown",
+                                       "stability"])
+    def test_csv_cells_equal_json_values(self, overlap_sweep, tmp_path,
+                                         sweep):
+        model, tax, _ = overlap_sweep
+        if sweep == "stability":
+            report = run_stability_sweep(model.config, tax.train,
+                                         tax.test_known, [1, 3])
+        else:
+            if sweep == "no-unknown":        # empty unknown-rate cells
+                tax = DatasetTaxonomy(train=tax.train,
+                                      test_known=tax.test_known, unknown=None)
+            report = run_threshold_sweep(model, tax, grid=[0.0, 0.5, 1.0])
+        emit_report(report, tmp_path / "r.csv", fmt="csv")
+        with open(tmp_path / "r.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        points = report_to_dict(report)["points"]
+        assert len(rows) == len(points)
+        for row, point in zip(rows, points):
+            values = {**point, **(point.get("metrics") or {})}
+            for column, cell in row.items():
+                value = values[column]
+                if value is None:
+                    assert cell == ""
+                elif isinstance(value, bool):
+                    assert cell == str(value).lower()
+                else:
+                    assert type(value)(cell) == value, column
 
     def test_byte_identical_replay(self, overlap_sweep, tmp_path):
         _, _, report = overlap_sweep

@@ -183,9 +183,9 @@ class TestLinearModels:
         tax = generate_synthetic(SyntheticSpec(regime="ood", n_train=2000,
                                                d=8, seed=0))
         x = Standardizer.fit(tax.train.x).transform(tax.train.x)
-        scaled = Dataset(x=x, y=tax.train.y, app_ids=tax.train.app_ids,
-                         n_classes=2)
-        member = scaled.subset(bootstrap_indices(0, 0, len(scaled)))
+        rows = bootstrap_indices(0, 0, len(x))
+        member = Dataset(x=x[rows], y=tax.train.y[rows],
+                         app_ids=("known",) * len(rows), n_classes=2)
         learner = train(LearnerConfig(kind="logistic"), member)
         assert learner.converged is True
         z = np.where(member.y == 1, 1.0, -1.0)
@@ -197,9 +197,9 @@ class TestLinearModels:
         tax = generate_synthetic(SyntheticSpec(regime="ood", n_train=2000,
                                                d=8, seed=0))
         x = Standardizer.fit(tax.train.x).transform(tax.train.x)
-        scaled = Dataset(x=x, y=tax.train.y, app_ids=tax.train.app_ids,
-                         n_classes=2)
-        member = scaled.subset(bootstrap_indices(0, 0, len(scaled)))
+        rows = bootstrap_indices(0, 0, len(x))
+        member = Dataset(x=x[rows], y=tax.train.y[rows],
+                         app_ids=("known",) * len(rows), n_classes=2)
         g = GradientParams()
         learner = train(LearnerConfig(kind="linear_svm", gradient=g), member)
         assert learner.converged is True
@@ -393,7 +393,9 @@ def test_rows_equal_subset(kind, case):
     # fitting on row indices is fitting on the copied rows
     config, data, rows = case.draw(row_draws(kind))
     learner = train(config, data, rows)
-    assert_same_learner(learner, train(config, data.subset(rows)))
+    copied = Dataset(x=data.x[rows], y=data.y[rows],
+                     app_ids=("a",) * len(rows), n_classes=data.n_classes)
+    assert_same_learner(learner, train(config, copied))
     if config.kind == "tree":
         # each leaf counts exactly the drawn rows that prediction routes to it
         routed = np.array([leaf_of(learner, data.x[r]) for r in rows])

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from voteguard.core import Dataset
 from voteguard.ensemble import EnsembleConfig, fit, gate, predict
 from voteguard.learners import ConstantLearner, LearnerConfig
 from voteguard.persist import ModelFormatError, load_model, save_model
@@ -71,7 +72,9 @@ def test_support_box_of_wrong_width_rejected(tmp_path):
 
 def test_constant_learner_round_trip(tmp_path):
     data = make_binary_dataset(n=20, d=2, seed=0)
-    single = data.subset(np.nonzero(data.y == 1)[0])
+    rows = np.nonzero(data.y == 1)[0]
+    single = Dataset(x=data.x[rows], y=data.y[rows],
+                     app_ids=("app-1",) * len(rows), n_classes=2)
     model = fit(EnsembleConfig(base=LearnerConfig(kind="logistic"), m=3), single)
     path = tmp_path / "model.json"
     save_model(model, path)
