@@ -45,6 +45,8 @@ def _ensemble_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _ensemble_config(args, m=None) -> ensemble.EnsembleConfig:
+    if args.master_seed < 0:
+        raise ValueError(f"--master-seed must be >= 0, got {args.master_seed}")
     base = LearnerConfig(
         kind=args.learner,
         tree=TreeParams(max_depth=args.max_depth,
@@ -82,6 +84,8 @@ def _load(args, known=(), other=()):
 
 
 def _cmd_synth(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     spec = datamod.SyntheticSpec(
         regime=args.regime, n_train=args.n_train, n_test=args.n_test,
         n_unknown=args.n_unknown, d=args.d,
@@ -115,8 +119,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    train_data, = _load(args, known=("data",))
     config = _ensemble_config(args)
+    train_data, = _load(args, known=("data",))
     model = ensemble.fit(config, train_data, n_workers=args.workers)
     persist.save_model(model, args.out)
     print(f"trained m={len(model.learners)} {args.learner} ensemble "
@@ -159,10 +163,24 @@ def _cmd_sweep_threshold(args) -> int:
     return 0
 
 
+def _m_grid(text: str) -> list[int]:
+    """The ``--m-grid`` sizes: integers between commas, blanks skipped,
+    strictly increasing and each at least 1."""
+    try:
+        grid = [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ValueError(f"--m-grid must be comma-separated integers, "
+                         f"got {text!r}") from None
+    if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"--m-grid must list strictly increasing sizes "
+                         f">= 1, got {text!r}")
+    return grid
+
+
 def _cmd_sweep_size(args) -> int:
+    m_grid = _m_grid(args.m_grid)
+    config = _ensemble_config(args, m=m_grid[-1])
     train_data, eval_data = _load(args, known=("data",), other=("eval",))
-    m_grid = [int(v) for v in args.m_grid.split(",") if v.strip()]
-    config = _ensemble_config(args, m=max(m_grid))
     report = harness.run_stability_sweep(config, train_data, eval_data, m_grid,
                                          n_workers=args.workers)
     harness.emit_report(report, args.out, fmt=args.format)

@@ -12,6 +12,7 @@ its entropy exceeds a threshold or its input lies outside that box.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -23,6 +24,7 @@ from .learners import LearnerConfig, TrainedLearner, check_features, train
 
 HARD_VOTE = "hard_vote"
 SOFT_AVERAGE = "soft_average"
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,29 @@ class Standardizer:
         std = np.where(std == 0.0, 1.0, std)
         return cls(mean=mean, std=std)
 
+    @functools.cached_property
+    def _safe_bound(self) -> float:
+        """No z overflows where every ``|x_j|`` is at most this, for then
+        ``|x_j - mean_j| <= FLOAT_MAX / 4 * min(std_j, 1)``."""
+        room = _FLOAT_MAX / 4.0 * np.minimum(self.std, 1.0) - np.abs(self.mean)
+        return float(room.min())
+
     def transform(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.mean) / self.std
+        """``(x - mean) / std`` for ``(d,)`` or ``(n, d)``. Raises
+        ValueError on a non-finite value. A finite value whose z overflows
+        gets ``z = +-float max``, which lies outside any training box."""
+        bound = self._safe_bound
+        # the one test on the common path, in Python for one sample and
+        # with no temporary array for a batch; NaN fails every comparison
+        # and the sum of |x| propagates it, so a non-finite x fails it too
+        if (sum(map(abs, x.tolist())) <= bound if x.ndim == 1 else
+                -bound <= x.min(initial=0.0) and x.max(initial=0.0) <= bound):
+            return (x - self.mean) / self.std
+        if not np.isfinite(x).all():
+            raise ValueError("input contains non-finite values")
+        with np.errstate(over="ignore"):
+            z = (x - self.mean) / self.std
+        return np.clip(z, -_FLOAT_MAX, _FLOAT_MAX)
 
 
 @dataclass(frozen=True)
@@ -200,24 +223,53 @@ def entropy_of(dist, log_base: float = 2.0):
     return np.minimum(np.maximum(h, 0.0), hmax) + 0.0   # +0.0 normalizes -0.0
 
 
+@functools.lru_cache(maxsize=None)
+def _vote_tables(m: int, log_base: float) -> tuple[np.ndarray, np.ndarray]:
+    """The share ``p = c / m`` and the entropy term ``-p * log(p)`` of each
+    vote count c = 0..m, each computed as :func:`entropy_of` computes it."""
+    p = np.arange(m + 1) / m
+    log = np.log2 if log_base == 2.0 else np.log
+    terms = -(p * log(np.where(p > 0, p, 1.0))) + 0.0    # no -0.0
+    p.flags.writeable = terms.flags.writeable = False
+    return p, terms
+
+
+def hard_vote_posterior(counts: np.ndarray, m: int, log_base: float = 2.0):
+    """``(counts / m, entropy_of(counts / m, log_base))`` bit for bit, for
+    ``(n, K)`` vote counts of ``m`` voters each, looked up in tables of the
+    m + 1 possible shares and entropy terms: no division, no checks and no
+    logarithms per call."""
+    shares, terms = _vote_tables(m, log_base)
+    # Negating each term before the sum gives the bits of negating the sum.
+    # No term is below 0 or -0.0, so of entropy_of's clamp and + 0.0 only
+    # the upper bound is left to apply (it bites at K = 5 in base e).
+    h = terms[counts].sum(axis=-1)
+    return shares[counts], np.minimum(h, math.log(counts.shape[-1], log_base))
+
+
 def predict(model: EnsembleModel, x) -> Prediction:
     """Vote distribution, entropy, argmax label and training-box support
     for one sample ``(d,)``, or for each row of a batch ``(n, d)``; see
-    :class:`Prediction`."""
-    x = check_features(x, model.n_features)
+    :class:`Prediction`. Hard votes take their distribution and entropy
+    from the vote counts (:func:`hard_vote_posterior`), soft averages from
+    :func:`entropy_of`."""
+    # the standardizer checks finiteness
+    x = check_features(x, model.n_features, finite=False)
     z = model.standardizer.transform(x)
     labels = [l.predict_label(z) for l in model.learners]
     m, k = len(labels), model.n_classes
     n = len(x) if x.ndim == 2 else 1
     votes = np.array(labels).reshape(m, n)
+    log_base = model.config.entropy_log_base
     if model.config.posterior_mode == HARD_VOTE:
         # row i's votes land in bincount slots i*K .. i*K + K-1
-        slots = votes + k * np.arange(n)
-        dist = np.bincount(slots.ravel(), minlength=n * k).reshape(n, k) / m
+        slots = votes + np.arange(0, n * k, k)
+        counts = np.bincount(slots.ravel(), minlength=n * k).reshape(n, k)
+        dist, h = hard_vote_posterior(counts, m, log_base)
     else:
         dist = np.mean([l.predict_proba(z) for l in model.learners],
                        axis=0).reshape(n, k)
-    h = entropy_of(dist, model.config.entropy_log_base)
+        h = entropy_of(dist, log_base)
     label = dist.argmax(axis=1)
     inside = (np.ones(z.shape[:-1], dtype=bool) if model.support is None
               else model.support.contains(z))

@@ -62,16 +62,16 @@ class LearnerConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
-def check_features(x, n_features: int) -> np.ndarray:
+def check_features(x, n_features: int, finite: bool = True) -> np.ndarray:
     """``x`` as float64, one sample ``(d,)`` or a batch ``(n, d)``; raises
-    ValueError on any other shape or a non-finite value."""
+    ValueError on any other shape or, if ``finite``, a non-finite value."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != n_features:
         raise ValueError(f"expected {n_features} features, got shape {x.shape}")
     # one sample is checked in Python: for d values this costs a quarter
-    # of a numpy reduction, and an ensemble checks each sample M + 1 times
-    if not (all(map(math.isfinite, x.tolist())) if x.ndim == 1
-            else np.isfinite(x).all()):
+    # of a numpy reduction, and each of an ensemble's M members checks it
+    if finite and not (all(map(math.isfinite, x.tolist())) if x.ndim == 1
+                       else np.isfinite(x).all()):
         raise ValueError("input contains non-finite values")
     return x
 

@@ -200,6 +200,69 @@ def test_bad_sweep_flags_exit_1(pipeline_dir, tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def test_overflowing_input_is_rejected_not_an_error(pipeline_dir, tmp_path,
+                                                   capsys):
+    # a finite value so large that its standardized value overflows: it
+    # votes, lies outside the training box and leaves other rows alone
+    data = pipeline_dir / "data"
+    model = pipeline_dir / "model.json"
+    std = json.loads(model.read_text())["standardizer"]["std"]
+    j = min(range(len(std)), key=std.__getitem__)
+    assert std[j] < 1.0                  # so 1.79e308 / std overflows
+    lines = (data / "test_known.csv").read_text().splitlines(True)
+    column = lines[0].rstrip("\n").split(",").index(f"f{j}")
+    for i, value in ((1, "1.79e308"), (2, "-1.79e308")):
+        cells = lines[i].rstrip("\n").split(",")
+        cells[column] = value
+        lines[i] = ",".join(cells) + "\n"
+    huge = tmp_path / "huge.csv"
+    huge.write_text("".join(lines))
+    flags = ["--model", str(model), "--manifest", str(data / "manifest.json"),
+             "--threshold", "1"]
+    code, out, err = run(capsys, "predict", "--data", str(huge), *flags)
+    assert code == 0 and err == ""
+    code, clean, _ = run(capsys, "predict",
+                         "--data", str(data / "test_known.csv"), *flags)
+    got, want = out.splitlines(), clean.splitlines()
+    assert [l.split("\t")[2] for l in got[1:3]] == ["uncertain"] * 2
+    assert got[3:] == want[3:] and got[0] == want[0]
+    sweep = tmp_path / "sweep.json"
+    code, _, err = run(capsys, "sweep-threshold", "--model", str(model),
+                       "--test-known", str(huge),
+                       "--manifest", str(data / "manifest.json"),
+                       "--out", str(sweep))
+    assert code == 0 and err == "" and sweep.exists()
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("sweep-size", "--m-grid", ""),
+    ("sweep-size", "--m-grid", "2,x"),
+    ("sweep-size", "--m-grid", "0,2"),
+    ("sweep-size", "--m-grid", "4,2"),
+    ("synth", "--seed", "-1"),
+    ("train", "--master-seed", "-1"),
+    ("sweep-size", "--master-seed", "-1"),
+], ids=["m-grid-empty", "m-grid-not-int", "m-grid-zero", "m-grid-decreasing",
+        "synth-seed-negative", "train-master-seed-negative",
+        "sweep-size-master-seed-negative"])
+def test_bad_flag_error_names_the_flag(pipeline_dir, tmp_path, capsys,
+                                       command, flag, value):
+    data = pipeline_dir / "data"
+    out = tmp_path / "out"
+    argv = {
+        "synth": ["--regime", "ood", "--out-dir", str(out)],
+        "train": ["--data", str(data / "train.csv"), "--out", str(out),
+                  "--manifest", str(data / "manifest.json")],
+        "sweep-size": ["--data", str(data / "train.csv"),
+                       "--eval", str(data / "test_known.csv"),
+                       "--manifest", str(data / "manifest.json"),
+                       "--m-grid", "2,4", "--out", str(out)],
+    }[command]
+    code, stdout, err = run(capsys, command, *argv, f"{flag}={value}")
+    assert code == 1 and stdout == "" and not out.exists()
+    assert err.startswith(f"error: {flag} must ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("missing", ["learners", "config.base"])
 def test_model_missing_key_exits_1(pipeline_dir, tmp_path, capsys, missing):
     doc = json.loads((pipeline_dir / "model.json").read_text())

@@ -1,5 +1,7 @@
+import itertools
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from voteguard.core import Dataset
 from voteguard.ensemble import (Decision, EnsembleConfig, EnsembleModel,
                                 Standardizer, bootstrap_indices, entropy_of,
-                                fit, gate, predict)
+                                fit, gate, hard_vote_posterior, predict)
 from voteguard.learners import (ConstantLearner, LearnerConfig, TreeParams,
                                 train)
 from conftest import make_binary_dataset
@@ -41,6 +43,20 @@ class TestEntropyOf:
         p = np.random.default_rng(seed).dirichlet(np.ones(k))
         h = entropy_of(p, log_base=2.0)
         assert 0.0 <= h <= math.log2(k)
+
+
+@pytest.mark.parametrize("log_base", [2.0, math.e], ids=["base2", "base-e"])
+# K = 5 adds count vectors whose entropy needs the upper clamp in base e
+@pytest.mark.parametrize("k,max_m", [(2, 40), (3, 40), (4, 20), (5, 10)])
+def test_hard_vote_posterior_matches_every_count_vector(k, max_m, log_base):
+    for m in range(1, max_m + 1):
+        counts = np.array([c + (m - sum(c),) for c in
+                           itertools.product(range(m + 1), repeat=k - 1)
+                           if sum(c) <= m])
+        dist, h = hard_vote_posterior(counts, m, log_base)
+        assert dist.tobytes() == (counts / m).tobytes()
+        want = np.array([entropy_of(c / m, log_base) for c in counts])
+        assert h.tobytes() == want.tobytes()
 
 
 def constant_ensemble(votes, m=None, mode="hard_vote"):
@@ -234,6 +250,37 @@ class TestGate:
         assert np.array_equal(predict(boxless, far).vote_distribution, votes)
         assert gate(boxless, far, threshold=1.0).decision is Decision.ACCEPT
 
+    def test_non_finite_input_raises(self, small_dataset):
+        model = fit(EnsembleConfig(base=LearnerConfig(kind="tree"), m=3),
+                    small_dataset)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                gate(model, [0.0, bad], threshold=1.0)
+            with pytest.raises(ValueError, match="non-finite"):
+                predict(model, [[0.0, 0.0], [bad, 0.0]])
+
+    def test_overflowing_input_rejected_without_warning(self, small_dataset):
+        # feature 1 spread 0.1: 1.79e308 / its std overflows to inf
+        x = small_dataset.x * [1.0, 0.1]
+        model = fit(EnsembleConfig(base=LearnerConfig(kind="tree"), m=9),
+                    replace(small_dataset, x=x))
+        assert model.standardizer.std[1] < 1.0
+        rows = np.vstack([x[:4], [[0.0, 1.79e308], [0.0, -1.79e308]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = predict(model, rows)
+            verdicts = [gate(model, r, threshold=1.0) for r in rows]
+            z = model.standardizer.transform(rows[4:])
+        big = np.finfo(np.float64).max
+        assert z[:, 1].tolist() == [big, -big]
+        assert [v.prediction.support for v in verdicts[4:]] == [False, False]
+        assert [v.decision for v in verdicts[4:]] == [Decision.REJECT] * 2
+        assert batch.support.tolist() == [True] * 4 + [False] * 2
+        clean = predict(model, rows[:4])
+        assert batch.entropy[:4].tobytes() == clean.entropy.tobytes()
+        assert batch.vote_distribution[:4].tobytes() == \
+            clean.vote_distribution.tobytes()
+
     def test_inside_training_box_unaffected(self, small_dataset):
         model = fit(EnsembleConfig(base=LearnerConfig(kind="tree"), m=9),
                     small_dataset)
@@ -281,6 +328,9 @@ def test_batch_rows_equal_single_samples(fitted_models, kind, mode, rows):
         assert tuple(batch.per_learner_labels[i].tolist()) == \
             one.per_learner_labels
         assert batch.entropy[i].tobytes() == np.float64(one.entropy).tobytes()
+        if mode == "hard_vote":
+            assert np.float64(one.entropy).tobytes() == entropy_of(
+                one.vote_distribution, model.config.entropy_log_base).tobytes()
         assert int(batch.label[i]) == one.label
         assert bool(batch.support[i]) == one.support
     z = model.standardizer.transform(rows)
