@@ -44,7 +44,7 @@ def _ensemble_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=1)
 
 
-def _ensemble_config(args, m=None) -> ensemble.EnsembleConfig:
+def _ensemble_config(args) -> ensemble.EnsembleConfig:
     if args.master_seed < 0:
         raise ValueError(f"--master-seed must be >= 0, got {args.master_seed}")
     base = LearnerConfig(
@@ -57,7 +57,7 @@ def _ensemble_config(args, m=None) -> ensemble.EnsembleConfig:
     )
     return ensemble.EnsembleConfig(
         base=base,
-        m=args.m if m is None else m,
+        m=args.m,
         master_seed=args.master_seed,
         posterior_mode=args.posterior_mode,
         entropy_log_base=2.0 if args.log_base == "2" else math.e,
@@ -151,6 +151,12 @@ def _cmd_sweep_threshold(args) -> int:
     model = persist.load_model(args.model)
     test_known, unknown = _load(args, known=("test_known",),
                                 other=("unknown",))
+    # the taxonomy checks this too, but cannot name the files
+    shared = (set() if unknown is None
+              else set(unknown.app_ids).intersection(test_known.app_ids))
+    if shared:
+        raise ValueError(f"{args.unknown}: app ids also in "
+                         f"{args.test_known}: {sorted(shared)[:5]}")
     taxonomy = datamod.DatasetTaxonomy(train=test_known, test_known=test_known,
                                        unknown=unknown)
     grid = harness.default_threshold_grid(model.n_classes,
@@ -179,7 +185,7 @@ def _m_grid(text: str) -> list[int]:
 
 def _cmd_sweep_size(args) -> int:
     m_grid = _m_grid(args.m_grid)
-    config = _ensemble_config(args, m=m_grid[-1])
+    config = _ensemble_config(args)
     train_data, eval_data = _load(args, known=("data",), other=("eval",))
     report = harness.run_stability_sweep(config, train_data, eval_data, m_grid,
                                          n_workers=args.workers)
@@ -251,6 +257,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# library parameters whose flag is not "--" + the name, "_" written "-"
+_FLAG_OF = {"n_workers": "--workers", "points": "--grid-points"}
+
+
+def _naming_flag(message: str, args) -> str:
+    """A library check's ``message``, which starts with the name of the
+    parameter it checks (``max_depth must be >= 1, got 0``), with that
+    name replaced by the flag that set it, if the command has that flag."""
+    name, must, rest = message.partition(" must ")
+    flag = _FLAG_OF.get(name, "--" + name.replace("_", "-"))
+    if must and flag[2:].replace("-", "_") in vars(args):
+        return f"{flag}{must}{rest}"
+    return message
+
+
 def cli_main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -260,7 +281,7 @@ def cli_main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_naming_flag(str(exc), args)}", file=sys.stderr)
         return 1
 
 

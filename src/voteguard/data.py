@@ -263,14 +263,19 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.regime not in ("ood", "overlap"):
             raise ValueError(f"unknown regime {self.regime!r}")
-        if min(self.n_train, self.n_test) < 2 or self.n_unknown < 0:
-            raise ValueError("n_train and n_test must be >= 2, n_unknown >= 0")
-        if self.d < 1:
-            raise ValueError("dimension must be positive")
-        if self.class_separation <= 0 or self.ood_distance <= 0:
-            raise ValueError("separations must be positive")
+        for name, least in (("n_train", 2), ("n_test", 2), ("n_unknown", 0),
+                            ("d", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, "
+                                 f"got {getattr(self, name)}")
+        for name in ("class_separation", "ood_distance"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, "
+                                 f"got {getattr(self, name)}")
         if self.regime == "ood" and self.ood_distance <= self.class_separation:
-            raise ValueError("ood regime needs ood_distance > class_separation")
+            raise ValueError(f"ood_distance must exceed the class separation "
+                             f"({self.class_separation}) in the ood regime, "
+                             f"got {self.ood_distance}")
 
 
 def _gaussian_class_points(rng, n, d, separation):

@@ -24,20 +24,24 @@ from .learners import LearnerConfig, TrainedLearner, check_features, train
 
 HARD_VOTE = "hard_vote"
 SOFT_AVERAGE = "soft_average"
-_FLOAT_MAX = float(np.finfo(np.float64).max)
+# Standardized values are clamped to +-_Z_MAX, the square root of a quarter
+# of float max, so that a linear member's dot product with weights summing
+# in magnitude to at most _Z_MAX cannot overflow.
+_Z_MAX = 2.0 ** 511
 
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    base: LearnerConfig = field(default_factory=LearnerConfig)
+    # the field order is the key order of a model file's config
     m: int = 25
     master_seed: int = 0
     posterior_mode: str = HARD_VOTE
     entropy_log_base: float = 2.0        # 2.0 or math.e
+    base: LearnerConfig = field(default_factory=LearnerConfig)
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError("ensemble size m must be >= 1")
+            raise ValueError(f"m must be >= 1, got {self.m}")
         if self.posterior_mode not in (HARD_VOTE, SOFT_AVERAGE):
             raise ValueError(f"unknown posterior_mode {self.posterior_mode!r}")
         if self.entropy_log_base not in (2.0, math.e):
@@ -61,15 +65,16 @@ class Standardizer:
 
     @functools.cached_property
     def _safe_bound(self) -> float:
-        """No z overflows where every ``|x_j|`` is at most this, for then
-        ``|x_j - mean_j| <= FLOAT_MAX / 4 * min(std_j, 1)``."""
-        room = _FLOAT_MAX / 4.0 * np.minimum(self.std, 1.0) - np.abs(self.mean)
+        """No ``|z|`` reaches ``_Z_MAX`` where every ``|x_j|`` is at most
+        this, for then ``|x_j - mean_j| <= _Z_MAX / 2 * min(std_j, 1)``."""
+        room = _Z_MAX / 2.0 * np.minimum(self.std, 1.0) - np.abs(self.mean)
         return float(room.min())
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         """``(x - mean) / std`` for ``(d,)`` or ``(n, d)``. Raises
-        ValueError on a non-finite value. A finite value whose z overflows
-        gets ``z = +-float max``, which lies outside any training box."""
+        ValueError on a non-finite value. A finite value whose ``|z|``
+        exceeds ``_Z_MAX`` (about 6.7e153), overflowing or not, gets
+        ``z = +-_Z_MAX``, which lies outside any training box."""
         bound = self._safe_bound
         # the one test on the common path, in Python for one sample and
         # with no temporary array for a batch; NaN fails every comparison
@@ -81,7 +86,7 @@ class Standardizer:
             raise ValueError("input contains non-finite values")
         with np.errstate(over="ignore"):
             z = (x - self.mean) / self.std
-        return np.clip(z, -_FLOAT_MAX, _FLOAT_MAX)
+        return np.clip(z, -_Z_MAX, _Z_MAX)
 
 
 @dataclass(frozen=True)
@@ -143,7 +148,6 @@ class Decision(enum.Enum):
 class Verdict:
     prediction: Prediction
     decision: Decision
-    threshold_used: float
 
     @property
     def label(self) -> int | None:
@@ -298,4 +302,4 @@ def gate(model: EnsembleModel, x, threshold: float) -> Verdict:
     pred = predict(model, x)
     decision = (Decision.REJECT if rejected(pred, threshold)
                 else Decision.ACCEPT)
-    return Verdict(prediction=pred, decision=decision, threshold_used=threshold)
+    return Verdict(prediction=pred, decision=decision)

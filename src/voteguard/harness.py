@@ -33,7 +33,7 @@ def default_threshold_grid(n_classes: int, log_base: float = 2.0,
     """Evenly spaced thresholds over [0, log_base(n_classes)], both ends
     included, so ``points`` must be at least 2."""
     if points < 2:
-        raise ValueError(f"a threshold grid needs at least 2 points, got {points}")
+        raise ValueError(f"points must be at least 2, got {points}")
     top = math.log(n_classes, log_base)
     return [top * i / (points - 1) for i in range(points)]
 
@@ -171,53 +171,32 @@ def run_stability_sweep(config: EnsembleConfig, data: Dataset,
 # Report serialization (schemas documented in README)
 # ---------------------------------------------------------------------------
 
-def _r6(v):
-    # 6 significant digits, stable across runs
-    return None if v is None else float(f"{v:.6g}")
+def _rounded(value):
+    """``value`` with every float in it, through dicts, lists and tuples,
+    rounded to 6 significant digits, stable across runs; tuples become
+    lists."""
+    if isinstance(value, float):
+        return float(f"{value:.6g}")
+    if isinstance(value, dict):
+        return {k: _rounded(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_rounded(v) for v in value]
+    return value
 
 
-def _metrics_dict(m: ClassificationMetrics | None):
-    if m is None:
-        return None
-    return {k: (_r6(v) if isinstance(v, float) else v)
-            for k, v in asdict(m).items()}
-
-
-def _summary_dict(s: EntropySummary | None):
-    if s is None:
-        return None
-    return {k: _r6(v) for k, v in asdict(s).items()}
+_SCHEMAS = {ThresholdSweepReport: SWEEP_SCHEMA,
+            StabilityReport: STABILITY_SCHEMA}
 
 
 def report_to_dict(report) -> dict:
-    if isinstance(report, ThresholdSweepReport):
-        return {
-            "schema": SWEEP_SCHEMA,
-            "version": SCHEMA_VERSION,
-            "log_base": log_base_tag(report.log_base),
-            "baseline_metrics": _metrics_dict(report.baseline_metrics),
-            "known_entropy": _summary_dict(report.known_entropy),
-            "unknown_entropy": _summary_dict(report.unknown_entropy),
-            "points": [{
-                "threshold": _r6(p.threshold),
-                "known_rejection_rate": _r6(p.known_rejection_rate),
-                "unknown_rejection_rate": _r6(p.unknown_rejection_rate),
-                "metrics": _metrics_dict(p.metrics),
-                "metrics_degenerate": p.metrics_degenerate,
-            } for p in report.points],
-        }
-    if isinstance(report, StabilityReport):
-        return {
-            "schema": STABILITY_SCHEMA,
-            "version": SCHEMA_VERSION,
-            "log_base": log_base_tag(report.log_base),
-            "points": [{
-                "m": p.m,
-                "mean_entropy": _r6(p.mean_entropy),
-                "std_entropy": _r6(p.std_entropy),
-            } for p in report.points],
-        }
-    raise TypeError(f"unknown report type {type(report).__name__}")
+    """A report as its schema and version, then its dataclass fields with
+    floats rounded, the log base stored as its tag."""
+    schema = _SCHEMAS.get(type(report))
+    if schema is None:
+        raise TypeError(f"unknown report type {type(report).__name__}")
+    return {"schema": schema, "version": SCHEMA_VERSION,
+            **_rounded(asdict(report)),
+            "log_base": log_base_tag(report.log_base)}
 
 
 _SWEEP_CSV_COLUMNS = ("threshold", "known_rejection_rate",

@@ -26,9 +26,10 @@ class TreeParams:
 
     def __post_init__(self):
         if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be positive")
+            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
         if self.min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
+            raise ValueError(f"min_samples_split must be >= 2, "
+                             f"got {self.min_samples_split}")
         if self.feature_subsample not in ("all", "sqrt"):
             raise ValueError("feature_subsample must be 'all' or 'sqrt'")
 
@@ -41,19 +42,22 @@ class GradientParams:
 
     def __post_init__(self):
         if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError("tolerance must be a finite number > 0")
+            raise ValueError(f"tolerance must be a finite number > 0, "
+                             f"got {self.tolerance}")
         if not (math.isfinite(self.l2) and self.l2 >= 0):
-            raise ValueError("l2 must be a finite number >= 0")
+            raise ValueError(f"l2 must be a finite number >= 0, got {self.l2}")
 
 
 @dataclass(frozen=True)
 class LearnerConfig:
+    # the field order, here and in the parameter classes, is the key order
+    # of a model file's config.base
     kind: str = "tree"
+    seed: int = 0
     tree: TreeParams = field(default_factory=TreeParams)
     gradient: GradientParams = field(default_factory=GradientParams)
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in LEARNER_KINDS:

@@ -165,26 +165,9 @@ def _learner_from_dict(raw: dict, n_classes: int, n_features: int):
 
 
 def _config_to_dict(config: EnsembleConfig) -> dict:
-    return {
-        "m": config.m,
-        "master_seed": config.master_seed,
-        "posterior_mode": config.posterior_mode,
-        "entropy_log_base": log_base_tag(config.entropy_log_base),
-        "base": {
-            "kind": config.base.kind,
-            "seed": config.base.seed,
-            "tree": {
-                "max_depth": config.base.tree.max_depth,
-                "min_samples_split": config.base.tree.min_samples_split,
-                "feature_subsample": config.base.tree.feature_subsample,
-            },
-            "gradient": {
-                "max_iters": config.base.gradient.max_iters,
-                "tolerance": config.base.gradient.tolerance,
-                "l2": config.base.gradient.l2,
-            },
-        },
-    }
+    # the config classes' field order is the file's key order
+    return {**dataclasses.asdict(config),
+            "entropy_log_base": log_base_tag(config.entropy_log_base)}
 
 
 def _object(raw, name: str) -> dict:

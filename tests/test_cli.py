@@ -202,49 +202,77 @@ def test_bad_sweep_flags_exit_1(pipeline_dir, tmp_path, capsys, flag, value):
 
 def test_overflowing_input_is_rejected_not_an_error(pipeline_dir, tmp_path,
                                                    capsys):
-    # a finite value so large that its standardized value overflows: it
-    # votes, lies outside the training box and leaves other rows alone
+    # finite values so large that standardizing them, and a linear member's
+    # dot product, overflow: each such row gets a vote with no warning,
+    # lies outside the training box and leaves the other rows alone
     data = pipeline_dir / "data"
-    model = pipeline_dir / "model.json"
-    std = json.loads(model.read_text())["standardizer"]["std"]
-    j = min(range(len(std)), key=std.__getitem__)
-    assert std[j] < 1.0                  # so 1.79e308 / std overflows
+    manifest = str(data / "manifest.json")
+    std = json.loads((pipeline_dir / "model.json").read_text())[
+        "standardizer"]["std"]
+    assert min(std) < 1.0                # so 1.79e308 / std overflows
     lines = (data / "test_known.csv").read_text().splitlines(True)
-    column = lines[0].rstrip("\n").split(",").index(f"f{j}")
-    for i, value in ((1, "1.79e308"), (2, "-1.79e308")):
-        cells = lines[i].rstrip("\n").split(",")
-        cells[column] = value
-        lines[i] = ",".join(cells) + "\n"
+    assert lines[0].startswith(",".join(f"f{j}" for j in range(len(std))))
+    for i, signs in ((1, "+-"), (2, "-+")):
+        cells = lines[i].split(",")
+        cells[:len(std)] = [f"{signs[j % 2]}1.79e308"
+                            for j in range(len(std))]
+        lines[i] = ",".join(cells)
     huge = tmp_path / "huge.csv"
     huge.write_text("".join(lines))
-    flags = ["--model", str(model), "--manifest", str(data / "manifest.json"),
-             "--threshold", "1"]
-    code, out, err = run(capsys, "predict", "--data", str(huge), *flags)
-    assert code == 0 and err == ""
-    code, clean, _ = run(capsys, "predict",
-                         "--data", str(data / "test_known.csv"), *flags)
-    got, want = out.splitlines(), clean.splitlines()
-    assert [l.split("\t")[2] for l in got[1:3]] == ["uncertain"] * 2
-    assert got[3:] == want[3:] and got[0] == want[0]
-    sweep = tmp_path / "sweep.json"
-    code, _, err = run(capsys, "sweep-threshold", "--model", str(model),
-                       "--test-known", str(huge),
-                       "--manifest", str(data / "manifest.json"),
-                       "--out", str(sweep))
-    assert code == 0 and err == "" and sweep.exists()
+    for learner in ("tree", "logistic", "linear_svm"):
+        for mode in ("hard_vote", "soft_average"):
+            model = str(tmp_path / f"{learner}-{mode}.json")
+            assert cli_main(["train", "--data", str(data / "train.csv"),
+                             "--manifest", manifest, "--out", model,
+                             "--m", "3", "--learner", learner,
+                             "--posterior-mode", mode]) == 0
+            capsys.readouterr()
+            flags = ["--model", model, "--manifest", manifest,
+                     "--threshold", "1"]
+            code, out, err = run(capsys, "predict", "--data", str(huge),
+                                 *flags)
+            assert code == 0 and err == "", (learner, mode)
+            code, clean, _ = run(capsys, "predict",
+                                 "--data", str(data / "test_known.csv"),
+                                 *flags)
+            got, want = out.splitlines(), clean.splitlines()
+            for line in got[1:3]:        # NaN fails 0 <= h
+                verdict, h = line.split("\t")[2:]
+                assert verdict == "uncertain" and 0 <= float(h) <= 1
+            assert got[3:] == want[3:] and got[0] == want[0]
+            sweep = tmp_path / "sweep.json"
+            code, _, err = run(capsys, "sweep-threshold", "--model", model,
+                               "--test-known", str(huge),
+                               "--manifest", manifest, "--out", str(sweep))
+            assert code == 0 and err == "" and sweep.exists()
+
+
+# flags whose bad value the library rejects under its own parameter name
+_TRAINING_FLAGS = [("--m", "0"), ("--workers", "0"), ("--max-depth", "0"),
+                   ("--min-samples-split", "1"), ("--max-iters", "0"),
+                   ("--tolerance", "0"), ("--l2", "-1")]
 
 
 @pytest.mark.parametrize("command,flag,value", [
-    ("sweep-size", "--m-grid", ""),
-    ("sweep-size", "--m-grid", "2,x"),
-    ("sweep-size", "--m-grid", "0,2"),
-    ("sweep-size", "--m-grid", "4,2"),
-    ("synth", "--seed", "-1"),
-    ("train", "--master-seed", "-1"),
-    ("sweep-size", "--master-seed", "-1"),
-], ids=["m-grid-empty", "m-grid-not-int", "m-grid-zero", "m-grid-decreasing",
-        "synth-seed-negative", "train-master-seed-negative",
-        "sweep-size-master-seed-negative"])
+    pytest.param("sweep-size", "--m-grid", "", id="m-grid-empty"),
+    pytest.param("sweep-size", "--m-grid", "2,x", id="m-grid-not-int"),
+    pytest.param("sweep-size", "--m-grid", "0,2", id="m-grid-zero"),
+    pytest.param("sweep-size", "--m-grid", "4,2", id="m-grid-decreasing"),
+    pytest.param("synth", "--seed", "-1", id="synth-seed-negative"),
+    pytest.param("train", "--master-seed", "-1",
+                 id="train-master-seed-negative"),
+    pytest.param("sweep-size", "--master-seed", "-1",
+                 id="sweep-size-master-seed-negative"),
+    *(pytest.param(command, flag, value, id=f"{command}{flag}={value}")
+      for command in ("train", "sweep-size") for flag, value in _TRAINING_FLAGS),
+    *(pytest.param("synth", flag, value, id=f"synth{flag}={value}")
+      for flag, value in [("--d", "0"), ("--n-train", "-5"),
+                          ("--n-unknown", "-1"), ("--class-separation", "0"),
+                          ("--ood-distance", "1")]),
+    *(pytest.param("sweep-threshold", flag, value,
+                   id=f"sweep-threshold{flag}={value}")
+      for flag, value in [("--grid-points", "1"), ("--positive-class", "5")]),
+])
 def test_bad_flag_error_names_the_flag(pipeline_dir, tmp_path, capsys,
                                        command, flag, value):
     data = pipeline_dir / "data"
@@ -257,6 +285,10 @@ def test_bad_flag_error_names_the_flag(pipeline_dir, tmp_path, capsys,
                        "--eval", str(data / "test_known.csv"),
                        "--manifest", str(data / "manifest.json"),
                        "--m-grid", "2,4", "--out", str(out)],
+        "sweep-threshold": ["--model", str(pipeline_dir / "model.json"),
+                            "--test-known", str(data / "test_known.csv"),
+                            "--manifest", str(data / "manifest.json"),
+                            "--out", str(out)],
     }[command]
     code, stdout, err = run(capsys, command, *argv, f"{flag}={value}")
     assert code == 1 and stdout == "" and not out.exists()
@@ -521,6 +553,17 @@ def test_other_inputs_accept_unknown_rows(overlap_dir, tmp_path, capsys,
                                       overlap_dir / "unknown.csv",
                                       tmp_path / "out"))
     assert code == 0, err
+
+
+def test_sweep_unknown_sharing_known_app_ids_names_both_files(
+        overlap_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    train, known = overlap_dir / "train.csv", overlap_dir / "test_known.csv"
+    code, stdout, err = run(capsys, *_argv("sweep-threshold", "--unknown",
+                                           overlap_dir, train, out))
+    assert code == 1 and stdout == "" and not out.exists()
+    assert err == (f"error: {train}: app ids also in {known}: "
+                   f"['known-0', 'known-1']\n")
 
 
 @pytest.mark.parametrize("unknown_ids", [[], None], ids=["empty", "absent"])

@@ -271,7 +271,7 @@ class TestGate:
             batch = predict(model, rows)
             verdicts = [gate(model, r, threshold=1.0) for r in rows]
             z = model.standardizer.transform(rows[4:])
-        big = np.finfo(np.float64).max
+        big = 2.0 ** 511                  # its square stays below float max
         assert z[:, 1].tolist() == [big, -big]
         assert [v.prediction.support for v in verdicts[4:]] == [False, False]
         assert [v.decision for v in verdicts[4:]] == [Decision.REJECT] * 2

@@ -171,6 +171,30 @@ class TestEmitReport:
                 else:
                     assert type(value)(cell) == value, column
 
+    def test_report_keys_follow_field_order(self, overlap_sweep):
+        model, tax, report = overlap_sweep
+        doc = report_to_dict(report)
+        assert list(doc) == ["schema", "version", "points",
+                             "baseline_metrics", "known_entropy",
+                             "unknown_entropy", "log_base"]
+        assert list(doc["points"][0]) == [
+            "threshold", "known_rejection_rate", "unknown_rejection_rate",
+            "metrics", "metrics_degenerate"]
+        assert list(doc["baseline_metrics"]) == [
+            "tp", "fp", "tn", "fn", "precision", "recall", "f1", "accuracy"]
+        assert list(doc["known_entropy"]) == ["min", "q1", "median", "q3",
+                                              "max"]
+        stability = report_to_dict(run_stability_sweep(
+            model.config, tax.train, tax.test_known, [1]))
+        assert list(stability) == ["schema", "version", "points", "log_base"]
+        assert list(stability["points"][0]) == ["m", "mean_entropy",
+                                                "std_entropy"]
+
+    def test_unknown_report_type_rejected(self, overlap_sweep):
+        _, _, report = overlap_sweep
+        with pytest.raises(TypeError, match="SweepPoint"):
+            report_to_dict(report.points[0])
+
     def test_byte_identical_replay(self, overlap_sweep, tmp_path):
         _, _, report = overlap_sweep
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -172,3 +172,19 @@ def test_unknown_config_field_rejected(tmp_path, block):
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError, match="momentum"):
         load_model(path)
+
+
+def test_config_keys_follow_field_order(tmp_path):
+    # model files are written unsorted: a field reorder changes the format
+    data = make_binary_dataset(n=30, d=3, seed=1)
+    model = fit(EnsembleConfig(base=LearnerConfig(kind="tree"), m=2), data)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    config = json.loads(path.read_text())["config"]
+    assert list(config) == ["m", "master_seed", "posterior_mode",
+                            "entropy_log_base", "base"]
+    assert list(config["base"]) == ["kind", "seed", "tree", "gradient"]
+    assert list(config["base"]["tree"]) == ["max_depth", "min_samples_split",
+                                            "feature_subsample"]
+    assert list(config["base"]["gradient"]) == ["max_iters", "tolerance",
+                                                "l2"]
