@@ -34,8 +34,6 @@ def _learner_flags(parser: argparse.ArgumentParser) -> None:
 
 def _ensemble_flags(parser: argparse.ArgumentParser) -> None:
     _learner_flags(parser)
-    parser.add_argument("--m", type=int, default=25,
-                        help="number of base classifiers")
     parser.add_argument("--master-seed", type=int, default=0)
     parser.add_argument("--posterior-mode",
                         choices=(ensemble.HARD_VOTE, ensemble.SOFT_AVERAGE),
@@ -44,7 +42,7 @@ def _ensemble_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=1)
 
 
-def _ensemble_config(args) -> ensemble.EnsembleConfig:
+def _ensemble_config(args, m: int) -> ensemble.EnsembleConfig:
     if args.master_seed < 0:
         raise ValueError(f"--master-seed must be >= 0, got {args.master_seed}")
     base = LearnerConfig(
@@ -57,7 +55,7 @@ def _ensemble_config(args) -> ensemble.EnsembleConfig:
     )
     return ensemble.EnsembleConfig(
         base=base,
-        m=args.m,
+        m=m,
         master_seed=args.master_seed,
         posterior_mode=args.posterior_mode,
         entropy_log_base=2.0 if args.log_base == "2" else math.e,
@@ -119,7 +117,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = _ensemble_config(args)
+    config = _ensemble_config(args, args.m)
     train_data, = _load(args, known=("data",))
     model = ensemble.fit(config, train_data, n_workers=args.workers)
     persist.save_model(model, args.out)
@@ -157,8 +155,7 @@ def _cmd_sweep_threshold(args) -> int:
     if shared:
         raise ValueError(f"{args.unknown}: app ids also in "
                          f"{args.test_known}: {sorted(shared)[:5]}")
-    taxonomy = datamod.DatasetTaxonomy(train=test_known, test_known=test_known,
-                                       unknown=unknown)
+    taxonomy = datamod.DatasetTaxonomy(test_known=test_known, unknown=unknown)
     grid = harness.default_threshold_grid(model.n_classes,
                                           model.config.entropy_log_base,
                                           points=args.grid_points)
@@ -185,7 +182,8 @@ def _m_grid(text: str) -> list[int]:
 
 def _cmd_sweep_size(args) -> int:
     m_grid = _m_grid(args.m_grid)
-    config = _ensemble_config(args)
+    # run_stability_sweep sets m to each size of the grid in turn
+    config = _ensemble_config(args, m_grid[0])
     train_data, eval_data = _load(args, known=("data",), other=("eval",))
     report = harness.run_stability_sweep(config, train_data, eval_data, m_grid,
                                          n_workers=args.workers)
@@ -217,6 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="training CSV")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="model file to write")
+    p.add_argument("--m", type=int, default=25,
+                   help="number of base classifiers")
     _ensemble_flags(p)
     p.set_defaults(func=_cmd_train)
 

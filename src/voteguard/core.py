@@ -62,11 +62,21 @@ class Dataset:
         return self.x.shape[1]
 
     @cached_property
+    def columns(self) -> np.ndarray:
+        """``(d, n)``: row f holds feature f of every sample, contiguous,
+        so a gather along one feature reads only that feature. Computed on
+        first use and kept, so every tree fitted on this dataset shares
+        one copy. Read-only."""
+        columns = np.ascontiguousarray(self.x.T)
+        columns.flags.writeable = False
+        return columns
+
+    @cached_property
     def column_order(self) -> np.ndarray:
         """``(d, n)``: row f lists the sample indices sorted stably by
         feature f. Computed on first use and kept, so every tree fitted
         on this dataset shares one sort. Read-only."""
-        order = np.argsort(self.x.T, axis=1, kind="stable")
+        order = np.argsort(self.columns, axis=1, kind="stable")
         order.flags.writeable = False
         return order
 

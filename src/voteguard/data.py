@@ -40,17 +40,20 @@ class CsvSchema:
             raise ValueError("need at least one feature column")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DatasetTaxonomy:
-    """Known train/test buckets plus the held-out unknown-application bucket."""
+    """Known train/test buckets plus the held-out unknown-application
+    bucket. ``train`` is None where a fitted model is only evaluated."""
 
-    train: Dataset
+    train: Dataset | None = None
     test_known: Dataset
     unknown: Dataset | None
 
     def __post_init__(self):
         if self.unknown is not None:
-            known_ids = set(self.train.app_ids) | set(self.test_known.app_ids)
+            known_ids = set(self.test_known.app_ids)
+            if self.train is not None:
+                known_ids.update(self.train.app_ids)
             overlap = known_ids & set(self.unknown.app_ids)
             if overlap:
                 raise ValueError(
@@ -155,6 +158,8 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     values = array("d")                  # row-major features
     rows_y: list[int] = []
     app_ids: list[str] = []
+    # one str per distinct app id, which every row of that app shares
+    distinct_ids: dict[str, str] = {}
     lines = array("l")                   # the line each row starts on
     # (row index, position in the row, message); see _diagnose
     problems: list[tuple[int, int, str]] = []
@@ -197,7 +202,7 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
                     values.extend(row_x)
                     problems.extend((len(rows_y), j, m) for j, m in found)
                 rows_y.append(label)
-                app_ids.append(app_id)
+                app_ids.append(distinct_ids.setdefault(app_id, app_id))
                 lines.append(lineno)
     except UnicodeDecodeError:
         # a streamed decode counts bytes from its chunk: find the byte again

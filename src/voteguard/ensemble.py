@@ -171,7 +171,8 @@ class EnsembleModel:
 def fit(config: EnsembleConfig, data: Dataset, n_workers: int = 1) -> EnsembleModel:
     """Train M learners on bootstrap replicates of the standardized data.
     A replicate is a draw of row indices into the one standardized
-    dataset, so no member copies the data, and trees share one presort.
+    dataset, so no member copies the data, and trees share one presort and
+    one column-major copy of the features.
 
     The result is identical for any ``n_workers``: every member's replicate
     and learner seed derive only from (master_seed, member index).

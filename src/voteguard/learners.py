@@ -119,6 +119,10 @@ class TreeNode:
     counts: np.ndarray
 
 LEAF = -1
+# A batch of at least this many rows walks a tree one level per step for
+# all rows at once, in numpy; a shorter one, a single sample included,
+# walks one row at a time in Python, which costs less below it.
+LEVEL_WALK_ROWS = 64
 
 
 def _gini(counts, n):
@@ -141,7 +145,8 @@ def best_split(x, y, feature_indices, n_classes, weights=None, orders=None):
     if orders is None:
         orders = np.argsort(x, axis=0, kind="stable").T
     rows = orders[0]
-    total = np.bincount(y[rows], weights=weights[rows], minlength=n_classes)
+    total = np.bincount(y.take(rows), weights=weights.take(rows),
+                        minlength=n_classes)
     n = total.sum()
     parent = _gini(total, n)
 
@@ -149,16 +154,20 @@ def best_split(x, y, feature_indices, n_classes, weights=None, orders=None):
     best_gain = 0.0
     for f in feature_indices:
         order = orders[f]
-        sv = x[order, f]
+        # gathers along one column: x[:, f] is contiguous when x is the
+        # transpose of a column-major copy such as Dataset.columns
+        sv = x[:, f].take(order)
         boundaries = np.nonzero(sv[:-1] != sv[1:])[0]
         if boundaries.size == 0:
             continue
-        sy, sw = y[order], weights[order]
+        sy, sw = y.take(order), weights.take(order)
         # weighted class counts up to each boundary, one class at a time;
-        # every count is a whole number, so the sums are exact
-        left_counts = [np.cumsum(sw * (sy == c))[boundaries]
-                       for c in range(n_classes)]
+        # every count is a whole number, so the sums are exact and class
+        # 0's count is the total less the other classes'
         n_left = np.cumsum(sw)[boundaries]
+        others = [np.cumsum(sw * (sy == c))[boundaries]
+                  for c in range(1, n_classes)]
+        left_counts = [n_left - sum(others), *others]
         n_right = n - n_left
         # squared class shares, summed in class order
         gini_left = 1.0 - sum((c / n_left) ** 2 for c in left_counts)
@@ -199,9 +208,26 @@ class TreeLearner(TrainedLearner):
                 counts.argmax(axis=1).tolist(),
                 counts / counts.sum(axis=1, keepdims=True))
 
+    @functools.cached_property
+    def _levels(self):
+        """This tree as arrays for :meth:`_level_walk`, built on first use:
+        each node's feature, threshold, left and right child and argmax
+        label, where a leaf is its own child under threshold +inf, and
+        the tree's depth."""
+        feature, threshold, left, right, label, _ = self._walk
+        leaf = np.array(feature) == LEAF
+        me = np.arange(len(feature))
+        depth = [0] * len(feature)
+        for i, f in enumerate(feature):      # children come after parents
+            if f != LEAF:
+                depth[left[i]] = depth[right[i]] = depth[i] + 1
+        return (np.where(leaf, 0, feature), np.where(leaf, np.inf, threshold),
+                np.where(leaf, me, left), np.where(leaf, me, right),
+                np.array(label), max(depth))
+
     def _leaves(self, rows):
-        """The leaf each row reaches, one row at a time."""
-        feature, threshold, left, right = self._walk[:4]
+        """The leaf each row reaches, as a list, one row at a time."""
+        feature, threshold, left, right, _, _ = self._walk
         leaves = []
         for x in rows.tolist():
             i = 0
@@ -210,17 +236,34 @@ class TreeLearner(TrainedLearner):
             leaves.append(i)
         return leaves
 
+    def _level_walk(self, rows):
+        """The leaf each row reaches, as an array: every row goes down one
+        level per step, and a row at its leaf stays there."""
+        feature, threshold, left, right, _, depth = self._levels
+        flat = rows.ravel()
+        base = np.arange(0, flat.size, rows.shape[1])
+        node = np.zeros(len(rows), dtype=np.intp)
+        for _ in range(depth):
+            node = np.where(flat[base + feature[node]] <= threshold[node],
+                            left[node], right[node])
+        return node
+
     def _labels(self, rows):
+        if len(rows) >= LEVEL_WALK_ROWS:
+            return self._levels[4][self._level_walk(rows)]
         label = self._walk[4]
         return [label[i] for i in self._leaves(rows)]
 
     def _proba(self, rows):
-        return self._walk[5][self._leaves(rows)]
+        leaves = (self._level_walk(rows) if len(rows) >= LEVEL_WALK_ROWS
+                  else self._leaves(rows))
+        return self._walk[5][leaves]
 
 
 def _train_tree(config: LearnerConfig, data: Dataset, rows) -> TreeLearner:
     params = config.tree
-    x, y = data.x, data.y
+    # column-major features: every gather reads along one feature
+    x, y = data.columns.T, data.y
     n, d = x.shape
     rng = np.random.default_rng(config.seed)
     if params.feature_subsample == "sqrt":
@@ -241,7 +284,7 @@ def _train_tree(config: LearnerConfig, data: Dataset, rows) -> TreeLearner:
     while stack:
         orders, depth, parent, is_left = stack.pop()
         here = orders[0]
-        counts = np.bincount(y[here], weights=weights[here],
+        counts = np.bincount(y.take(here), weights=weights.take(here),
                              minlength=data.n_classes)
         me = len(nodes)
         if parent is not None:
@@ -267,9 +310,9 @@ def _train_tree(config: LearnerConfig, data: Dataset, rows) -> TreeLearner:
 
         feature, threshold, _ = split
         nodes.append(TreeNode(feature, threshold, -1, -1, counts))
-        go_left[here] = x[here, feature] <= threshold
+        go_left[here] = x[:, feature].take(here) <= threshold
         # a stable partition keeps each feature's list sorted
-        left = go_left[orders].ravel()
+        left = go_left.take(orders).ravel()
         # push right first so the left child is built (and draws RNG) first
         stack.append((np.compress(~left, orders).reshape(d, -1),
                       depth + 1, me, False))

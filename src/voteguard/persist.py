@@ -19,7 +19,8 @@ import math
 
 import numpy as np
 
-from .ensemble import EnsembleConfig, EnsembleModel, Standardizer, SupportBox
+from .ensemble import (_Z_MAX, EnsembleConfig, EnsembleModel, Standardizer,
+                       SupportBox)
 from .learners import (LEAF, ConstantLearner, GradientParams, LearnerConfig,
                        LinearLearner, TreeLearner, TreeNode, TreeParams)
 
@@ -145,9 +146,15 @@ def _learner_from_dict(raw: dict, n_classes: int, n_features: int):
         bias = raw["bias"]
         if not _is_finite_number(bias):
             raise ModelFormatError(f"bias {bias!r} is not a finite number")
-        return LinearLearner(kind=raw["kind"],
-                             weights=_vector(raw["weights"], "weights",
-                                             n_features),
+        weights = _vector(raw["weights"], "weights", n_features)
+        # standardized inputs are clamped to +-_Z_MAX, so a dot product
+        # with these weights cannot overflow; a sum that does is inf
+        with np.errstate(over="ignore"):
+            magnitude = np.abs(weights).sum()
+        if not magnitude <= _Z_MAX:
+            raise ModelFormatError("weights must sum in magnitude to at "
+                                   "most 2**511")
+        return LinearLearner(kind=raw["kind"], weights=weights,
                              bias=float(bias), n_classes=n_classes,
                              converged=raw["converged"],
                              seed_used=raw["seed_used"])

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import voteguard
 from voteguard.cli import cli_main
 
 
@@ -54,6 +59,19 @@ def test_sweep_threshold_end_to_end(pipeline_dir, capsys):
     assert len(doc["points"]) == 50
     rates = [p["known_rejection_rate"] for p in doc["points"]]
     assert all(b <= a for a, b in zip(rates, rates[1:]))
+
+
+def test_sweep_size_takes_no_m(pipeline_dir, tmp_path, capsys):
+    # the sizes come from --m-grid alone
+    data = pipeline_dir / "data"
+    out = tmp_path / "stability.json"
+    code, stdout, err = run(capsys, "sweep-size",
+                            "--data", str(data / "train.csv"),
+                            "--eval", str(data / "test_known.csv"),
+                            "--manifest", str(data / "manifest.json"),
+                            "--m-grid", "2,4", "--out", str(out), "--m", "5")
+    assert code == 2 and stdout == "" and not out.exists()
+    assert "--m" in err.splitlines()[-1]
 
 
 def test_sweep_size_end_to_end(pipeline_dir, capsys):
@@ -264,7 +282,8 @@ _TRAINING_FLAGS = [("--m", "0"), ("--workers", "0"), ("--max-depth", "0"),
     pytest.param("sweep-size", "--master-seed", "-1",
                  id="sweep-size-master-seed-negative"),
     *(pytest.param(command, flag, value, id=f"{command}{flag}={value}")
-      for command in ("train", "sweep-size") for flag, value in _TRAINING_FLAGS),
+      for command in ("train", "sweep-size") for flag, value in _TRAINING_FLAGS
+      if (command, flag) != ("sweep-size", "--m")),
     *(pytest.param("synth", flag, value, id=f"synth{flag}={value}")
       for flag, value in [("--d", "0"), ("--n-train", "-5"),
                           ("--n-unknown", "-1"), ("--class-separation", "0"),
@@ -584,3 +603,26 @@ def test_no_declared_unknown_app_ids_leaves_train_unchanged(
         assert code == 0, err
     assert (tmp_path / "train.csv.model").read_bytes() == \
         (overlap_dir / "model.json").read_bytes()
+
+
+def test_oversized_linear_weights_rejected_without_traceback(pipeline_dir,
+                                                             tmp_path):
+    # weights summing in magnitude past 2**511 could overflow a member's
+    # dot product with a clamped input; run with warnings as errors
+    doc = json.loads((pipeline_dir / "linear.json").read_text())
+    for learner in doc["learners"]:
+        learner["weights"] = [(-1) ** j * 1e308
+                              for j in range(len(learner["weights"]))]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    data = pipeline_dir / "data"
+    src = str(Path(voteguard.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "voteguard.cli", "predict",
+         "--model", str(model), "--data", str(data / "test_known.csv"),
+         "--manifest", str(data / "manifest.json"), "--threshold", "0.5"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    assert done.stderr.startswith(f"error: {model}: learner 0: weights ")

@@ -13,8 +13,8 @@ from voteguard.core import Dataset
 from voteguard.ensemble import (Decision, EnsembleConfig, EnsembleModel,
                                 Standardizer, bootstrap_indices, entropy_of,
                                 fit, gate, hard_vote_posterior, predict)
-from voteguard.learners import (ConstantLearner, LearnerConfig, TreeParams,
-                                train)
+from voteguard.learners import (LEVEL_WALK_ROWS, ConstantLearner,
+                                LearnerConfig, TreeParams, train)
 from conftest import make_binary_dataset
 from test_learners import leaf_of
 
@@ -315,7 +315,9 @@ def fitted_models():
 @pytest.mark.parametrize("mode", ["hard_vote", "soft_average"])
 @pytest.mark.parametrize("kind", ["tree", "logistic", "linear_svm"])
 @settings(max_examples=40, deadline=None)
-@given(rows=arrays(np.float64, st.tuples(st.integers(1, 9), st.just(3)),
+@given(rows=arrays(np.float64,
+                   st.tuples(st.integers(1, 9) | st.just(LEVEL_WALK_ROWS),
+                             st.just(3)),
                    elements=st.floats(-12, 12)))
 def test_batch_rows_equal_single_samples(fitted_models, kind, mode, rows):
     model = fitted_models[kind]

@@ -9,11 +9,11 @@ from hypothesis.extra.numpy import arrays
 from voteguard.core import Dataset
 from voteguard.data import SyntheticSpec, generate_synthetic
 from voteguard.ensemble import Standardizer, bootstrap_indices
-from voteguard.learners import (_OBJECTIVES, ConstantLearner, GradientParams,
-                                LearnerConfig, LinearLearner, TreeParams,
-                                _gradient, _penalized, _sigmoid, best_split,
-                                hinge_gradient, hinge_loss, logistic_gradient,
-                                logistic_loss, train)
+from voteguard.learners import (_OBJECTIVES, LEVEL_WALK_ROWS, ConstantLearner,
+                                GradientParams, LearnerConfig, LinearLearner,
+                                TreeParams, _gradient, _penalized, _sigmoid,
+                                best_split, hinge_gradient, hinge_loss,
+                                logistic_gradient, logistic_loss, train)
 from conftest import make_binary_dataset
 
 
@@ -103,6 +103,29 @@ class TestTree:
         at = learner.nodes[0].threshold
         assert learner.predict_label([at]) == 0
         assert learner.predict_label([[at], [1.0]]).tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("grid", [False, True], ids=["uniform", "ties"])
+def test_three_class_split_matches_brute_force(grid):
+    # class 0's counts are the total less the other classes'
+    rng = np.random.default_rng(5)
+    checked = 0
+    while checked < 50:
+        n, d = int(rng.integers(3, 12)), int(rng.integers(1, 3))
+        x = (rng.integers(-2, 3, size=(n, d)) / 2.0 if grid
+             else rng.uniform(-1, 1, size=(n, d)))
+        y = rng.integers(0, 3, size=n)
+        if len(np.unique(y)) < 2:
+            continue
+        expected = brute_force_split(x, y, n_classes=3)
+        got = best_split(x, y, np.arange(d), 3)
+        if expected is None:
+            assert got is None
+        else:
+            assert got is not None and got[0] == expected[0]
+            assert got[1] == pytest.approx(expected[1], abs=1e-12)
+            assert got[2] == pytest.approx(expected[2], abs=1e-12)
+        checked += 1
 
 
 def brute_force_split(x, y, n_classes=2):
@@ -444,3 +467,50 @@ def test_rows_out_of_range_rejected(small_dataset):
 def test_non_finite_gradient_params_rejected(field_name, value):
     with pytest.raises(ValueError, match="finite"):
         GradientParams(**{field_name: value})
+
+
+def assert_walks_agree(learner, rows):
+    """Both tree walks send every row to the leaf a node-by-node walk
+    reaches, and a batch votes as its rows do one at a time."""
+    leaves = [leaf_of(learner, r) for r in rows]
+    assert learner._leaves(rows) == leaves
+    assert learner._level_walk(rows).tolist() == leaves
+    assert learner.predict_label(rows).tolist() == \
+        [learner.predict_label(r) for r in rows]
+    assert learner.predict_proba(rows).tobytes() == \
+        np.array([learner.predict_proba(r) for r in rows]).tobytes()
+
+
+def on_every_threshold(learner, x, n_rows):
+    """``n_rows`` rows cycled from ``x``, the first ones each set to lie
+    exactly on one split's threshold."""
+    rows = np.resize(x, (n_rows, x.shape[1]))
+    splits = [node for node in learner.nodes if node.feature >= 0]
+    for j, node in enumerate(splits[:n_rows]):
+        rows[j, node.feature] = node.threshold
+    return rows
+
+
+@pytest.mark.parametrize("n_rows", [LEVEL_WALK_ROWS - 1, LEVEL_WALK_ROWS],
+                         ids=["below-cutover", "at-cutover"])
+@settings(max_examples=50)
+@given(case=st.data())
+def test_level_walk_equals_row_walk(n_rows, case):
+    config, data, rows = case.draw(row_draws("tree"))
+    learner = train(config, data, rows)
+    assert_walks_agree(learner, on_every_threshold(learner, data.x, n_rows))
+
+
+def test_level_walk_of_deep_tree():
+    data = make_binary_dataset(n=400, d=3, separation=0.5, seed=1)
+    learner = train(LearnerConfig(kind="tree"), data)
+    assert learner._levels[5] >= 8
+    assert_walks_agree(learner, on_every_threshold(learner, data.x, 400))
+
+
+def test_level_walk_of_single_leaf():
+    learner = train(LearnerConfig(kind="tree"), one_d([0.0, 1.0], [1, 1]))
+    assert len(learner.nodes) == 1 and learner._levels[5] == 0
+    rows = np.linspace(-1, 2, LEVEL_WALK_ROWS).reshape(-1, 1)
+    assert_walks_agree(learner, rows)
+    assert learner.predict_label(rows).tolist() == [1] * LEVEL_WALK_ROWS
