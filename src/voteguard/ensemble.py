@@ -160,8 +160,8 @@ class EnsembleModel:
     standardizer: Standardizer
     config: EnsembleConfig
     n_classes: int
+    support: SupportBox
     class_names: tuple[str, ...] | None = None
-    support: SupportBox | None = None    # None: every input counts as inside
 
     @property
     def n_features(self) -> int:
@@ -276,8 +276,7 @@ def predict(model: EnsembleModel, x) -> Prediction:
                        axis=0).reshape(n, k)
         h = entropy_of(dist, log_base)
     label = dist.argmax(axis=1)
-    inside = (np.ones(z.shape[:-1], dtype=bool) if model.support is None
-              else model.support.contains(z))
+    inside = model.support.contains(z)
     if x.ndim == 1:
         return Prediction(vote_distribution=dist[0],
                           per_learner_labels=tuple(labels),

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,14 +110,13 @@ class TrainedLearner:
 # Decision tree (CART, Gini impurity)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TreeNode:
+class TreeNode(NamedTuple):
     # feature < 0 marks a leaf; counts are per-class training counts here
     feature: int
     threshold: float
     left: int
     right: int
-    counts: np.ndarray
+    counts: tuple[float, ...]
 
 LEAF = -1
 # A batch of at least this many rows walks a tree one level per step for
@@ -195,17 +195,13 @@ class TreeLearner(TrainedLearner):
 
     @functools.cached_property
     def _walk(self):
-        """This tree as flat lists, built on first use: each node's feature,
+        """This tree as columns, built on first use: each node's feature,
         threshold, left and right child for :meth:`_leaves`, then its
         argmax label (ties toward the lower class) and its class shares,
         an ``(N, K)`` array."""
-        nodes = self.nodes
-        counts = np.array([n.counts for n in nodes],
-                          dtype=np.float64).reshape(len(nodes), self.n_classes)
-        return ([int(n.feature) for n in nodes],
-                [float(n.threshold) for n in nodes],
-                [int(n.left) for n in nodes], [int(n.right) for n in nodes],
-                counts.argmax(axis=1).tolist(),
+        *columns, counts = zip(*self.nodes)
+        counts = np.array(counts, dtype=np.float64)
+        return (*columns, counts.argmax(axis=1).tolist(),
                 counts / counts.sum(axis=1, keepdims=True))
 
     @functools.cached_property
@@ -277,7 +273,7 @@ def _train_tree(config: LearnerConfig, data: Dataset, rows) -> TreeLearner:
     orders = np.compress((weights[presort] > 0).ravel(), presort).reshape(d, -1)
     go_left = np.empty(n, dtype=bool)
 
-    nodes: list[TreeNode] = []
+    nodes = []                 # TreeNode fields in lists, to set children
     # stack entries: (per-feature sorted rows, depth, parent node index,
     # is_left_child)
     stack = [(orders, 0, None, False)]
@@ -288,15 +284,13 @@ def _train_tree(config: LearnerConfig, data: Dataset, rows) -> TreeLearner:
                              minlength=data.n_classes)
         me = len(nodes)
         if parent is not None:
-            if is_left:
-                nodes[parent].left = me
-            else:
-                nodes[parent].right = me
+            nodes[parent][2 if is_left else 3] = me
 
+        node = [LEAF, 0.0, LEAF, LEAF, tuple(counts.tolist())]
+        nodes.append(node)                   # a leaf unless it splits
         pure = np.count_nonzero(counts) <= 1
         depth_capped = params.max_depth is not None and depth >= params.max_depth
         if pure or depth_capped or counts.sum() < params.min_samples_split:
-            nodes.append(TreeNode(LEAF, 0.0, -1, -1, counts))
             continue
 
         if k < d:
@@ -305,11 +299,10 @@ def _train_tree(config: LearnerConfig, data: Dataset, rows) -> TreeLearner:
             feats = np.arange(d)
         split = best_split(x, y, feats, data.n_classes, weights, orders)
         if split is None:
-            nodes.append(TreeNode(LEAF, 0.0, -1, -1, counts))
             continue
 
         feature, threshold, _ = split
-        nodes.append(TreeNode(feature, threshold, -1, -1, counts))
+        node[:2] = feature, float(threshold)
         go_left[here] = x[:, feature].take(here) <= threshold
         # a stable partition keeps each feature's list sorted
         left = go_left.take(orders).ravel()
@@ -319,8 +312,9 @@ def _train_tree(config: LearnerConfig, data: Dataset, rows) -> TreeLearner:
         stack.append((np.compress(left, orders).reshape(d, -1),
                       depth + 1, me, True))
 
-    return TreeLearner(nodes=tuple(nodes), n_classes=data.n_classes,
-                       n_features=d, seed_used=config.seed)
+    return TreeLearner(nodes=tuple(map(TreeNode._make, nodes)),
+                       n_classes=data.n_classes, n_features=d,
+                       seed_used=config.seed)
 
 
 # ---------------------------------------------------------------------------

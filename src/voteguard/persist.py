@@ -2,9 +2,8 @@
 
 A model file is a single self-describing JSON document: header (format
 version, class/feature counts, posterior mode, log base, standardizer,
-training support box) followed by per-learner parameters. A file without a
-support box loads as a model that accepts every input on support. Floats
-are written with full repr precision so a save/load round trip reproduces
+training support box) followed by per-learner parameters. Floats are
+written with full repr precision so a save/load round trip reproduces
 predictions bit-exactly.
 Tree nodes are stored as a flat list with child indices, so arbitrarily
 deep trees serialize without recursion. The loader checks that each
@@ -51,8 +50,7 @@ def _learner_to_dict(learner) -> dict:
     if isinstance(learner, TreeLearner):
         return {
             "type": "tree",
-            "nodes": [[n.feature, n.threshold, n.left, n.right,
-                       n.counts.tolist()] for n in learner.nodes],
+            "nodes": learner.nodes,         # json writes tuples as lists
             **common,
         }
     if isinstance(learner, LinearLearner):
@@ -90,13 +88,13 @@ def _vector(raw, name: str, n_features: int) -> np.ndarray:
 
 
 def _tree_nodes(raw, n_classes: int, n_features: int) -> tuple[TreeNode, ...]:
-    """A saved node list, checked so that every walk of it ends: each
+    """A saved node list, checked to be a tree whose every walk ends: each
     split's children lie after it, as in the preorder ``train`` writes."""
     if not (isinstance(raw, list) and raw
             and all(type(node) is list and len(node) == 5 for node in raw)):
         raise ModelFormatError("tree nodes must be a non-empty list of "
                                "[feature, threshold, left, right, counts]")
-    columns = feature, threshold, left, right, counts = tuple(zip(*raw))
+    feature, threshold, left, right, counts = zip(*raw)
     if not all(type(row) is list and len(row) == n_classes for row in counts):
         raise ModelFormatError(
             f"tree node counts must be lists of {n_classes} numbers")
@@ -114,6 +112,8 @@ def _tree_nodes(raw, n_classes: int, n_features: int) -> tuple[TreeNode, ...]:
         raise ModelFormatError("tree node value out of range") from None
     i, n = np.arange(len(raw)), len(raw)
     leaf = f == LEAF
+    with np.errstate(over="ignore"):         # a sum past float max is inf
+        total = c.sum(axis=1)
     problems = (
         (~leaf & ((f < 0) | (f >= n_features)),
          f"feature is neither {LEAF} (a leaf) nor an index below {n_features}"),
@@ -123,15 +123,23 @@ def _tree_nodes(raw, n_classes: int, n_features: int) -> tuple[TreeNode, ...]:
         (~leaf & ((lo <= i) | (hi <= i) | (lo >= n) | (hi >= n)),
          f"children must be node indices above the node's own and below {n}"),
         (~np.isfinite(c).all(axis=1) | (c < 0).any(axis=1)
-         | ~(c.sum(axis=1) > 0),
-         "counts must be finite, >= 0 and not all 0"),
+         | ~((0 < total) & (total < np.inf)),
+         "counts must be finite, >= 0, not all 0 and sum to a finite "
+         "number"),
     )
     for bad, what in problems:
         if bad.any():
             j = int(np.argmax(bad))
             raise ModelFormatError(f"tree node {j} {raw[j]!r}: {what}")
-    return tuple(TreeNode(*node, counts=row)
-                 for *node, row in zip(*columns[:4], c))
+    # a node reached through two splits may lie at two depths, and the
+    # level walk, which runs to the deepest, would stop short of it
+    parents = np.bincount(np.concatenate((lo[~leaf], hi[~leaf])), minlength=n)
+    if (parents[1:] != 1).any():
+        j = 1 + int(np.argmax(parents[1:] != 1))
+        raise ModelFormatError(f"tree node {j} is the child of {parents[j]} "
+                               "splits, not of exactly 1")
+    return tuple(map(TreeNode._make, zip(feature, t.tolist(), left, right,
+                                         map(tuple, c.tolist()))))
 
 
 def _learner_from_dict(raw: dict, n_classes: int, n_features: int):
@@ -143,12 +151,14 @@ def _learner_from_dict(raw: dict, n_classes: int, n_features: int):
                            seed_used=raw["seed_used"],
                            converged=raw["converged"])
     if kind == "linear":
-        bias = raw["bias"]
-        if not _is_finite_number(bias):
-            raise ModelFormatError(f"bias {bias!r} is not a finite number")
-        weights = _vector(raw["weights"], "weights", n_features)
         # standardized inputs are clamped to +-_Z_MAX, so a dot product
-        # with these weights cannot overflow; a sum that does is inf
+        # with these weights is at most _Z_MAX**2 = 2**1022 in magnitude,
+        # and adding the bias cannot overflow; a sum that does is inf
+        bias = raw["bias"]
+        if not (_is_finite_number(bias) and abs(bias) <= _Z_MAX ** 2):
+            raise ModelFormatError(f"bias {bias!r} is not a finite number "
+                                   "of magnitude at most 2**1022")
+        weights = _vector(raw["weights"], "weights", n_features)
         with np.errstate(over="ignore"):
             magnitude = np.abs(weights).sum()
         if not magnitude <= _Z_MAX:
@@ -183,14 +193,13 @@ def _object(raw, name: str) -> dict:
     return raw
 
 
-def _params(cls, raw: dict, ignored=()):
+def _params(cls, raw: dict):
     """``cls`` built from a config block; a field ``cls`` does not have is
-    an error unless ``ignored`` names it."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(raw) - names - set(ignored))
+    an error."""
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ModelFormatError(f"unknown {cls.__name__} fields {unknown}")
-    return cls(**{k: v for k, v in raw.items() if k in names})
+    return cls(**raw)
 
 
 def _config_from_dict(raw: dict) -> EnsembleConfig:
@@ -224,10 +233,7 @@ def _config_from_dict(raw: dict) -> EnsembleConfig:
             kind=base["kind"],
             seed=base["seed"],
             tree=_params(TreeParams, tree),
-            # files written while linear_svm used gradient descent carry
-            # its step size
-            gradient=_params(GradientParams, gradient,
-                             ignored=("learning_rate",)),
+            gradient=_params(GradientParams, gradient),
         ),
     )
 
@@ -244,10 +250,10 @@ def save_model(model: EnsembleModel, path) -> None:
             "mean": model.standardizer.mean.tolist(),
             "std": model.standardizer.std.tolist(),
         },
-        "support": (None if model.support is None else {
+        "support": {
             "low": model.support.low.tolist(),
             "high": model.support.high.tolist(),
-        }),
+        },
         "learners": [_learner_to_dict(l) for l in model.learners],
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -314,13 +320,11 @@ def _model_from_dict(doc: dict) -> EnsembleModel:
     )
     if not (standardizer.std > 0).all():
         raise ModelFormatError("standardizer std must be > 0 throughout")
-    support = None
-    if doc.get("support") is not None:
-        raw_box = _object(doc["support"], "support box")
-        support = SupportBox(
-            low=_vector(raw_box["low"], "support box low", n_features),
-            high=_vector(raw_box["high"], "support box high", n_features),
-        )
+    raw_box = _object(doc["support"], "support box")
+    support = SupportBox(
+        low=_vector(raw_box["low"], "support box low", n_features),
+        high=_vector(raw_box["high"], "support box high", n_features),
+    )
     learners = []
     for i, raw in enumerate(raw_learners):
         try:

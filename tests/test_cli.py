@@ -334,6 +334,32 @@ def test_model_missing_key_exits_1(pipeline_dir, tmp_path, capsys, missing):
     assert str(model) in err and repr(key) in err
 
 
+@pytest.mark.parametrize("name,mutate,message", [
+    ("model.json", lambda doc: doc.pop("support"), "missing key 'support'"),
+    ("model.json", lambda doc: doc.update(support=None),
+     "support box must be an object"),
+    ("linear.json",
+     lambda doc: doc["config"]["base"]["gradient"].update(learning_rate=0.1),
+     "unknown GradientParams fields ['learning_rate']"),
+], ids=["support-missing", "support-null", "learning-rate"])
+def test_model_without_box_or_with_stale_key_exits_1(pipeline_dir, tmp_path,
+                                                     capsys, name, mutate,
+                                                     message):
+    # every model has its training box, and the loader reads only the keys
+    # the writer writes
+    doc = json.loads((pipeline_dir / name).read_text())
+    mutate(doc)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    data = pipeline_dir / "data"
+    code, out, err = run(capsys, "predict", "--model", str(model),
+                         "--data", str(data / "test_known.csv"),
+                         "--manifest", str(data / "manifest.json"),
+                         "--threshold", "0.5")
+    assert code == 1 and out == ""
+    assert err == f"error: {model}: {message}\n"
+
+
 def _split_node(doc):
     """The first tree's node list and the index of its first split."""
     nodes = doc["learners"][0]["nodes"]
@@ -345,6 +371,13 @@ def _self_child(doc):
     nodes[i][2] = i
 
 
+def _shared_child(doc):
+    # a node under two splits may lie at two depths, and a batch walk runs
+    # only to the deepest
+    nodes, i = _split_node(doc)
+    nodes[i][3] = nodes[i][2]
+
+
 def _node_field(field, value):
     def mutate(doc):
         nodes, i = _split_node(doc)
@@ -352,10 +385,11 @@ def _node_field(field, value):
     return mutate
 
 
-def _short_counts(doc):
-    nodes = doc["learners"][0]["nodes"]
-    leaf = next(node for node in nodes if node[0] == -1)
-    leaf[4] = leaf[4][:1]
+def _leaf_counts(counts):
+    def mutate(doc):
+        nodes = doc["learners"][0]["nodes"]
+        next(node for node in nodes if node[0] == -1)[4] = counts
+    return mutate
 
 
 def _set(key, value):
@@ -377,10 +411,12 @@ def _set_linear(key, value):
 
 @pytest.mark.parametrize("mutate", [
     _self_child,
+    _shared_child,
     _node_field(0, 99),
     _node_field(3, 10 ** 6),
     _node_field(1, "0.5"),
-    _short_counts,
+    _leaf_counts([1.0]),
+    _leaf_counts([1e308, 1e308]),
     _set("learners", 5),
     _set("learners", []),
     _set("config.m", 3),
@@ -408,9 +444,9 @@ def _set_linear(key, value):
     _set_linear("weights", lambda weights: [float("inf"), *weights[1:]]),
     _set_linear("bias", "0.5"),
     _set_linear("bias", float("nan")),
-], ids=["self-child", "feature-99", "child-1e6", "string-threshold",
-        "counts-one-short", "learners-5", "learners-empty", "m-3",
-        "n-classes-1", "class-names-one-short", "standardizer-list",
+], ids=["self-child", "shared-child", "feature-99", "child-1e6",
+        "string-threshold", "counts-one-short", "counts-sum-inf",
+        "learners-5", "learners-empty", "m-3", "n-classes-1", "class-names-one-short", "standardizer-list",
         "mean-one-short", "std-0", "std-negative", "mean-nan", "mean-string",
         "low-inf", "high-huge-int", "master-seed-string", "seed-float",
         "max-depth-string", "min-samples-split-float",
@@ -605,6 +641,18 @@ def test_no_declared_unknown_app_ids_leaves_train_unchanged(
         (overlap_dir / "model.json").read_bytes()
 
 
+def _predict_with_warnings_as_errors(model, data, manifest):
+    """CLI ``predict`` at threshold 0.5 in a new interpreter run with
+    ``-W error``."""
+    src = str(Path(voteguard.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "voteguard.cli", "predict",
+         "--model", str(model), "--data", str(data),
+         "--manifest", str(manifest), "--threshold", "0.5"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+
+
 def test_oversized_linear_weights_rejected_without_traceback(pipeline_dir,
                                                              tmp_path):
     # weights summing in magnitude past 2**511 could overflow a member's
@@ -616,13 +664,40 @@ def test_oversized_linear_weights_rejected_without_traceback(pipeline_dir,
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc))
     data = pipeline_dir / "data"
-    src = str(Path(voteguard.__file__).parents[1])
-    done = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "voteguard.cli", "predict",
-         "--model", str(model), "--data", str(data / "test_known.csv"),
-         "--manifest", str(data / "manifest.json"), "--threshold", "0.5"],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src})
+    done = _predict_with_warnings_as_errors(model, data / "test_known.csv",
+                                            data / "manifest.json")
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
     assert done.stderr.startswith(f"error: {model}: learner 0: weights ")
+
+
+def test_linear_bias_bounded_so_scores_cannot_overflow(pipeline_dir,
+                                                       tmp_path):
+    # weights at their 2**511 bound score a clamped row at up to 2**1022;
+    # a bias of at most 2**1022 more stays below float max, and a soft
+    # average, which adds the bias to the score, then runs with no warning
+    data = pipeline_dir / "data"
+    lines = (data / "test_known.csv").read_text().splitlines(True)
+    doc = json.loads((pipeline_dir / "linear.json").read_text())
+    doc["config"]["posterior_mode"] = "soft_average"
+    d = doc["n_features"]
+    cells = lines[1].split(",")
+    cells[:d] = [f"{'+-'[j % 2]}1.79e308" for j in range(d)]
+    huge = tmp_path / "huge.csv"
+    huge.write_text(lines[0] + ",".join(cells))
+    assert [learner["type"] for learner in doc["learners"]] == ["linear"] * 3
+    for bias, code in ((2.0 ** 1022, 0), (1.7e308, 1)):
+        for learner in doc["learners"]:
+            learner["weights"] = [(-1) ** j * 2.0 ** 511 / d
+                                  for j in range(d)]
+            learner["bias"] = bias
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        done = _predict_with_warnings_as_errors(model, huge,
+                                                data / "manifest.json")
+        assert done.returncode == code, done.stderr
+        if code:
+            assert done.stdout == "" and done.stderr.count("\n") == 1
+            assert done.stderr.startswith(f"error: {model}: learner 0: bias ")
+        else:
+            assert done.stderr == "" and done.stdout.count("\n") == 2

@@ -11,8 +11,9 @@ from hypothesis.extra.numpy import arrays
 
 from voteguard.core import Dataset
 from voteguard.ensemble import (Decision, EnsembleConfig, EnsembleModel,
-                                Standardizer, bootstrap_indices, entropy_of,
-                                fit, gate, hard_vote_posterior, predict)
+                                Standardizer, SupportBox, bootstrap_indices,
+                                entropy_of, fit, gate, hard_vote_posterior,
+                                predict)
 from voteguard.learners import (LEVEL_WALK_ROWS, ConstantLearner,
                                 LearnerConfig, TreeParams, train)
 from conftest import make_binary_dataset
@@ -60,7 +61,8 @@ def test_hard_vote_posterior_matches_every_count_vector(k, max_m, log_base):
 
 
 def constant_ensemble(votes, m=None, mode="hard_vote"):
-    """Ensemble of constant voters over 1 standardized feature, 2 classes."""
+    """Ensemble of constant voters over 1 standardized feature, 2 classes,
+    whose box holds the input 0."""
     learners = tuple(ConstantLearner(label=v, n_classes=2, n_features=1,
                                      seed_used=0) for v in votes)
     config = EnsembleConfig(base=LearnerConfig(kind="tree"), m=len(votes),
@@ -68,7 +70,8 @@ def constant_ensemble(votes, m=None, mode="hard_vote"):
     return EnsembleModel(learners=learners,
                          standardizer=Standardizer(mean=np.zeros(1),
                                                    std=np.ones(1)),
-                         config=config, n_classes=2)
+                         config=config, n_classes=2,
+                         support=SupportBox(low=-np.ones(1), high=np.ones(1)))
 
 
 class TestPredict:
@@ -122,7 +125,7 @@ class TestPredict:
         shuffled = EnsembleModel(
             learners=tuple(model.learners[i] for i in perm),
             standardizer=model.standardizer, config=model.config,
-            n_classes=model.n_classes)
+            n_classes=model.n_classes, support=model.support)
         for x in small_dataset.x[:5]:
             a, b = predict(model, x), predict(shuffled, x)
             np.testing.assert_array_equal(a.vote_distribution,
@@ -242,13 +245,12 @@ class TestGate:
         verdict = gate(model, far, threshold=1.0)
         assert verdict.prediction.support is False
         assert verdict.decision is Decision.REJECT
-        # the votes stay the members' own: the box only gates
-        boxless = replace(model, support=None)
+        # the votes stay the members' own and agree, so the entropy-only
+        # rule (entropy > threshold) would accept: the box only gates
         votes = np.bincount(verdict.prediction.per_learner_labels,
                             minlength=2) / 9
         assert np.array_equal(verdict.prediction.vote_distribution, votes)
-        assert np.array_equal(predict(boxless, far).vote_distribution, votes)
-        assert gate(boxless, far, threshold=1.0).decision is Decision.ACCEPT
+        assert verdict.prediction.entropy == entropy_of(votes) == 0.0
 
     def test_non_finite_input_raises(self, small_dataset):
         model = fit(EnsembleConfig(base=LearnerConfig(kind="tree"), m=3),
@@ -284,13 +286,14 @@ class TestGate:
     def test_inside_training_box_unaffected(self, small_dataset):
         model = fit(EnsembleConfig(base=LearnerConfig(kind="tree"), m=9),
                     small_dataset)
-        boxless = replace(model, support=None)
+        # inside the box, each verdict is the entropy-only rule's
         for x in small_dataset.x:
             verdict = gate(model, x, threshold=0.5)
-            other = gate(boxless, x, threshold=0.5)
-            assert verdict.prediction.support is True
-            assert verdict.decision is other.decision
-            assert verdict.label == other.label
+            pred = verdict.prediction
+            uncertain = pred.entropy > 0.5
+            assert pred.support is True
+            assert (verdict.decision is Decision.REJECT) == uncertain
+            assert verdict.label == (None if uncertain else pred.label)
 
     def test_monotone_rejection_sets(self, small_dataset):
         overlap = make_binary_dataset(n=120, d=2, separation=0.5, seed=2)
@@ -367,7 +370,8 @@ def tree_ensembles(draw):
         learners=tuple(learners),
         standardizer=Standardizer(mean=np.zeros(d), std=np.ones(d)),
         config=EnsembleConfig(m=len(learners), posterior_mode=mode),
-        n_classes=n_classes)
+        n_classes=n_classes,
+        support=SupportBox(low=np.full(d, -2.0), high=np.full(d, 2.0)))
     return model, rng.integers(-4, 5, size=(draw(st.integers(1, 8)), d)) / 2.0
 
 
@@ -377,7 +381,8 @@ def test_tree_votes_equal_node_by_node_walk(case):
     model, rows = case
     batch = predict(model, rows)
     for i, x in enumerate(rows):
-        counts = [l.nodes[leaf_of(l, x)].counts for l in model.learners]
+        counts = [np.array(l.nodes[leaf_of(l, x)].counts)
+                  for l in model.learners]
         votes = tuple(int(c.argmax()) for c in counts)
         if model.config.posterior_mode == "hard_vote":
             dist = np.bincount(votes, minlength=model.n_classes) / len(votes)

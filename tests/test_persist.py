@@ -1,12 +1,15 @@
 import json
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voteguard.core import Dataset
-from voteguard.ensemble import EnsembleConfig, fit, gate, predict
-from voteguard.learners import ConstantLearner, LearnerConfig
+from voteguard.ensemble import EnsembleConfig, fit, predict
+from voteguard.learners import LEVEL_WALK_ROWS, ConstantLearner, LearnerConfig
 from voteguard.persist import ModelFormatError, load_model, save_model
 from conftest import make_binary_dataset
 
@@ -39,23 +42,6 @@ def test_support_box_round_trip_is_bit_exact(tmp_path):
     loaded = load_model(path)
     assert loaded.support.low.tobytes() == model.support.low.tobytes()
     assert loaded.support.high.tobytes() == model.support.high.tobytes()
-
-
-def test_model_without_support_box_accepts_on_support(tmp_path):
-    data = make_binary_dataset(n=80, d=3, separation=2.0, seed=4)
-    model = fit(EnsembleConfig(base=LearnerConfig(kind="tree"), m=3), data)
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    doc = json.loads(path.read_text())
-    del doc["support"]
-    path.write_text(json.dumps(doc))
-    loaded = load_model(path)
-    far = data.x.max(axis=0) + 50.0
-    assert loaded.support is None
-    assert predict(loaded, far).support is True
-    assert predict(loaded, np.array([far])).support.tolist() == [True]
-    assert gate(model, far, threshold=1.0).label is None
-    assert gate(loaded, far, threshold=1.0).label is not None
 
 
 def test_support_box_of_wrong_width_rejected(tmp_path):
@@ -140,27 +126,6 @@ def test_rejects_future_version(tmp_path):
         load_model(path)
 
 
-def test_legacy_learning_rate_key_loads_bit_identically(tmp_path):
-    data = make_binary_dataset(n=80, d=3, separation=2.0, seed=4)
-    model = fit(EnsembleConfig(base=LearnerConfig(kind="linear_svm"), m=4),
-                data)
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    doc = json.loads(path.read_text())
-    assert "learning_rate" not in doc["config"]["base"]["gradient"]
-    doc["config"]["base"]["gradient"]["learning_rate"] = 0.1
-    path.write_text(json.dumps(doc))
-    loaded = load_model(path)
-    assert loaded.config == model.config
-    x = np.random.default_rng(0).uniform(-5, 5, size=(50, 3))
-    a, b = predict(model, x), predict(loaded, x)
-    assert np.array_equal(a.per_learner_labels, b.per_learner_labels)
-    assert a.entropy.tobytes() == b.entropy.tobytes()
-    for la, lb in zip(model.learners, loaded.learners):
-        assert la.weights.tobytes() == lb.weights.tobytes()
-        assert la.bias == lb.bias
-
-
 @pytest.mark.parametrize("block", ["tree", "gradient"])
 def test_unknown_config_field_rejected(tmp_path, block):
     data = make_binary_dataset(n=30, d=3, seed=1)
@@ -188,3 +153,74 @@ def test_config_keys_follow_field_order(tmp_path):
                                             "feature_subsample"]
     assert list(config["base"]["gradient"]) == ["max_iters", "tolerance",
                                                 "l2"]
+
+
+def _paths(doc, path=()):
+    """The path of every value inside a JSON document, as a list."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    paths = []
+    for key, value in items:
+        paths.append(path + (key,))
+        if isinstance(value, (dict, list)):
+            paths += _paths(value, path + (key,))
+    return paths
+
+
+@pytest.fixture(scope="module")
+def saved_docs(tmp_path_factory):
+    """A hard-vote tree model and a soft-average logistic model, as their
+    saved JSON documents, each with the paths of all its values."""
+    data = make_binary_dataset(n=60, d=3, separation=1.0, seed=4)
+    root = tmp_path_factory.mktemp("mutations")
+    docs = {}
+    for kind, mode in (("tree", "hard_vote"), ("logistic", "soft_average")):
+        model = fit(EnsembleConfig(base=LearnerConfig(kind=kind), m=3,
+                                   posterior_mode=mode), data)
+        save_model(model, root / f"{kind}.json")
+        doc = json.loads((root / f"{kind}.json").read_text())
+        docs[kind] = doc, _paths(doc)
+    return root, docs
+
+
+_DELETE = object()
+# other JSON types, and numbers at the ends of float's range and past
+# int64's; json writes and reads inf and nan too
+_REPLACEMENTS = [_DELETE, None, True, False, 0, 1, -1, 0.5, -0.0, 5e-324,
+                 1e308, -1e308, 2 ** 70, -2 ** 70, math.inf, -math.inf,
+                 math.nan, "", "x", [], [0], [[0]], {}, {"x": 0}]
+
+
+@settings(max_examples=400)
+@given(kind=st.sampled_from(["tree", "logistic"]), data=st.data(),
+       value=st.sampled_from(_REPLACEMENTS))
+def test_mutated_model_fails_cleanly_or_predicts(saved_docs, kind, data,
+                                                 value):
+    # one field replaced by another JSON type or an extreme number, or
+    # deleted: the loader raises ModelFormatError, or its model predicts
+    root, docs = saved_docs
+    doc, paths = docs[kind]
+    *parents, key = data.draw(st.sampled_from(paths), label="path")
+    doc = json.loads(json.dumps(doc))
+    block = doc
+    for name in parents:
+        block = block[name]
+    if value is _DELETE:
+        del block[key]
+    else:
+        block[key] = value
+    path = root / "mutated.json"
+    path.write_text(json.dumps(doc))
+    rows = np.random.default_rng(0).normal(0.0, 2.0,
+                                           size=(LEVEL_WALK_ROWS + 6, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            model = load_model(path)
+        except ModelFormatError:
+            return
+        batch = predict(model, rows)
+        one = predict(model, rows[0])
+    assert np.isfinite(batch.entropy).all() and np.isfinite(one.entropy)
+    assert np.allclose(batch.vote_distribution.sum(axis=1), 1.0)
+    assert batch.vote_distribution[0].tobytes() == \
+        one.vote_distribution.tobytes()
