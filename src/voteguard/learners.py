@@ -84,7 +84,8 @@ def check_features(x, n_features: int, finite: bool = True) -> np.ndarray:
 class TrainedLearner:
     """Common surface of fitted base classifiers. Immutable; predict is a
     pure function of the stored parameters. Each kind implements the batch
-    ``_labels(rows)`` and ``_proba(rows)``; one sample is a one-row batch."""
+    ``_labels(rows)`` and ``_proba(rows)``; one sample is a one-row batch,
+    except in a tree's ``predict_label``."""
 
     n_classes: int
     n_features: int
@@ -221,16 +222,30 @@ class TreeLearner(TrainedLearner):
                 np.where(leaf, me, left), np.where(leaf, me, right),
                 np.array(label), max(depth))
 
+    def predict_label(self, x):
+        # one sample is checked, made a list and walked once, without the
+        # batch path's one-row array; it must not call the base method,
+        # which a profiler wrapping both would count twice per batch
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.n_features,):
+            return np.asarray(self._labels(check_features(x, self.n_features)),
+                              dtype=np.int64)
+        v = x.tolist()
+        if not all(map(math.isfinite, v)):
+            raise ValueError("input contains non-finite values")
+        return self._walk[4][self._leaf(v)]
+
+    def _leaf(self, x):
+        """The leaf one row, a list of floats, reaches."""
+        feature, threshold, left, right, _, _ = self._walk
+        i = 0
+        while feature[i] != LEAF:
+            i = left[i] if x[feature[i]] <= threshold[i] else right[i]
+        return i
+
     def _leaves(self, rows):
         """The leaf each row reaches, as a list, one row at a time."""
-        feature, threshold, left, right, _, _ = self._walk
-        leaves = []
-        for x in rows.tolist():
-            i = 0
-            while feature[i] != LEAF:
-                i = left[i] if x[feature[i]] <= threshold[i] else right[i]
-            leaves.append(i)
-        return leaves
+        return list(map(self._leaf, rows.tolist()))
 
     def _level_walk(self, rows):
         """The leaf each row reaches, as an array: every row goes down one

@@ -144,13 +144,30 @@ def _tree_nodes(raw, n_classes: int, n_features: int) -> tuple[TreeNode, ...]:
 
 def _learner_from_dict(raw: dict, n_classes: int, n_features: int):
     kind = raw.get("type")
+    if kind not in ("tree", "linear", "constant"):
+        raise ModelFormatError(f"unknown learner type {kind!r}")
+    converged, seed_used = raw["converged"], raw["seed_used"]
+    if type(converged) is not bool:
+        raise ModelFormatError(
+            f"converged must be true or false, got {converged!r}")
+    # the range LearnerConfig.seed allows
+    if not (_is_int(seed_used) and 0 <= seed_used < 2 ** 64):
+        raise ModelFormatError(f"seed_used must be an integer in "
+                               f"[0, 2**64), got {seed_used!r}")
+    common = {"n_classes": n_classes, "converged": converged,
+              "seed_used": seed_used}
     if kind == "tree":
         return TreeLearner(nodes=_tree_nodes(raw["nodes"], n_classes,
                                              n_features),
-                           n_classes=n_classes, n_features=n_features,
-                           seed_used=raw["seed_used"],
-                           converged=raw["converged"])
+                           n_features=n_features, **common)
     if kind == "linear":
+        if n_classes != 2:
+            raise ModelFormatError(
+                f"a linear member needs n_classes 2, got {n_classes}")
+        if raw["kind"] not in ("logistic", "linear_svm"):
+            raise ModelFormatError(f"a linear member's kind must be "
+                                   f"'logistic' or 'linear_svm', got "
+                                   f"{raw['kind']!r}")
         # standardized inputs are clamped to +-_Z_MAX, so a dot product
         # with these weights is at most _Z_MAX**2 = 2**1022 in magnitude,
         # and adding the bias cannot overflow; a sum that does is inf
@@ -165,20 +182,13 @@ def _learner_from_dict(raw: dict, n_classes: int, n_features: int):
             raise ModelFormatError("weights must sum in magnitude to at "
                                    "most 2**511")
         return LinearLearner(kind=raw["kind"], weights=weights,
-                             bias=float(bias), n_classes=n_classes,
-                             converged=raw["converged"],
-                             seed_used=raw["seed_used"])
-    if kind == "constant":
-        label = raw["label"]
-        if not (_is_int(label) and 0 <= label < n_classes):
-            raise ModelFormatError(
-                f"constant learner label {label!r} is not a class index "
-                f"below {n_classes}")
-        return ConstantLearner(label=label, n_classes=n_classes,
-                               n_features=n_features,
-                               seed_used=raw["seed_used"],
-                               converged=raw["converged"])
-    raise ModelFormatError(f"unknown learner type {kind!r}")
+                             bias=float(bias), **common)
+    label = raw["label"]
+    if not (_is_int(label) and 0 <= label < n_classes):
+        raise ModelFormatError(
+            f"constant learner label {label!r} is not a class index "
+            f"below {n_classes}")
+    return ConstantLearner(label=label, n_features=n_features, **common)
 
 
 def _config_to_dict(config: EnsembleConfig) -> dict:

@@ -360,6 +360,57 @@ def test_model_without_box_or_with_stale_key_exits_1(pipeline_dir, tmp_path,
     assert err == f"error: {model}: {message}\n"
 
 
+def _each_member(key, value):
+    def mutate(doc):
+        for learner in doc["learners"]:
+            learner[key] = value
+    return mutate
+
+
+def _three_classes(doc):
+    doc.update(n_classes=3, class_names=None)
+    doc["config"]["posterior_mode"] = "soft_average"
+
+
+@pytest.mark.parametrize("name,mutate,message", [
+    ("linear.json", _three_classes,
+     "learner 0: a linear member needs n_classes 2, got 3"),
+    ("linear.json", _each_member("kind", 7),
+     "learner 0: a linear member's kind must be 'logistic' or "
+     "'linear_svm', got 7"),
+    ("linear.json", _each_member("converged", "no"),
+     "learner 0: converged must be true or false, got 'no'"),
+    ("model.json", _each_member("converged", 1),
+     "learner 0: converged must be true or false, got 1"),
+    ("linear.json", _each_member("seed_used", [1]),
+     "learner 0: seed_used must be an integer in [0, 2**64), got [1]"),
+    ("model.json", _each_member("seed_used", 2 ** 64),
+     f"learner 0: seed_used must be an integer in [0, 2**64), "
+     f"got {2 ** 64}"),
+    ("model.json", _each_member("seed_used", -1),
+     "learner 0: seed_used must be an integer in [0, 2**64), got -1"),
+    ("model.json", _each_member("seed_used", True),
+     "learner 0: seed_used must be an integer in [0, 2**64), got True"),
+], ids=["linear-3-classes", "kind-7", "converged-string", "converged-1",
+        "seed-used-list", "seed-used-2-64", "seed-used-negative",
+        "seed-used-bool"])
+def test_bad_member_field_exits_1(pipeline_dir, tmp_path, capsys, name,
+                                  mutate, message):
+    # a member's fields load with the types and values train writes, and a
+    # linear member votes between exactly two classes
+    doc = json.loads((pipeline_dir / name).read_text())
+    mutate(doc)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    data = pipeline_dir / "data"
+    code, out, err = run(capsys, "predict", "--model", str(model),
+                         "--data", str(data / "test_known.csv"),
+                         "--manifest", str(data / "manifest.json"),
+                         "--threshold", "0.5")
+    assert code == 1 and out == ""
+    assert err == f"error: {model}: {message}\n"
+
+
 def _split_node(doc):
     """The first tree's node list and the index of its first split."""
     nodes = doc["learners"][0]["nodes"]

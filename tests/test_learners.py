@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -514,3 +515,67 @@ def test_level_walk_of_single_leaf():
     rows = np.linspace(-1, 2, LEVEL_WALK_ROWS).reshape(-1, 1)
     assert_walks_agree(learner, rows)
     assert learner.predict_label(rows).tolist() == [1] * LEVEL_WALK_ROWS
+
+
+class TestOneSampleTreeWalk:
+    """A tree member's one-sample ``predict_label``, which checks the row
+    and walks it without making a one-row batch."""
+
+    @pytest.fixture
+    def learner(self):
+        data = make_binary_dataset(n=200, d=3, separation=1.0, seed=2)
+        return train(LearnerConfig(kind="tree", tree=TreeParams(max_depth=4)),
+                     data), data.x
+
+    def assert_alone_equals_batches(self, learner, rows):
+        alone = [learner.predict_label(r) for r in rows]
+        assert alone == [learner._walk[4][leaf_of(learner, r)] for r in rows]
+        for n_rows in (LEVEL_WALK_ROWS - 1, 2 * LEVEL_WALK_ROWS):
+            batch = np.resize(rows, (n_rows, rows.shape[1]))
+            assert learner.predict_label(batch).tolist() == \
+                np.resize(alone, n_rows).tolist()
+
+    def test_label_is_a_python_int(self, learner):
+        learner, x = learner
+        assert all(type(learner.predict_label(r)) is int for r in x[:10])
+
+    def test_rows_on_every_threshold(self, learner):
+        learner, x = learner
+        n_splits = sum(node.feature >= 0 for node in learner.nodes)
+        assert 1 < n_splits < LEVEL_WALK_ROWS
+        self.assert_alone_equals_batches(
+            learner, on_every_threshold(learner, x, n_splits))
+
+    def test_negative_zero_on_zero_threshold(self):
+        learner = train(LearnerConfig(kind="tree"),
+                        one_d([-1.0, 1.0], [0, 1]))
+        assert learner.nodes[0].threshold == 0.0
+        rows = np.array([[-0.0], [0.0], [np.nextafter(0.0, 1.0)]])
+        assert [learner.predict_label(r) for r in rows] == [0, 0, 1]
+        self.assert_alone_equals_batches(learner, rows)
+
+    def test_list_equals_array_and_one_row_batch(self, learner):
+        learner, x = learner
+        for row in x[:10]:
+            label = learner.predict_label(row)
+            assert learner.predict_label(row.tolist()) == label
+            batch = learner.predict_label(row[None])
+            assert batch.dtype == np.int64 and batch.tolist() == [label]
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), (1, 1, 3)])
+    def test_wrong_shape_keeps_its_message(self, learner, shape):
+        learner, _ = learner
+        message = f"expected 3 features, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            learner.predict_label(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_non_finite_keeps_its_message(self, learner, bad, at):
+        learner, x = learner
+        row = x[0].copy()
+        row[at] = bad
+        for sample in (row, row.tolist()):
+            with pytest.raises(ValueError,
+                               match="^input contains non-finite values$"):
+                learner.predict_label(sample)
