@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -104,9 +105,20 @@ class SupportBox:
         margin = np.maximum((high - low) / 2.0, 1.0)
         return cls(low=low - margin, high=high + margin)
 
+    @functools.cached_property
+    def _bounds(self) -> tuple[list[float], list[float]]:
+        """``low`` and ``high`` as lists, for one sample's test."""
+        return self.low.tolist(), self.high.tolist()
+
     def contains(self, z: np.ndarray):
-        """Whether every feature of ``z`` (standardized, ``(d,)`` or
-        ``(n, d)``) lies inside the box, per sample."""
+        """Whether every feature of ``z`` (standardized) lies inside the
+        box: a bool for one sample ``(d,)``, tested in Python, and an
+        ``(n,)`` array for a batch ``(n, d)``."""
+        if z.ndim == 1:
+            low, high = self._bounds
+            v = z.tolist()
+            return (all(map(operator.le, low, v))
+                    and all(map(operator.le, v, high)))
         return ((z >= self.low) & (z <= self.high)).all(axis=-1)
 
 
@@ -174,8 +186,10 @@ def fit(config: EnsembleConfig, data: Dataset, n_workers: int = 1) -> EnsembleMo
     dataset, so no member copies the data, and trees share one presort and
     one column-major copy of the features.
 
-    The result is identical for any ``n_workers``: every member's replicate
-    and learner seed derive only from (master_seed, member index).
+    Tree members are fitted by ``n_workers`` threads, linear members one
+    after another. The result is identical for any ``n_workers``: every
+    member's replicate and learner seed derive only from (master_seed,
+    member index).
     """
     if len(data) == 0:
         raise ValueError("cannot fit an ensemble on an empty dataset")
@@ -196,7 +210,8 @@ def fit(config: EnsembleConfig, data: Dataset, n_workers: int = 1) -> EnsembleMo
         member_config = replace(config.base, seed=learner_seed)
         return train(member_config, scaled, idx)
 
-    if n_workers == 1:
+    # threads made linear fits slower, not faster
+    if n_workers == 1 or config.base.kind != "tree":
         learners = [train_member(i) for i in range(config.m)]
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
@@ -252,6 +267,16 @@ def hard_vote_posterior(counts: np.ndarray, m: int, log_base: float = 2.0):
     return shares[counts], np.minimum(h, math.log(counts.shape[-1], log_base))
 
 
+@functools.lru_cache(maxsize=4096)
+def _counted_posterior(counts: tuple[int, ...], m: int, log_base: float):
+    """:func:`hard_vote_posterior` of one sample's vote counts, as a tuple
+    of shares and an entropy in Python floats. Memoized per count vector:
+    numpy's row sum need not add the K entropy terms left to right, so a
+    sum in Python could differ from a batch row in the last bit."""
+    dist, h = hard_vote_posterior(np.array([counts]), m, log_base)
+    return tuple(dist[0].tolist()), float(h[0])
+
+
 def predict(model: EnsembleModel, x) -> Prediction:
     """Vote distribution, entropy, argmax label and training-box support
     for one sample ``(d,)``, or for each row of a batch ``(n, d)``; see
@@ -263,9 +288,18 @@ def predict(model: EnsembleModel, x) -> Prediction:
     z = model.standardizer.transform(x)
     labels = [l.predict_label(z) for l in model.learners]
     m, k = len(labels), model.n_classes
+    log_base = model.config.entropy_log_base
+    if x.ndim == 1 and model.config.posterior_mode == HARD_VOTE:
+        # one sample's votes are counted in Python, with no tiny arrays;
+        # its distribution is a new array, so a caller may write to it
+        counts = [labels.count(c) for c in range(k)]
+        dist, h = _counted_posterior(tuple(counts), m, log_base)
+        return Prediction(vote_distribution=np.array(dist),
+                          per_learner_labels=tuple(labels), entropy=h,
+                          label=counts.index(max(counts)),
+                          support=model.support.contains(z))
     n = len(x) if x.ndim == 2 else 1
     votes = np.array(labels).reshape(m, n)
-    log_base = model.config.entropy_log_base
     if model.config.posterior_mode == HARD_VOTE:
         # row i's votes land in bincount slots i*K .. i*K + K-1
         slots = votes + np.arange(0, n * k, k)

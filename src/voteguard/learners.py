@@ -74,7 +74,8 @@ def check_features(x, n_features: int, finite: bool = True) -> np.ndarray:
     if x.ndim not in (1, 2) or x.shape[-1] != n_features:
         raise ValueError(f"expected {n_features} features, got shape {x.shape}")
     # one sample is checked in Python: for d values this costs a quarter
-    # of a numpy reduction, and each of an ensemble's M members checks it
+    # of a numpy reduction, and each linear or constant member of an
+    # ensemble checks it (a tree member checks its sample itself)
     if finite and not (all(map(math.isfinite, x.tolist())) if x.ndim == 1
                        else np.isfinite(x).all()):
         raise ValueError("input contains non-finite values")
@@ -227,11 +228,14 @@ class TreeLearner(TrainedLearner):
         # batch path's one-row array; it must not call the base method,
         # which a profiler wrapping both would count twice per batch
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n_features,):
+        if x.ndim != 1 or len(x) != self.n_features:
             return np.asarray(self._labels(check_features(x, self.n_features)),
                               dtype=np.int64)
         v = x.tolist()
-        if not all(map(math.isfinite, v)):
+        # a NaN or +-inf term makes the sum non-finite, so a finite sum
+        # clears every term; a finite row whose sum overflows takes the
+        # term-by-term test
+        if not (math.isfinite(sum(v)) or all(map(math.isfinite, v))):
             raise ValueError("input contains non-finite values")
         return self._walk[4][self._leaf(v)]
 

@@ -142,10 +142,16 @@ def _tree_nodes(raw, n_classes: int, n_features: int) -> tuple[TreeNode, ...]:
                                          map(tuple, c.tolist()))))
 
 
-def _learner_from_dict(raw: dict, n_classes: int, n_features: int):
+def _learner_from_dict(raw: dict, n_classes: int, n_features: int,
+                       base_kind: str):
     kind = raw.get("type")
     if kind not in ("tree", "linear", "constant"):
         raise ModelFormatError(f"unknown learner type {kind!r}")
+    # train makes a tree of every tree member, and a linear member or, from
+    # a single-class replicate, a constant one of every other
+    if (kind == "tree") != (base_kind == "tree"):
+        raise ModelFormatError(f"a {kind} member in a model whose "
+                               f"config.base.kind is {base_kind!r}")
     converged, seed_used = raw["converged"], raw["seed_used"]
     if type(converged) is not bool:
         raise ModelFormatError(
@@ -168,6 +174,10 @@ def _learner_from_dict(raw: dict, n_classes: int, n_features: int):
             raise ModelFormatError(f"a linear member's kind must be "
                                    f"'logistic' or 'linear_svm', got "
                                    f"{raw['kind']!r}")
+        if raw["kind"] != base_kind:
+            raise ModelFormatError(f"a linear member's kind is "
+                                   f"{raw['kind']!r}, but config.base.kind "
+                                   f"is {base_kind!r}")
         # standardized inputs are clamped to +-_Z_MAX, so a dot product
         # with these weights is at most _Z_MAX**2 = 2**1022 in magnitude,
         # and adding the bias cannot overflow; a sum that does is inf
@@ -338,7 +348,8 @@ def _model_from_dict(doc: dict) -> EnsembleModel:
     learners = []
     for i, raw in enumerate(raw_learners):
         try:
-            learners.append(_learner_from_dict(raw, n_classes, n_features))
+            learners.append(_learner_from_dict(raw, n_classes, n_features,
+                                               config.base.kind))
         except ModelFormatError as exc:
             raise ModelFormatError(f"learner {i}: {exc}") from None
     return EnsembleModel(learners=tuple(learners), standardizer=standardizer,

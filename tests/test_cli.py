@@ -411,6 +411,53 @@ def test_bad_member_field_exits_1(pipeline_dir, tmp_path, capsys, name,
     assert err == f"error: {model}: {message}\n"
 
 
+def _base_kind(kind):
+    def mutate(doc):
+        doc["config"]["base"]["kind"] = kind
+    return mutate
+
+
+def _constant_first(doc):
+    doc["learners"][0] = {"type": "constant", "label": 0, "converged": True,
+                          "seed_used": 0}
+
+
+@pytest.mark.parametrize("name,mutate,message", [
+    ("linear.json", _each_member("kind", "linear_svm"),
+     "learner 0: a linear member's kind is 'linear_svm', but "
+     "config.base.kind is 'logistic'"),
+    ("linear.json", _base_kind("linear_svm"),
+     "learner 0: a linear member's kind is 'logistic', but "
+     "config.base.kind is 'linear_svm'"),
+    ("linear.json", _base_kind("tree"),
+     "learner 0: a linear member in a model whose config.base.kind is "
+     "'tree'"),
+    ("model.json", _base_kind("logistic"),
+     "learner 0: a tree member in a model whose config.base.kind is "
+     "'logistic'"),
+    ("model.json", _constant_first,
+     "learner 0: a constant member in a model whose config.base.kind is "
+     "'tree'"),
+], ids=["linear-kind", "base-linear-svm", "base-tree", "tree-base-logistic",
+        "constant-in-tree"])
+def test_member_type_differs_from_base_kind_exits_1(pipeline_dir, tmp_path,
+                                                    capsys, name, mutate,
+                                                    message):
+    # a member is what train makes for config.base.kind: a tree, or a
+    # linear member of that kind or a constant one
+    doc = json.loads((pipeline_dir / name).read_text())
+    mutate(doc)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    data = pipeline_dir / "data"
+    code, out, err = run(capsys, "predict", "--model", str(model),
+                         "--data", str(data / "test_known.csv"),
+                         "--manifest", str(data / "manifest.json"),
+                         "--threshold", "0.5")
+    assert code == 1 and out == ""
+    assert err == f"error: {model}: {message}\n"
+
+
 def _split_node(doc):
     """The first tree's node list and the index of its first split."""
     nodes = doc["learners"][0]["nodes"]

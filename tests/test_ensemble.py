@@ -14,8 +14,9 @@ from voteguard.ensemble import (Decision, EnsembleConfig, EnsembleModel,
                                 Standardizer, SupportBox, bootstrap_indices,
                                 entropy_of, fit, gate, hard_vote_posterior,
                                 predict)
-from voteguard.learners import (LEVEL_WALK_ROWS, ConstantLearner,
-                                LearnerConfig, TreeParams, train)
+from voteguard.learners import (LEAF, LEVEL_WALK_ROWS, ConstantLearner,
+                                LearnerConfig, TreeLearner, TreeNode,
+                                TreeParams, train)
 from conftest import make_binary_dataset
 from test_learners import leaf_of
 
@@ -402,3 +403,93 @@ def test_config_validation():
         EnsembleConfig(posterior_mode="median")
     with pytest.raises(ValueError):
         EnsembleConfig(entropy_log_base=10.0)
+
+
+def vote_tree(feature, k, d):
+    """A tree over ``d`` features that votes ``round(x[feature])`` for
+    values 0..k-1: a chain of splits at 0.5, 1.5, ..., k - 1.5."""
+    nodes = []
+    for c in range(k - 1):
+        me = len(nodes)
+        nodes.append(TreeNode(feature, c + 0.5, me + 1, me + 2, (1.0,) * k))
+        nodes.append(TreeNode(LEAF, 0.0, LEAF, LEAF,
+                              tuple(float(i == c) for i in range(k))))
+    nodes.append(TreeNode(LEAF, 0.0, LEAF, LEAF,
+                          tuple(float(i == k - 1) for i in range(k))))
+    return TreeLearner(nodes=tuple(nodes), n_classes=k, n_features=d,
+                       seed_used=0)
+
+
+def voting_model(k, m, log_base=2.0):
+    """M tree members on M standardized features, member j voting the value
+    of feature j, so a row is its own vote vector; the box is [-1, k]."""
+    return EnsembleModel(
+        learners=tuple(vote_tree(j, k, m) for j in range(m)),
+        standardizer=Standardizer(mean=np.zeros(m), std=np.ones(m)),
+        config=EnsembleConfig(m=m, entropy_log_base=log_base),
+        n_classes=k,
+        support=SupportBox(low=np.full(m, -1.0), high=np.full(m, float(k))))
+
+
+class TestOneSampleHardVote:
+    """One sample's hard-vote tail, counted in Python, against a batch."""
+
+    @pytest.mark.parametrize("log_base", [2.0, math.e],
+                             ids=["base2", "base-e"])
+    @pytest.mark.parametrize("m", [1, 7, 25])
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_rows_equal_batch_rows_bit_for_bit(self, k, m, log_base):
+        model = voting_model(k, m, log_base)
+        rng = np.random.default_rng([k, m])
+        # each row's votes drawn from its own class shares, so that both
+        # unanimous and evenly split rows occur
+        shares = rng.dirichlet(np.full(k, 0.5), size=160)
+        votes = np.array([rng.choice(k, size=m, p=p) for p in shares])
+        batch = predict(model, votes.astype(float))
+        for i, row in enumerate(votes):
+            one = predict(model, row.astype(float))
+            assert one.per_learner_labels == tuple(row.tolist())
+            assert one.vote_distribution.dtype == np.float64
+            assert one.vote_distribution.tobytes() == \
+                batch.vote_distribution[i].tobytes()
+            assert type(one.entropy) is float
+            assert np.float64(one.entropy).tobytes() == \
+                batch.entropy[i].tobytes()
+            assert type(one.label) is int and one.label == batch.label[i]
+            assert one.support is bool(batch.support[i]) is True
+
+    @pytest.mark.parametrize("votes,label", [
+        ([1, 0, 1, 0], 0), ([2, 1, 2, 1, 0], 1), ([2, 0, 1], 0),
+        ([3, 3, 2, 2, 1, 1], 1)])
+    def test_tied_votes_give_the_lowest_class(self, votes, label):
+        model = voting_model(4, len(votes))
+        row = np.array(votes, dtype=float)
+        assert predict(model, row).label == label
+        assert predict(model, row[None]).label.tolist() == [label]
+
+    def test_writing_a_result_leaves_the_next_unchanged(self):
+        model = voting_model(3, 7)
+        row = np.array([0, 0, 1, 2, 2, 2, 0], dtype=float)
+        first = predict(model, row)
+        want = first.vote_distribution.tobytes()
+        first.vote_distribution[:] = 5.0
+        assert predict(model, row).vote_distribution.tobytes() == want
+        assert predict(model, row).entropy == first.entropy
+
+    def test_box_edges_alone_and_in_a_batch(self):
+        low, high = np.array([-1.0, -2.5]), np.array([1.0, 3.0])
+        model = replace(voting_model(2, 2),
+                        support=SupportBox(low=low, high=high))
+        rows, inside = [], []
+        for f in range(2):
+            for edge, beyond in ((low, -np.inf), (high, np.inf)):
+                on = np.where(np.arange(2) == f, edge, 0.0)
+                past = on.copy()
+                past[f] = np.nextafter(edge[f], beyond)
+                rows += [on, past]
+                inside += [True, False]
+        rows = np.array(rows)
+        assert [predict(model, r).support for r in rows] == inside
+        assert [model.support.contains(r) for r in rows] == inside
+        assert predict(model, rows).support.tolist() == inside
+        assert model.support.contains(rows).tolist() == inside

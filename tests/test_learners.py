@@ -579,3 +579,24 @@ class TestOneSampleTreeWalk:
             with pytest.raises(ValueError,
                                match="^input contains non-finite values$"):
                 learner.predict_label(sample)
+
+    @pytest.mark.parametrize("big", [1e308, -1e308, np.finfo(float).max])
+    def test_finite_row_whose_sum_overflows_gets_a_label(self, learner, big):
+        # the sum of this row is +-inf, yet every value in it is finite
+        learner, _ = learner
+        row = np.full(3, big)
+        assert not math.isfinite(sum(row.tolist()))
+        label = learner.predict_label(row)
+        assert label == learner._walk[4][leaf_of(learner, row)]
+        assert learner.predict_label(row.tolist()) == label
+        assert learner.predict_label(row[None]).tolist() == [label]
+
+    @pytest.mark.parametrize("values", [(np.inf, -np.inf), (-np.inf, np.inf),
+                                        (np.nan, 1e308), (1e308, np.inf)])
+    def test_non_finite_among_large_values_raises(self, learner, values):
+        learner, _ = learner
+        row = np.array([values[0], 1e308, values[1]])
+        for sample in (row, row.tolist(), row[None]):
+            with pytest.raises(ValueError,
+                               match="^input contains non-finite values$"):
+                learner.predict_label(sample)

@@ -70,6 +70,8 @@ def test_constant_learner_round_trip(tmp_path):
 
 @pytest.mark.parametrize("mode", ["hard_vote", "soft_average"])
 def test_mixed_members_vote_in_member_order(tmp_path, mode):
+    # a model in memory may mix any members; a file holds the members train
+    # makes for its config.base.kind, here linear and constant ones
     data = make_binary_dataset(n=80, d=3, separation=1.0, seed=4)
     trees = fit(EnsembleConfig(base=LearnerConfig(kind="tree"), m=3), data)
     linear = fit(EnsembleConfig(base=LearnerConfig(kind="logistic"), m=2),
@@ -77,24 +79,29 @@ def test_mixed_members_vote_in_member_order(tmp_path, mode):
     constant = ConstantLearner(label=1, n_classes=2, n_features=3,
                                seed_used=0)
     t, l = trees.learners, linear.learners
-    members = (l[0], t[0], constant, t[1], l[1], t[2])
-    model = replace(trees, learners=members,
+    mixed = replace(trees, learners=(l[0], constant, t[0], t[1], l[1], t[2]),
                     config=replace(trees.config, m=6, posterior_mode=mode))
+    saved = replace(linear, learners=(l[0], constant, l[1]),
+                    config=replace(linear.config, m=3, posterior_mode=mode))
     path = tmp_path / "model.json"
-    save_model(model, path)
+    save_model(saved, path)
     loaded = load_model(path)
+    assert [type(m) for m in loaded.learners] == \
+        [type(m) for m in saved.learners]
     x = np.random.default_rng(0).uniform(-3, 3, size=(40, 3))
-    z = loaded.standardizer.transform(x)
-    expected = np.column_stack([m.predict_label(z) for m in loaded.learners])
-    proba = np.mean([m.predict_proba(z) for m in loaded.learners], axis=0)
-    pred = predict(loaded, x)
-    assert [type(m) for m in loaded.learners] == [type(m) for m in members]
-    assert np.array_equal(pred.per_learner_labels, expected)
-    assert pred.per_learner_labels[:, 2].tolist() == [1] * 40
-    if mode == "soft_average":
-        assert pred.vote_distribution.tobytes() == proba.tobytes()
-    for i, row in enumerate(x):
-        assert predict(loaded, row).per_learner_labels == tuple(expected[i])
+    for model in (mixed, loaded):
+        z = model.standardizer.transform(x)
+        expected = np.column_stack([m.predict_label(z)
+                                    for m in model.learners])
+        proba = np.mean([m.predict_proba(z) for m in model.learners], axis=0)
+        pred = predict(model, x)
+        assert np.array_equal(pred.per_learner_labels, expected)
+        assert pred.per_learner_labels[:, 1].tolist() == [1] * 40
+        if mode == "soft_average":
+            assert pred.vote_distribution.tobytes() == proba.tobytes()
+        for i, row in enumerate(x):
+            assert predict(model, row).per_learner_labels == \
+                tuple(expected[i])
 
 
 def test_class_names_survive(tmp_path):
