@@ -62,12 +62,21 @@ def _ensemble_config(args, m: int) -> ensemble.EnsembleConfig:
     )
 
 
-def _load(args, known=(), other=()):
+def _load(args, known=(), other=(), model=None):
     """The datasets the flags ``known`` then ``other`` name (None for a
     flag not given), read under one load of the manifest. ``known`` data
     is fitted or scored as known, so a row whose app id the manifest
-    declares unknown fails the command; ``other`` data may hold any."""
+    declares unknown fails the command; ``other`` data may hold any. With
+    a ``model``, the manifest must list its classes in its order, or as
+    many classes if the model has no class names."""
     schema, unknown_ids = datamod.load_manifest(args.manifest)
+    names = schema.class_names
+    if model is not None and (names != model.class_names if model.class_names
+                              else len(names) != model.n_classes):
+        theirs = (list(model.class_names) if model.class_names
+                  else f"{model.n_classes} unnamed classes")
+        raise ValueError(f"{args.manifest}: classes {list(names)} differ "
+                         f"from those of {args.model}: {theirs}")
     loaded = []
     for attr in (*known, *other):
         path = getattr(args, attr)
@@ -132,7 +141,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = persist.load_model(args.model)
-    eval_data, = _load(args, other=("data",))
+    eval_data, = _load(args, other=("data",), model=model)
     names = model.class_names or tuple(
         str(i) for i in range(model.n_classes))
     pred = ensemble.predict(model, eval_data.x)
@@ -148,7 +157,7 @@ def _cmd_predict(args) -> int:
 def _cmd_sweep_threshold(args) -> int:
     model = persist.load_model(args.model)
     test_known, unknown = _load(args, known=("test_known",),
-                                other=("unknown",))
+                                other=("unknown",), model=model)
     # the taxonomy checks this too, but cannot name the files
     shared = (set() if unknown is None
               else set(unknown.app_ids).intersection(test_known.app_ids))

@@ -132,7 +132,8 @@ def _gini(counts, n):
     return 1.0 - float(np.sum(p * p))
 
 
-def best_split(x, y, feature_indices, n_classes, weights=None, orders=None):
+def best_split(x, y, feature_indices, n_classes, weights=None, orders=None,
+               class_weights=None, total=None, found=None):
     """Best (feature, threshold, gain) by Gini gain over midpoint candidates.
 
     ``orders`` is ``(d, m)``: ``orders[f]`` holds the m sample indices to
@@ -141,50 +142,108 @@ def best_split(x, y, feature_indices, n_classes, weights=None, orders=None):
     every sample of ``x`` counts once and each column is sorted here.
     Ties break toward lower feature index, then lower threshold. Returns
     None when no candidate yields positive gain.
+
+    A caller that searches many subsets of one sample may pass
+    ``class_weights`` instead of ``y`` and ``weights``: a ``(K, n)`` array
+    of whole numbers, in any numeric dtype, holding sample r's weight in
+    row ``y[r]`` and 0 in the others. ``total`` is the searched samples'
+    K class counts, if known. If ``found`` is a list, the split found
+    appends to it the number k of searched samples it sends left, which
+    are ``orders[feature][:k]``, and their K class counts, as floats.
     """
-    if weights is None:
-        weights = np.ones(y.shape[0])
+    if class_weights is None:
+        class_weights = np.zeros((n_classes, y.shape[0]))
+        class_weights[y, np.arange(y.shape[0])] = (1.0 if weights is None
+                                                   else weights)
     if orders is None:
         orders = np.argsort(x, axis=0, kind="stable").T
-    rows = orders[0]
-    total = np.bincount(y.take(rows), weights=weights.take(rows),
-                        minlength=n_classes)
+    if total is None:
+        total = class_weights.take(orders[0], axis=1).sum(axis=1,
+                                                          dtype=np.float64)
     n = total.sum()
     parent = _gini(total, n)
 
     best = None
     best_gain = 0.0
+    m = orders.shape[1]
+    # work space that every feature reuses: the running class counts, then
+    # four arrays of one value per boundary for _gini_gains
+    sums = np.empty((len(class_weights), m))
+    work = np.empty((4, m - 1))
     for f in feature_indices:
         order = orders[f]
         # gathers along one column: x[:, f] is contiguous when x is the
         # transpose of a column-major copy such as Dataset.columns
         sv = x[:, f].take(order)
-        boundaries = np.nonzero(sv[:-1] != sv[1:])[0]
-        if boundaries.size == 0:
+        edges = sv[:-1] != sv[1:]
+        n_edges = np.count_nonzero(edges)
+        if n_edges == 0:
             continue
-        sy, sw = y.take(order), weights.take(order)
-        # weighted class counts up to each boundary, one class at a time;
-        # every count is a whole number, so the sums are exact and class
-        # 0's count is the total less the other classes'
-        n_left = np.cumsum(sw)[boundaries]
-        others = [np.cumsum(sw * (sy == c))[boundaries]
-                  for c in range(1, n_classes)]
-        left_counts = [n_left - sum(others), *others]
-        n_right = n - n_left
-        # squared class shares, summed in class order
-        gini_left = 1.0 - sum((c / n_left) ** 2 for c in left_counts)
-        gini_right = 1.0 - sum(((t - c) / n_right) ** 2
-                               for t, c in zip(total, left_counts))
-        gains = parent - (n_left / n) * gini_left - (n_right / n) * gini_right
+        # a slice, not a gather, when every value differs from the next
+        boundaries = (slice(None, -1) if n_edges == m - 1
+                      else np.flatnonzero(edges))
+        # class counts up to each boundary: whole numbers, so the float
+        # sums are exact whatever the weights' dtype
+        left_counts = [np.cumsum(w.take(order), dtype=np.float64,
+                                 out=s)[boundaries]
+                       for w, s in zip(class_weights, sums)]
+        gains = _gini_gains(parent, n, total, left_counts,
+                            work[:, :n_edges])
         i = int(np.argmax(gains))          # first max -> lowest threshold
         if gains[i] > best_gain:
             best_gain = float(gains[i])
-            lo, hi = sv[boundaries[i]], sv[boundaries[i] + 1]
+            b = i if n_edges == m - 1 else int(boundaries[i])
+            lo, hi = sv[b:b + 2].tolist()
             # the midpoint of two neighbouring floats may round up to hi,
-            # and x <= hi would send hi left as well: split at lo instead
+            # and x <= hi would send hi left as well; a sum that overflows
+            # (a Python float gives +-inf without a warning) leaves
+            # [lo, hi]: split at lo instead
             mid = (lo + hi) / 2.0
-            best = (int(f), mid if mid < hi else lo, best_gain)
+            best = (int(f), mid if lo <= mid < hi else lo, best_gain)
+            best_left = b + 1, [float(c[i]) for c in left_counts]
+    if best is not None and found is not None:
+        found.extend(best_left)
     return best
+
+
+def _gini_gains(parent, n, total, left_counts, work):
+    """The Gini gain at each boundary whose class counts on the left are
+    ``left_counts``, out of ``total`` (n in all) at a node of impurity
+    ``parent``, written into ``work``, four rows of one value per boundary.
+
+    The gain is ``parent - (n_left / n) * gini_left - (n_right / n) *
+    gini_right``, each impurity ``1 - sum((count / size) ** 2)`` summed in
+    class order: the same operations on the same values, so every gain
+    keeps its bits."""
+    gains, n_right, gini, share = work
+    n_left = np.add(left_counts[0], left_counts[1], out=gains)
+    for c in left_counts[2:]:
+        n_left += c
+    np.subtract(n, n_left, out=n_right)
+    # the first class's square is also 0 plus it, where Python's sum starts
+    np.divide(left_counts[0], n_left, out=gini)
+    gini *= gini
+    for c in left_counts[1:]:
+        np.divide(c, n_left, out=share)
+        share *= share
+        gini += share
+    np.subtract(1.0, gini, out=gini)
+    np.divide(n_left, n, out=gains)
+    gains *= gini
+    np.subtract(parent, gains, out=gains)
+    np.subtract(total[0], left_counts[0], out=gini)
+    gini /= n_right
+    gini *= gini
+    for t, c in zip(total[1:], left_counts[1:]):
+        np.subtract(t, c, out=share)
+        share /= n_right
+        share *= share
+        gini += share
+    np.subtract(1.0, gini, out=gini)
+    n_right /= n
+    n_right *= gini
+    gains -= n_right
+    return gains
 
 
 @dataclass(frozen=True)
@@ -286,21 +345,26 @@ def _train_tree(config: LearnerConfig, data: Dataset, rows) -> TreeLearner:
     else:
         k = d
 
-    weights = np.bincount(rows, minlength=n).astype(np.float64)
+    draws = np.bincount(rows, minlength=n)
+    # each row's draw count in the narrowest dtype that holds the largest
+    draws = draws.astype(np.min_scalar_type(draws.max()))
+    drawn = draws > 0
+    # one column per class, row r's draw count in its class's column and 0
+    # in the others: a split search gathers from these small arrays
+    class_weights = np.zeros((data.n_classes, n), dtype=draws.dtype)
+    class_weights[y[drawn], drawn] = draws[drawn]
     presort = data.column_order
     # each feature's drawn rows, once each, in presorted order
-    orders = np.compress((weights[presort] > 0).ravel(), presort).reshape(d, -1)
+    orders = np.compress(drawn.take(presort).ravel(), presort).reshape(d, -1)
     go_left = np.empty(n, dtype=bool)
 
     nodes = []                 # TreeNode fields in lists, to set children
-    # stack entries: (per-feature sorted rows, depth, parent node index,
-    # is_left_child)
-    stack = [(orders, 0, None, False)]
+    # stack entries: (per-feature sorted rows, class counts, depth, parent
+    # node index, is_left_child)
+    stack = [(orders, class_weights.sum(axis=1, dtype=np.float64), 0, None,
+              False)]
     while stack:
-        orders, depth, parent, is_left = stack.pop()
-        here = orders[0]
-        counts = np.bincount(y.take(here), weights=weights.take(here),
-                             minlength=data.n_classes)
+        orders, counts, depth, parent, is_left = stack.pop()
         me = len(nodes)
         if parent is not None:
             nodes[parent][2 if is_left else 3] = me
@@ -316,20 +380,28 @@ def _train_tree(config: LearnerConfig, data: Dataset, rows) -> TreeLearner:
             feats = np.sort(rng.choice(d, size=k, replace=False))
         else:
             feats = np.arange(d)
-        split = best_split(x, y, feats, data.n_classes, weights, orders)
+        found = []
+        split = best_split(x, y, feats, data.n_classes, None, orders,
+                           class_weights, counts, found)
         if split is None:
             continue
 
         feature, threshold, _ = split
         node[:2] = feature, float(threshold)
-        go_left[here] = x[:, feature].take(here) <= threshold
+        # the left child holds a prefix of the split feature's sorted rows,
+        # and its class counts are the search's sums up to that prefix
+        n_left, left_counts = found
+        order = orders[feature]
+        go_left[order[:n_left]] = True
+        go_left[order[n_left:]] = False
+        left_counts = np.array(left_counts)
         # a stable partition keeps each feature's list sorted
         left = go_left.take(orders).ravel()
         # push right first so the left child is built (and draws RNG) first
         stack.append((np.compress(~left, orders).reshape(d, -1),
-                      depth + 1, me, False))
+                      counts - left_counts, depth + 1, me, False))
         stack.append((np.compress(left, orders).reshape(d, -1),
-                      depth + 1, me, True))
+                      left_counts, depth + 1, me, True))
 
     return TreeLearner(nodes=tuple(map(TreeNode._make, nodes)),
                        n_classes=data.n_classes, n_features=d,

@@ -799,3 +799,69 @@ def test_linear_bias_bounded_so_scores_cannot_overflow(pipeline_dir,
             assert done.stderr.startswith(f"error: {model}: learner 0: bias ")
         else:
             assert done.stderr == "" and done.stdout.count("\n") == 2
+
+
+def _with_classes(classes):
+    def change(manifest):
+        manifest["classes"] = classes
+    return change
+
+
+_CLASS_COMMANDS = {
+    "predict": lambda data, out: ["--data", data / "test_known.csv",
+                                  "--threshold", "0.5"],
+    "sweep-threshold": lambda data, out: [
+        "--test-known", data / "test_known.csv",
+        "--unknown", data / "unknown.csv", "--out", out],
+}
+
+
+def _with_manifest(capsys, root, tmp_path, command, change, model=None):
+    """``command`` on the pipeline data, its manifest changed by
+    ``change``; a sweep writes ``sweep.json`` in ``tmp_path``."""
+    doc = json.loads((root / "data" / "manifest.json").read_text())
+    change(doc)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    model = model or root / "model.json"
+    flags = [*_CLASS_COMMANDS[command](root / "data", tmp_path / "sweep.json"),
+             "--model", model, "--manifest", manifest]
+    return (*run(capsys, command, *map(str, flags)), manifest)
+
+
+@pytest.mark.parametrize("command", sorted(_CLASS_COMMANDS))
+@pytest.mark.parametrize("classes", [
+    ["malware", "benign"],
+    ["benign", "malicious"],
+    ["benign", "malware", "adware"],
+], ids=["swapped", "renamed", "extra"])
+def test_manifest_classes_differing_from_model_exit_1(
+        pipeline_dir, tmp_path, capsys, command, classes):
+    # a swapped manifest scored every label as the other class, and a third
+    # class ran against the two-class model; both exited 0
+    code, out, err, manifest = _with_manifest(
+        capsys, pipeline_dir, tmp_path, command, _with_classes(classes))
+    model = pipeline_dir / "model.json"
+    assert code == 1 and out == ""
+    assert err == (f"error: {manifest}: classes {classes} differ from those "
+                   f"of {model}: ['benign', 'malware']\n")
+    assert not (tmp_path / "sweep.json").exists()
+
+
+@pytest.mark.parametrize("command", sorted(_CLASS_COMMANDS))
+def test_model_without_class_names_compared_by_count(
+        pipeline_dir, tmp_path, capsys, command):
+    doc = json.loads((pipeline_dir / "model.json").read_text())
+    doc["class_names"] = None
+    model = tmp_path / "unnamed.json"
+    model.write_text(json.dumps(doc))
+    code, _, err, _ = _with_manifest(capsys, pipeline_dir, tmp_path, command,
+                                     lambda m: None, model)
+    assert code == 0, err
+    code, out, err, manifest = _with_manifest(
+        capsys, pipeline_dir, tmp_path, command,
+        _with_classes(["benign", "malware", "adware"]), model)
+    assert code == 1 and out == ""
+    assert err == (f"error: {manifest}: classes ['benign', 'malware', "
+                   f"'adware'] differ from those of {model}: 2 unnamed "
+                   f"classes\n")

@@ -4,15 +4,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from voteguard.core import Dataset
 from voteguard.data import SyntheticSpec, generate_synthetic
 from voteguard.ensemble import Standardizer, bootstrap_indices
-from voteguard.learners import (_OBJECTIVES, LEVEL_WALK_ROWS, ConstantLearner,
-                                GradientParams, LearnerConfig, LinearLearner,
-                                TreeParams, _gradient, _penalized, _sigmoid,
+from voteguard.learners import (_OBJECTIVES, LEAF, LEVEL_WALK_ROWS,
+                                ConstantLearner, GradientParams, LearnerConfig,
+                                LinearLearner, TreeNode, TreeParams,
+                                _gini_gains, _gradient, _penalized, _sigmoid,
                                 best_split, hinge_gradient, hinge_loss,
                                 logistic_gradient, logistic_loss, train)
 from conftest import make_binary_dataset
@@ -442,6 +443,122 @@ def test_weighted_split_equals_repeated_rows(data, n, n_classes):
         == best_split(x[repeated], y[repeated], feats, n_classes)
 
 
+def reference_tree(config, data, rows):
+    """The tree ``train(config, data, rows)`` should grow, grown by plain
+    recursion on the copied rows: each node draws its features as train
+    does, in the same order (a node, then its left subtree, then its
+    right), searches them with public ``best_split`` and sends a row left
+    when its value is at most the threshold. Nodes as TreeNode tuples."""
+    x, y = data.x[rows], data.y[rows]
+    params, d, n_classes = config.tree, data.d, data.n_classes
+    k = d if params.feature_subsample == "all" else math.isqrt(d - 1) + 1
+    rng = np.random.default_rng(config.seed)
+    nodes = []
+
+    def grow(x, y, depth):
+        me = len(nodes)
+        counts = np.bincount(y, minlength=n_classes).astype(float)
+        nodes.append(TreeNode(LEAF, 0.0, LEAF, LEAF, tuple(counts.tolist())))
+        if (np.count_nonzero(counts) <= 1 or len(y) < params.min_samples_split
+                or params.max_depth is not None and depth >= params.max_depth):
+            return
+        feats = (np.sort(rng.choice(d, size=k, replace=False)) if k < d
+                 else np.arange(d))
+        split = best_split(x, y, feats, n_classes)
+        if split is None:
+            return
+        feature, threshold, _ = split
+        go = x[:, feature] <= threshold
+        grow(x[go], y[go], depth + 1)
+        right = len(nodes)
+        grow(x[~go], y[~go], depth + 1)
+        nodes[me] = TreeNode(feature, threshold, me + 1, right, nodes[me].counts)
+
+    grow(x, y, 0)
+    return nodes
+
+
+@settings(max_examples=100)
+@given(case=row_draws("tree"), tied=st.booleans(), seed=st.integers(0, 99))
+def test_tree_equals_reference_tree(case, tied, seed):
+    # node for node: the split, the children and the class counts that
+    # train takes from the search's sums and the sorted rows' prefix
+    config, data, rows = case
+    if not tied:
+        x = np.random.default_rng(seed).uniform(-1, 1, size=data.x.shape)
+        data = Dataset(x=x, y=data.y, app_ids=data.app_ids,
+                       n_classes=data.n_classes)
+    assert train(config, data, rows).nodes == tuple(
+        reference_tree(config, data, rows))
+
+
+@pytest.mark.parametrize("heavy", [256, 65_536], ids=["over-255", "over-65535"])
+def test_draw_counts_past_narrow_dtypes(heavy):
+    # one row drawn more often than a uint8 (or uint16) count holds: the
+    # class weights widen, so the fit and the split stay those of the
+    # copied rows
+    rng = np.random.default_rng(heavy)
+    n, d, n_classes = 30, 3, 3
+    data = Dataset(x=rng.integers(-3, 4, size=(n, d)) / 2.0,
+                   y=rng.integers(0, n_classes, size=n), app_ids=("a",) * n,
+                   n_classes=n_classes)
+    rows = np.concatenate([np.full(heavy, 7), rng.integers(0, n, size=n)])
+    copied = Dataset(x=data.x[rows], y=data.y[rows],
+                     app_ids=("a",) * len(rows), n_classes=n_classes)
+    for subsample in ("all", "sqrt"):
+        config = LearnerConfig(kind="tree", seed=heavy,
+                               tree=TreeParams(feature_subsample=subsample))
+        learner = train(config, data, rows)
+        assert sum(learner.nodes[0].counts) == len(rows)
+        assert_same_learner(learner, train(config, copied))
+
+    weights = np.bincount(rows, minlength=n)
+    feats = np.arange(d)
+    orders = np.argsort(data.x, axis=0, kind="stable").T
+    expected = best_split(copied.x, copied.y, feats, n_classes)
+    assert expected is not None
+    assert best_split(data.x, data.y, feats, n_classes,
+                      weights.astype(float), orders) == expected
+    # the same weights as whole numbers in the narrowest dtype that holds
+    # them, and the left side found from the sorted rows' prefix
+    class_weights = np.zeros((n_classes, n),
+                             dtype=np.min_scalar_type(weights.max()))
+    class_weights[data.y, np.arange(n)] = weights
+    assert class_weights.dtype.itemsize == (2 if heavy < 65_536 else 4)
+    found = []
+    assert best_split(data.x, None, feats, n_classes, None, orders,
+                      class_weights, None, found) == expected
+    feature, threshold, _ = expected
+    k, left_counts = found
+    go = copied.x[:, feature] <= threshold
+    assert np.array_equal(np.sort(orders[feature][:k]),
+                          np.flatnonzero(data.x[:, feature] <= threshold))
+    assert left_counts == np.bincount(copied.y[go],
+                                      minlength=n_classes).tolist()
+
+
+@settings(max_examples=200)
+@given(data=st.data(), b=st.integers(1, 30), n_classes=st.integers(2, 4))
+def test_gini_gains_keep_their_bits(data, b, n_classes):
+    # the gains written into reused arrays equal, bit for bit, the formula
+    # evaluated with new arrays at every step
+    total = np.array(data.draw(st.lists(st.integers(1, 10 ** 6),
+                                        min_size=n_classes,
+                                        max_size=n_classes)), dtype=float)
+    left = [np.floor(data.draw(arrays(np.float64, b, elements=st.floats(
+        0, 1))) * t) for t in total]
+    n_left = sum(left)
+    assume(np.all(n_left > 0) and np.all(n_left < total.sum()))
+    n = total.sum()
+    parent = 1.0 - float(np.sum((total / n) * (total / n)))
+    n_right = n - n_left
+    gini_left = 1.0 - sum((c / n_left) ** 2 for c in left)
+    gini_right = 1.0 - sum(((t - c) / n_right) ** 2 for t, c in zip(total, left))
+    expected = parent - (n_left / n) * gini_left - (n_right / n) * gini_right
+    got = _gini_gains(parent, n, total, left, np.empty((4, b)))
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_split_between_neighbouring_floats():
     # (lo + hi) / 2 rounds up to hi here; a threshold of hi sent both rows
     # left, and with no depth cap the same split repeated without end
@@ -453,6 +570,17 @@ def test_split_between_neighbouring_floats():
     learner = train(cfg, data)
     assert learner.predict_label(data.x).tolist() == [0, 1]
     assert len(train(LearnerConfig(kind="tree"), data).nodes) == 3
+
+
+def test_split_where_midpoint_overflows():
+    # lo + hi overflows to -inf here: a threshold of -inf sent no row left,
+    # so the node split the same way again until the depth cap, and the
+    # numpy sum warned
+    data = one_d([-1.7e308, -1.6e308], [0, 1])
+    cfg = LearnerConfig(kind="tree", tree=TreeParams(max_depth=4))
+    learner = train(cfg, data)
+    assert [node.threshold for node in learner.nodes] == [-1.7e308, 0.0, 0.0]
+    assert learner.predict_label(data.x).tolist() == [0, 1]
 
 
 def test_rows_out_of_range_rejected(small_dataset):
