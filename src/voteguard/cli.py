@@ -292,6 +292,11 @@ def cli_main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {_naming_flag(str(exc), args)}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy names the allocation that failed; a bare MemoryError names
+        # nothing
+        print(f"error: out of memory: {exc}".rstrip(": "), file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -80,6 +80,20 @@ class Dataset:
         order.flags.writeable = False
         return order
 
+    @cached_property
+    def tie_free(self) -> np.ndarray:
+        """``(d,)`` bools: entry f is true when no two samples have equal
+        values of feature f (-0.0 equals 0.0). Such a column has no ties in
+        any subset of the samples either, so a split search may take every
+        boundary between its sorted values without comparing them. Found
+        once from :attr:`column_order` and kept. Read-only."""
+        # one take per row: a quarter of the time of take_along_axis
+        ranked = map(np.take, self.columns, self.column_order)
+        tie_free = np.array([(v[1:] != v[:-1]).all() for v in ranked],
+                            dtype=bool)
+        tie_free.flags.writeable = False
+        return tie_free
+
     @property
     def fully_labeled(self) -> bool:
         return bool(np.all(self.y != UNLABELED))

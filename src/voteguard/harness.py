@@ -26,14 +26,21 @@ STABILITY_SCHEMA = "voteguard-stability-sweep"
 SCHEMA_VERSION = 1
 
 DEFAULT_GRID_POINTS = 50
+# a sweep costs about 0.2 ms per point at paper scale, so this runs for
+# seconds, not hours
+MAX_GRID_POINTS = 10_000
 
 
 def default_threshold_grid(n_classes: int, log_base: float = 2.0,
                            points: int = DEFAULT_GRID_POINTS) -> list[float]:
     """Evenly spaced thresholds over [0, log_base(n_classes)], both ends
-    included, so ``points`` must be at least 2."""
+    included, so ``points`` must be at least 2. It may be at most
+    ``MAX_GRID_POINTS``."""
     if points < 2:
         raise ValueError(f"points must be at least 2, got {points}")
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"points must be at most {MAX_GRID_POINTS}, "
+                         f"got {points}")
     top = math.log(n_classes, log_base)
     return [top * i / (points - 1) for i in range(points)]
 

@@ -133,30 +133,48 @@ def _gini(counts, n):
 
 
 def best_split(x, y, feature_indices, n_classes, weights=None, orders=None,
-               class_weights=None, total=None, found=None):
+               class_weights=None, total=None, found=None, tie_free=None):
     """Best (feature, threshold, gain) by Gini gain over midpoint candidates.
 
     ``orders`` is ``(d, m)``: ``orders[f]`` holds the m sample indices to
     search, the same m for every f, sorted stably by ``x[:, f]``. Sample
-    r counts ``weights[r]`` times, a positive whole number. By default
-    every sample of ``x`` counts once and each column is sorted here.
-    Ties break toward lower feature index, then lower threshold. Returns
-    None when no candidate yields positive gain.
+    r counts ``weights[r]`` times, a whole number >= 0: a sample of weight
+    0 counts 0 times and is left out of the search, and a negative or
+    non-whole weight raises ValueError. By default every sample of ``x``
+    counts once and each column is sorted here. Ties break toward lower
+    feature index, then lower threshold. Returns None when no candidate
+    yields positive gain.
 
     A caller that searches many subsets of one sample may pass
     ``class_weights`` instead of ``y`` and ``weights``: a ``(K, n)`` array
     of whole numbers, in any numeric dtype, holding sample r's weight in
-    row ``y[r]`` and 0 in the others. ``total`` is the searched samples'
-    K class counts, if known. If ``found`` is a list, the split found
-    appends to it the number k of searched samples it sends left, which
-    are ``orders[feature][:k]``, and their K class counts, as floats.
+    row ``y[r]`` and 0 in the others; its ``orders`` then list only
+    samples of positive weight. ``total`` is the searched samples' K class
+    counts, if known. If ``found`` is a list, the split found appends to
+    it the number k of searched samples it sends left, which are
+    ``orders[feature][:k]``, and their K class counts, as floats. If
+    ``tie_free[f]`` is true, no two of the searched samples share a value
+    of feature f (as :attr:`Dataset.tie_free` finds), and the search skips
+    comparing them.
     """
-    if class_weights is None:
-        class_weights = np.zeros((n_classes, y.shape[0]))
-        class_weights[y, np.arange(y.shape[0])] = (1.0 if weights is None
-                                                   else weights)
     if orders is None:
         orders = np.argsort(x, axis=0, kind="stable").T
+    if class_weights is None:
+        class_weights = np.zeros((n_classes, y.shape[0]))
+        if weights is None:
+            class_weights[y, np.arange(y.shape[0])] = 1.0
+        else:
+            weights = np.asarray(weights, dtype=np.float64)
+            if not np.all(np.isfinite(weights) & (weights >= 0)
+                          & (weights == np.floor(weights))):
+                raise ValueError("weights must be whole numbers >= 0")
+            class_weights[y, np.arange(y.shape[0])] = weights
+            # a sample of weight 0 is not searched
+            orders = np.compress((weights > 0).take(orders).ravel(),
+                                 orders).reshape(len(orders), -1)
+    m = orders.shape[1]
+    if m < 2:
+        return None
     if total is None:
         total = class_weights.take(orders[0], axis=1).sum(axis=1,
                                                           dtype=np.float64)
@@ -165,23 +183,26 @@ def best_split(x, y, feature_indices, n_classes, weights=None, orders=None,
 
     best = None
     best_gain = 0.0
-    m = orders.shape[1]
     # work space that every feature reuses: the running class counts, then
     # four arrays of one value per boundary for _gini_gains
     sums = np.empty((len(class_weights), m))
     work = np.empty((4, m - 1))
     for f in feature_indices:
         order = orders[f]
-        # gathers along one column: x[:, f] is contiguous when x is the
-        # transpose of a column-major copy such as Dataset.columns
-        sv = x[:, f].take(order)
-        edges = sv[:-1] != sv[1:]
-        n_edges = np.count_nonzero(edges)
-        if n_edges == 0:
-            continue
-        # a slice, not a gather, when every value differs from the next
-        boundaries = (slice(None, -1) if n_edges == m - 1
-                      else np.flatnonzero(edges))
+        if tie_free is not None and tie_free[f]:
+            # every value differs from the next: no gather, and a slice
+            n_edges, boundaries = m - 1, slice(None, -1)
+        else:
+            # gathers along one column: x[:, f] is contiguous when x is the
+            # transpose of a column-major copy such as Dataset.columns
+            sv = x[:, f].take(order)
+            edges = sv[:-1] != sv[1:]
+            n_edges = np.count_nonzero(edges)
+            if n_edges == 0:
+                continue
+            # a slice, not a gather, when every value differs from the next
+            boundaries = (slice(None, -1) if n_edges == m - 1
+                          else np.flatnonzero(edges))
         # class counts up to each boundary: whole numbers, so the float
         # sums are exact whatever the weights' dtype
         left_counts = [np.cumsum(w.take(order), dtype=np.float64,
@@ -193,7 +214,7 @@ def best_split(x, y, feature_indices, n_classes, weights=None, orders=None,
         if gains[i] > best_gain:
             best_gain = float(gains[i])
             b = i if n_edges == m - 1 else int(boundaries[i])
-            lo, hi = sv[b:b + 2].tolist()
+            lo, hi = x[:, f].take(order[b:b + 2]).tolist()
             # the midpoint of two neighbouring floats may round up to hi,
             # and x <= hi would send hi left as well; a sum that overflows
             # (a Python float gives +-inf without a warning) leaves
@@ -351,9 +372,10 @@ def _train_tree(config: LearnerConfig, data: Dataset, rows) -> TreeLearner:
     drawn = draws > 0
     # one column per class, row r's draw count in its class's column and 0
     # in the others: a split search gathers from these small arrays
-    class_weights = np.zeros((data.n_classes, n), dtype=draws.dtype)
-    class_weights[y[drawn], drawn] = draws[drawn]
-    presort = data.column_order
+    class_weights = np.empty((data.n_classes, n), dtype=draws.dtype)
+    for c, row in enumerate(class_weights):
+        np.multiply(draws, y == c, out=row)
+    presort, tie_free = data.column_order, data.tie_free
     # each feature's drawn rows, once each, in presorted order
     orders = np.compress(drawn.take(presort).ravel(), presort).reshape(d, -1)
     go_left = np.empty(n, dtype=bool)
@@ -382,7 +404,7 @@ def _train_tree(config: LearnerConfig, data: Dataset, rows) -> TreeLearner:
             feats = np.arange(d)
         found = []
         split = best_split(x, y, feats, data.n_classes, None, orders,
-                           class_weights, counts, found)
+                           class_weights, counts, found, tie_free)
         if split is None:
             continue
 

@@ -218,6 +218,33 @@ def test_bad_sweep_flags_exit_1(pipeline_dir, tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def test_grid_points_past_the_cap_exit_1(pipeline_dir, tmp_path, capsys):
+    # a sweep costs about 0.2 ms per point: 10^11 points would run for
+    # weeks, so the flag fails before a grid is built
+    data = pipeline_dir / "data"
+    out = tmp_path / "sweep.json"
+    code, stdout, err = run(capsys, "sweep-threshold",
+                            "--model", str(pipeline_dir / "model.json"),
+                            "--test-known", str(data / "test_known.csv"),
+                            "--manifest", str(data / "manifest.json"),
+                            "--out", str(out), "--grid-points=100000000000")
+    assert code == 1 and stdout == "" and not out.exists()
+    assert err == ("error: --grid-points must be at most 10000, "
+                   "got 100000000000\n")
+
+
+def test_size_past_memory_exits_1(tmp_path, capsys):
+    # the first array of 10^13 rows (72.8 TiB) cannot be allocated: numpy
+    # fails at once, before any memory is touched or any file written
+    out = tmp_path / "d"
+    code, stdout, err = run(capsys, "synth", "--regime", "ood",
+                            "--n-train", "10000000000000", "--out-dir",
+                            str(out))
+    assert code == 1 and stdout == "" and not out.exists()
+    assert err.startswith("error: out of memory: Unable to allocate")
+    assert err.count("\n") == 1
+
+
 def test_overflowing_input_is_rejected_not_an_error(pipeline_dir, tmp_path,
                                                    capsys):
     # finite values so large that standardizing them, and a linear member's

@@ -67,6 +67,20 @@ class TestDataset:
             Dataset(x=np.zeros((1, 1)), y=np.array([0]),
                     app_ids=("",), n_classes=2)
 
+    def test_tie_free_flags_each_column(self):
+        # column 1's only tie is one pair, and column 2's -0.0 and 0.0
+        # compare equal, so both have ties
+        x = np.array([[3.0, 1.0, -0.0, 0.5],
+                      [1.0, 2.0, 7.0, -0.5],
+                      [2.0, 1.0, 0.0, 0.0],
+                      [0.0, 4.0, 6.0, 9.0]])
+        data = Dataset(x=x, y=np.zeros(4, dtype=int), app_ids=("a",) * 4,
+                       n_classes=2)
+        assert data.tie_free.tolist() == [True, False, False, True]
+        assert data.tie_free is data.tie_free          # computed once
+        with pytest.raises(ValueError, match="read-only"):
+            data.tie_free[1] = True
+
 
 def test_every_exported_name_resolves():
     assert len(set(voteguard.__all__)) == len(voteguard.__all__)

@@ -6,8 +6,8 @@ import pytest
 
 from voteguard.data import DatasetTaxonomy, SyntheticSpec, generate_synthetic
 from voteguard.ensemble import EnsembleConfig, fit
-from voteguard.harness import (default_threshold_grid, emit_report,
-                               report_to_dict, run_stability_sweep,
+from voteguard.harness import (MAX_GRID_POINTS, default_threshold_grid,
+                               emit_report, report_to_dict, run_stability_sweep,
                                run_threshold_sweep)
 from voteguard.learners import LearnerConfig
 from voteguard.persist import log_base_from_tag
@@ -105,6 +105,13 @@ class TestDefaultGrid:
     def test_fewer_than_two_points_rejected(self):
         for points in (1, 0, -4):
             with pytest.raises(ValueError, match="at least 2"):
+                default_threshold_grid(2, 2.0, points=points)
+
+    def test_more_than_the_cap_rejected(self):
+        assert len(default_threshold_grid(2, 2.0, points=MAX_GRID_POINTS)) \
+            == MAX_GRID_POINTS
+        for points in (MAX_GRID_POINTS + 1, 10 ** 11):
+            with pytest.raises(ValueError, match="at most 10000"):
                 default_threshold_grid(2, 2.0, points=points)
 
 

@@ -443,6 +443,37 @@ def test_weighted_split_equals_repeated_rows(data, n, n_classes):
         == best_split(x[repeated], y[repeated], feats, n_classes)
 
 
+@settings(max_examples=100)
+@given(data=st.data(), n=st.integers(1, 25), n_classes=st.integers(2, 4),
+       tied=st.booleans())
+def test_zero_weights_equal_dropped_rows(data, n, n_classes, tied):
+    # a sample of weight 0 is left out of the search: it makes no 0/0 gain
+    # at a boundary with nothing on its left, and no threshold beside it
+    elements = (st.integers(-2, 2) if tied
+                else st.floats(-1, 1, allow_subnormal=False))
+    x = data.draw(arrays(np.float64, (n, 3), elements=elements,
+                         unique=not tied))
+    y = data.draw(arrays(np.int64, n, elements=st.integers(0, n_classes - 1)))
+    weights = data.draw(arrays(np.int64, n, elements=st.integers(0, 3)))
+    kept = weights > 0
+    assume(kept.any())
+    feats = np.arange(3)
+    assert best_split(x, y, feats, n_classes, weights.astype(float)) == \
+        best_split(x[kept], y[kept], feats, n_classes,
+                   weights[kept].astype(float))
+    orders = np.argsort(x, axis=0, kind="stable").T
+    assert best_split(x, y, feats, n_classes, weights, orders) == \
+        best_split(x[kept], y[kept], feats, n_classes, weights[kept])
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.5, math.nan, math.inf])
+def test_negative_or_fractional_weight_rejected(bad):
+    x = np.arange(4.0).reshape(-1, 1)
+    weights = np.array([1.0, bad, 1.0, 1.0])
+    with pytest.raises(ValueError, match="whole numbers >= 0"):
+        best_split(x, np.array([0, 0, 1, 1]), [0], 2, weights)
+
+
 def reference_tree(config, data, rows):
     """The tree ``train(config, data, rows)`` should grow, grown by plain
     recursion on the copied rows: each node draws its features as train
@@ -490,6 +521,25 @@ def test_tree_equals_reference_tree(case, tied, seed):
                        n_classes=data.n_classes)
     assert train(config, data, rows).nodes == tuple(
         reference_tree(config, data, rows))
+
+
+@settings(max_examples=100)
+@given(case=row_draws("tree"), data=st.data(), seed=st.integers(0, 99))
+def test_tree_equals_reference_tree_with_mixed_ties(case, data, seed):
+    # one dataset with columns on the coarse grid, whose values tie, and
+    # columns without ties, whose search skips comparing the values
+    config, tied, rows = case
+    assume(tied.d >= 2)
+    untied = data.draw(st.lists(st.integers(0, tied.d - 1), min_size=1,
+                                max_size=tied.d - 1, unique=True))
+    x = tied.x.copy()
+    x[:, untied] = np.random.default_rng(seed).uniform(
+        -1, 1, size=(len(x), len(untied)))
+    mixed = Dataset(x=x, y=tied.y, app_ids=tied.app_ids,
+                    n_classes=tied.n_classes)
+    assert mixed.tie_free[untied].all()
+    assert train(config, mixed, rows).nodes == tuple(
+        reference_tree(config, mixed, rows))
 
 
 @pytest.mark.parametrize("heavy", [256, 65_536], ids=["over-255", "over-65535"])
