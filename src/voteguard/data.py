@@ -67,7 +67,8 @@ def load_manifest(path) -> tuple[CsvSchema, frozenset[str]]:
     Expected keys: classes (ordered list), label_column, app_id_column,
     feature_columns, unknown_app_ids (optional). Raises CsvFormatError,
     naming ``path``, when a key is missing or holds a value of the wrong
-    shape, or when the file is not UTF-8 JSON.
+    shape, when one column has two roles, or when the file is not UTF-8
+    JSON.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -105,6 +106,15 @@ def load_manifest(path) -> tuple[CsvSchema, frozenset[str]]:
         )
     except KeyError as exc:
         raise CsvFormatError(f"{path}: manifest missing key {exc}") from None
+    # a column with two roles would make app ids of feature values, or
+    # leak the label into the features
+    roles = (schema.label_column, schema.app_id_column,
+             *schema.feature_columns)
+    if len(set(roles)) < len(roles):
+        twice = next(c for i, c in enumerate(roles) if c in roles[i + 1:])
+        raise CsvFormatError(f"{path}: manifest gives column {twice!r} two "
+                             f"roles; label_column, app_id_column and "
+                             f"feature_columns must be distinct")
     unknown = (strings("unknown_app_ids", "a list of strings", unique=False)
                if "unknown_app_ids" in raw else ())
     return schema, frozenset(unknown)

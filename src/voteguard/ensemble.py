@@ -59,8 +59,15 @@ class Standardizer:
 
     @classmethod
     def fit(cls, x: np.ndarray) -> "Standardizer":
-        mean = x.mean(axis=0)
-        std = x.std(axis=0)
+        """Raises ValueError when a feature's values are finite but so large
+        that their mean or standard deviation overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = x.mean(axis=0)
+            std = x.std(axis=0)
+        bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+        if bad.size:
+            raise ValueError(f"feature {bad[0]} is too large to standardize: "
+                             f"its mean or standard deviation overflows")
         std = np.where(std == 0.0, 1.0, std)
         return cls(mean=mean, std=std)
 
@@ -234,7 +241,7 @@ def entropy_of(dist, log_base: float = 2.0):
     if (p < 0).any():
         raise ValueError("probability vector has a negative entry")
     total = p.sum(axis=-1)
-    off = abs(total - 1.0) > 1e-6
+    off = ~(abs(total - 1.0) <= 1e-6)     # a NaN sum is off too
     if off.any():
         raise ValueError(f"probability vector sums to {total[off].flat[0]}, not 1")
     log = np.log2 if log_base == 2.0 else np.log
@@ -243,46 +250,23 @@ def entropy_of(dist, log_base: float = 2.0):
     return np.minimum(np.maximum(h, 0.0), hmax) + 0.0   # +0.0 normalizes -0.0
 
 
-@functools.lru_cache(maxsize=None)
-def _vote_tables(m: int, log_base: float) -> tuple[np.ndarray, np.ndarray]:
-    """The share ``p = c / m`` and the entropy term ``-p * log(p)`` of each
-    vote count c = 0..m, each computed as :func:`entropy_of` computes it."""
-    p = np.arange(m + 1) / m
-    log = np.log2 if log_base == 2.0 else np.log
-    terms = -(p * log(np.where(p > 0, p, 1.0))) + 0.0    # no -0.0
-    p.flags.writeable = terms.flags.writeable = False
-    return p, terms
-
-
-def hard_vote_posterior(counts: np.ndarray, m: int, log_base: float = 2.0):
-    """``(counts / m, entropy_of(counts / m, log_base))`` bit for bit, for
-    ``(n, K)`` vote counts of ``m`` voters each, looked up in tables of the
-    m + 1 possible shares and entropy terms: no division, no checks and no
-    logarithms per call."""
-    shares, terms = _vote_tables(m, log_base)
-    # Negating each term before the sum gives the bits of negating the sum.
-    # No term is below 0 or -0.0, so of entropy_of's clamp and + 0.0 only
-    # the upper bound is left to apply (it bites at K = 5 in base e).
-    h = terms[counts].sum(axis=-1)
-    return shares[counts], np.minimum(h, math.log(counts.shape[-1], log_base))
-
-
 @functools.lru_cache(maxsize=4096)
 def _counted_posterior(counts: tuple[int, ...], m: int, log_base: float):
-    """:func:`hard_vote_posterior` of one sample's vote counts, as a tuple
-    of shares and an entropy in Python floats. Memoized per count vector:
-    numpy's row sum need not add the K entropy terms left to right, so a
-    sum in Python could differ from a batch row in the last bit."""
-    dist, h = hard_vote_posterior(np.array([counts]), m, log_base)
-    return tuple(dist[0].tolist()), float(h[0])
+    """One sample's vote shares ``counts / m``, as a tuple, and their
+    :func:`entropy_of`, as a Python float. Memoized per count vector, so a
+    stream of gates pays for the checks and logarithms once per count
+    vector; numpy sums the terms, as for a batch row, since a sum in
+    Python could differ from that row in the last bit."""
+    dist = np.array(counts) / m
+    return tuple(dist.tolist()), float(entropy_of(dist, log_base))
 
 
 def predict(model: EnsembleModel, x) -> Prediction:
     """Vote distribution, entropy, argmax label and training-box support
     for one sample ``(d,)``, or for each row of a batch ``(n, d)``; see
-    :class:`Prediction`. Hard votes take their distribution and entropy
-    from the vote counts (:func:`hard_vote_posterior`), soft averages from
-    :func:`entropy_of`."""
+    :class:`Prediction`. The distribution is the vote shares under hard
+    votes and the mean of the members' probabilities under soft averages;
+    the entropy is :func:`entropy_of` of it in both modes."""
     # the standardizer checks finiteness
     x = check_features(x, model.n_features, finite=False)
     z = model.standardizer.transform(x)
@@ -304,11 +288,11 @@ def predict(model: EnsembleModel, x) -> Prediction:
         # row i's votes land in bincount slots i*K .. i*K + K-1
         slots = votes + np.arange(0, n * k, k)
         counts = np.bincount(slots.ravel(), minlength=n * k).reshape(n, k)
-        dist, h = hard_vote_posterior(counts, m, log_base)
+        dist = counts / m
     else:
         dist = np.mean([l.predict_proba(z) for l in model.learners],
                        axis=0).reshape(n, k)
-        h = entropy_of(dist, log_base)
+    h = entropy_of(dist, log_base)
     label = dist.argmax(axis=1)
     inside = model.support.contains(z)
     if x.ndim == 1:

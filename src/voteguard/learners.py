@@ -132,22 +132,20 @@ def _gini(counts, n):
     return 1.0 - float(np.sum(p * p))
 
 
-def best_split(x, y, feature_indices, n_classes, weights=None, orders=None,
+def best_split(x, y, feature_indices, n_classes, orders=None,
                class_weights=None, total=None, found=None, tie_free=None):
     """Best (feature, threshold, gain) by Gini gain over midpoint candidates.
 
     ``orders`` is ``(d, m)``: ``orders[f]`` holds the m sample indices to
-    search, the same m for every f, sorted stably by ``x[:, f]``. Sample
-    r counts ``weights[r]`` times, a whole number >= 0: a sample of weight
-    0 counts 0 times and is left out of the search, and a negative or
-    non-whole weight raises ValueError. By default every sample of ``x``
-    counts once and each column is sorted here. Ties break toward lower
-    feature index, then lower threshold. Returns None when no candidate
-    yields positive gain.
+    search, the same m for every f, sorted stably by ``x[:, f]``. By
+    default every sample of ``x`` is searched once and each column is
+    sorted here. Ties break toward lower feature index, then lower
+    threshold. Returns None when fewer than two samples are searched or no
+    candidate yields positive gain.
 
     A caller that searches many subsets of one sample may pass
-    ``class_weights`` instead of ``y`` and ``weights``: a ``(K, n)`` array
-    of whole numbers, in any numeric dtype, holding sample r's weight in
+    ``class_weights`` instead of ``y``: a ``(K, n)`` array of whole numbers,
+    in any numeric dtype, holding the number of times sample r counts in
     row ``y[r]`` and 0 in the others; its ``orders`` then list only
     samples of positive weight. ``total`` is the searched samples' K class
     counts, if known. If ``found`` is a list, the split found appends to
@@ -161,17 +159,8 @@ def best_split(x, y, feature_indices, n_classes, weights=None, orders=None,
         orders = np.argsort(x, axis=0, kind="stable").T
     if class_weights is None:
         class_weights = np.zeros((n_classes, y.shape[0]))
-        if weights is None:
-            class_weights[y, np.arange(y.shape[0])] = 1.0
-        else:
-            weights = np.asarray(weights, dtype=np.float64)
-            if not np.all(np.isfinite(weights) & (weights >= 0)
-                          & (weights == np.floor(weights))):
-                raise ValueError("weights must be whole numbers >= 0")
-            class_weights[y, np.arange(y.shape[0])] = weights
-            # a sample of weight 0 is not searched
-            orders = np.compress((weights > 0).take(orders).ravel(),
-                                 orders).reshape(len(orders), -1)
+        class_weights[y, np.arange(y.shape[0])] = 1.0
+    # fewer than two samples have no boundary, and none would make n = 0
     m = orders.shape[1]
     if m < 2:
         return None
@@ -403,8 +392,9 @@ def _train_tree(config: LearnerConfig, data: Dataset, rows) -> TreeLearner:
         else:
             feats = np.arange(d)
         found = []
-        split = best_split(x, y, feats, data.n_classes, None, orders,
-                           class_weights, counts, found, tie_free)
+        split = best_split(x, y, feats, data.n_classes, orders=orders,
+                           class_weights=class_weights, total=counts,
+                           found=found, tie_free=tie_free)
         if split is None:
             continue
 

@@ -606,10 +606,14 @@ def test_malformed_model_exits_1(pipeline_dir, tmp_path, capsys, mutate):
     lambda m: {**m, "classes": ["benign", 1]},
     lambda m: {**m, "unknown_app_ids": "unknown"},
     lambda m: {**m, "unknown_app_ids": [None]},
+    lambda m: {**m, "app_id_column": "f0"},
+    lambda m: {**m, "app_id_column": "label"},
+    lambda m: {**m, "label_column": "f1"},
 ], ids=["list", "label-column-int", "app-id-column-null",
         "features-string", "features-empty", "features-twice",
         "one-class", "class-twice", "class-int", "unknown-string",
-        "unknown-null"])
+        "unknown-null", "app-id-is-feature", "app-id-is-label",
+        "label-is-feature"])
 def test_malformed_manifest_exits_1(pipeline_dir, tmp_path, capsys, change):
     data = pipeline_dir / "data"
     manifest = tmp_path / "manifest.json"
@@ -622,6 +626,31 @@ def test_malformed_manifest_exits_1(pipeline_dir, tmp_path, capsys, change):
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(manifest) in err
+
+
+def test_features_too_large_to_standardize_exit_1(pipeline_dir, tmp_path,
+                                                  capsys):
+    # every feature times 1e200: finite, but its variance overflows; train
+    # warned and wrote a model whose std was Infinity, which predict refused
+    data = pipeline_dir / "data"
+    lines = (data / "train.csv").read_text().splitlines(True)
+    d = len(json.loads((data / "manifest.json").read_text())[
+        "feature_columns"])
+    assert lines[0].startswith(",".join(f"f{j}" for j in range(d)))
+    scaled = [lines[0]]
+    for line in lines[1:]:
+        cells = line.split(",")
+        cells[:d] = (repr(float(c) * 1e200) for c in cells[:d])
+        scaled.append(",".join(cells))
+    big = tmp_path / "train.csv"
+    big.write_text("".join(scaled))
+    out = tmp_path / "model.json"
+    code, stdout, err = run(capsys, "train", "--data", str(big),
+                            "--manifest", str(data / "manifest.json"),
+                            "--out", str(out), "--m", "2")
+    assert code == 1 and stdout == "" and not out.exists()
+    assert err == ("error: feature 0 is too large to standardize: its mean "
+                   "or standard deviation overflows\n")
 
 
 def test_unconverged_members_warn(pipeline_dir, tmp_path, capsys):

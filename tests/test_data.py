@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -217,6 +218,23 @@ def test_load_manifest(tmp_path):
     schema, unknown = load_manifest(p)
     assert schema == SCHEMA
     assert unknown == {"worm"}
+
+
+@pytest.mark.parametrize("change,twice", [
+    ({"app_id_column": "f0"}, "f0"), ({"app_id_column": "label"}, "label"),
+    ({"label_column": "f1"}, "f1"), ({"feature_columns": ["f0", "app"]}, "app")])
+def test_manifest_column_with_two_roles_rejected(tmp_path, change, twice):
+    # app ids read from a feature never match unknown_app_ids, and a label
+    # read as a feature leaks it
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps({
+        "classes": ["benign", "malware"], "label_column": "label",
+        "app_id_column": "app", "feature_columns": ["f0", "f1"], **change}))
+    with pytest.raises(CsvFormatError) as info:
+        load_manifest(p)
+    assert str(info.value) == (
+        f"{p}: manifest gives column {twice!r} two roles; label_column, "
+        f"app_id_column and feature_columns must be distinct")
 
 
 def test_byte_order_mark_is_accepted(tmp_path):

@@ -12,8 +12,7 @@ from hypothesis.extra.numpy import arrays
 from voteguard.core import Dataset
 from voteguard.ensemble import (Decision, EnsembleConfig, EnsembleModel,
                                 Standardizer, SupportBox, bootstrap_indices,
-                                entropy_of, fit, gate, hard_vote_posterior,
-                                predict)
+                                entropy_of, fit, gate, predict)
 from voteguard.learners import (LEAF, LEVEL_WALK_ROWS, ConstantLearner,
                                 LearnerConfig, TreeLearner, TreeNode,
                                 TreeParams, train)
@@ -40,6 +39,14 @@ class TestEntropyOf:
         with pytest.raises(ValueError, match="sums to"):
             entropy_of([0.6, 0.6])
 
+    def test_nan_entry_rejected(self):
+        with pytest.raises(ValueError, match="sums to nan, not 1"):
+            entropy_of([math.nan, 0.5])
+
+    def test_nan_row_rejected(self):
+        with pytest.raises(ValueError, match="sums to nan, not 1"):
+            entropy_of([[0.5, 0.5], [math.nan, 1.0]])
+
     @given(st.integers(2, 6), st.integers(0, 10 ** 9))
     def test_bounds_hold(self, k, seed):
         p = np.random.default_rng(seed).dirichlet(np.ones(k))
@@ -51,14 +58,22 @@ class TestEntropyOf:
 # K = 5 adds count vectors whose entropy needs the upper clamp in base e
 @pytest.mark.parametrize("k,max_m", [(2, 40), (3, 40), (4, 20), (5, 10)])
 def test_hard_vote_posterior_matches_every_count_vector(k, max_m, log_base):
+    # each count vector's memoized one-sample result against its row in a
+    # batch, where numpy sums every row's entropy terms
     for m in range(1, max_m + 1):
         counts = np.array([c + (m - sum(c),) for c in
                            itertools.product(range(m + 1), repeat=k - 1)
                            if sum(c) <= m])
-        dist, h = hard_vote_posterior(counts, m, log_base)
-        assert dist.tobytes() == (counts / m).tobytes()
-        want = np.array([entropy_of(c / m, log_base) for c in counts])
-        assert h.tobytes() == want.tobytes()
+        votes = np.array([np.repeat(np.arange(k), c) for c in counts],
+                         dtype=float)
+        model = voting_model(k, m, log_base)
+        batch = predict(model, votes)
+        assert batch.vote_distribution.tobytes() == (counts / m).tobytes()
+        for row, dist, h in zip(votes, batch.vote_distribution,
+                                batch.entropy):
+            one = predict(model, row)
+            assert one.vote_distribution.tobytes() == dist.tobytes()
+            assert np.float64(one.entropy).tobytes() == h.tobytes()
 
 
 def constant_ensemble(votes, m=None, mode="hard_vote"):
@@ -211,6 +226,18 @@ class TestFit:
         data = Dataset(x=np.zeros((2, 1)), y=np.array([0, -1]),
                        app_ids=("a", "b"), n_classes=2)
         with pytest.raises(ValueError, match="unlabeled"):
+            fit(EnsembleConfig(base=LearnerConfig(kind="tree"), m=2), data)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e307])
+    def test_features_too_large_to_standardize_rejected(self, small_dataset,
+                                                        scale):
+        # finite values whose variance (1e200) or sum (1e307) overflows,
+        # with no warning: the suite turns warnings into errors
+        x = small_dataset.x.copy()
+        x[:, 1] *= scale
+        data = replace(small_dataset, x=x)
+        with pytest.raises(ValueError, match="^feature 1 is too large to "
+                                             "standardize"):
             fit(EnsembleConfig(base=LearnerConfig(kind="tree"), m=2), data)
 
 

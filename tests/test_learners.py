@@ -438,40 +438,12 @@ def test_weighted_split_equals_repeated_rows(data, n, n_classes):
     weights = data.draw(arrays(np.int64, n, elements=st.integers(1, 4)))
     feats = np.arange(3)
     orders = np.argsort(x, axis=0, kind="stable").T
+    class_weights = np.zeros((n_classes, n), dtype=np.int64)
+    class_weights[y, np.arange(n)] = weights
     repeated = np.repeat(np.arange(n), weights)
-    assert best_split(x, y, feats, n_classes, weights.astype(float), orders) \
+    assert best_split(x, None, feats, n_classes, orders=orders,
+                      class_weights=class_weights) \
         == best_split(x[repeated], y[repeated], feats, n_classes)
-
-
-@settings(max_examples=100)
-@given(data=st.data(), n=st.integers(1, 25), n_classes=st.integers(2, 4),
-       tied=st.booleans())
-def test_zero_weights_equal_dropped_rows(data, n, n_classes, tied):
-    # a sample of weight 0 is left out of the search: it makes no 0/0 gain
-    # at a boundary with nothing on its left, and no threshold beside it
-    elements = (st.integers(-2, 2) if tied
-                else st.floats(-1, 1, allow_subnormal=False))
-    x = data.draw(arrays(np.float64, (n, 3), elements=elements,
-                         unique=not tied))
-    y = data.draw(arrays(np.int64, n, elements=st.integers(0, n_classes - 1)))
-    weights = data.draw(arrays(np.int64, n, elements=st.integers(0, 3)))
-    kept = weights > 0
-    assume(kept.any())
-    feats = np.arange(3)
-    assert best_split(x, y, feats, n_classes, weights.astype(float)) == \
-        best_split(x[kept], y[kept], feats, n_classes,
-                   weights[kept].astype(float))
-    orders = np.argsort(x, axis=0, kind="stable").T
-    assert best_split(x, y, feats, n_classes, weights, orders) == \
-        best_split(x[kept], y[kept], feats, n_classes, weights[kept])
-
-
-@pytest.mark.parametrize("bad", [-1.0, 0.5, math.nan, math.inf])
-def test_negative_or_fractional_weight_rejected(bad):
-    x = np.arange(4.0).reshape(-1, 1)
-    weights = np.array([1.0, bad, 1.0, 1.0])
-    with pytest.raises(ValueError, match="whole numbers >= 0"):
-        best_split(x, np.array([0, 0, 1, 1]), [0], 2, weights)
 
 
 def reference_tree(config, data, rows):
@@ -567,17 +539,15 @@ def test_draw_counts_past_narrow_dtypes(heavy):
     orders = np.argsort(data.x, axis=0, kind="stable").T
     expected = best_split(copied.x, copied.y, feats, n_classes)
     assert expected is not None
-    assert best_split(data.x, data.y, feats, n_classes,
-                      weights.astype(float), orders) == expected
-    # the same weights as whole numbers in the narrowest dtype that holds
+    # the draw counts as class weights in the narrowest dtype that holds
     # them, and the left side found from the sorted rows' prefix
     class_weights = np.zeros((n_classes, n),
                              dtype=np.min_scalar_type(weights.max()))
     class_weights[data.y, np.arange(n)] = weights
     assert class_weights.dtype.itemsize == (2 if heavy < 65_536 else 4)
     found = []
-    assert best_split(data.x, None, feats, n_classes, None, orders,
-                      class_weights, None, found) == expected
+    assert best_split(data.x, None, feats, n_classes, orders=orders,
+                      class_weights=class_weights, found=found) == expected
     feature, threshold, _ = expected
     k, left_counts = found
     go = copied.x[:, feature] <= threshold
