@@ -9,42 +9,49 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import data as datamod
 from . import ensemble, harness, persist
-from .learners import GradientParams, LearnerConfig, TreeParams
+from .ensemble import EnsembleConfig
+from .learners import (FEATURE_SUBSAMPLES, LEARNER_KINDS, GradientParams,
+                       LearnerConfig, TreeParams)
 
 UNCERTAIN = "uncertain"
 
 
+# a flag's default is the default of the config field it sets, and that
+# config class checks the flag's value
 def _learner_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--learner", choices=("tree", "logistic", "linear_svm"),
-                        default="tree")
-    parser.add_argument("--max-depth", type=int, default=None)
-    parser.add_argument("--min-samples-split", type=int, default=2)
-    parser.add_argument("--feature-subsample", choices=("all", "sqrt"),
-                        default="sqrt")
-    parser.add_argument("--max-iters", type=int, default=1000)
-    parser.add_argument("--tolerance", type=float, default=1e-6)
-    parser.add_argument("--l2", type=float, default=1e-4)
+    parser.add_argument("--learner", choices=LEARNER_KINDS,
+                        default=LearnerConfig.kind)
+    parser.add_argument("--max-depth", type=int, default=TreeParams.max_depth)
+    parser.add_argument("--min-samples-split", type=int,
+                        default=TreeParams.min_samples_split)
+    parser.add_argument("--feature-subsample", choices=FEATURE_SUBSAMPLES,
+                        default=TreeParams.feature_subsample)
+    parser.add_argument("--max-iters", type=int,
+                        default=GradientParams.max_iters)
+    parser.add_argument("--tolerance", type=float,
+                        default=GradientParams.tolerance)
+    parser.add_argument("--l2", type=float, default=GradientParams.l2)
 
 
 def _ensemble_flags(parser: argparse.ArgumentParser) -> None:
     _learner_flags(parser)
-    parser.add_argument("--master-seed", type=int, default=0)
+    parser.add_argument("--master-seed", type=int,
+                        default=EnsembleConfig.master_seed)
     parser.add_argument("--posterior-mode",
                         choices=(ensemble.HARD_VOTE, ensemble.SOFT_AVERAGE),
-                        default=ensemble.HARD_VOTE)
-    parser.add_argument("--log-base", choices=("2", "e"), default="2")
+                        default=EnsembleConfig.posterior_mode)
+    parser.add_argument(
+        "--log-base", choices=("2", "e"),
+        default=persist.log_base_tag(EnsembleConfig.entropy_log_base))
     parser.add_argument("--workers", type=int, default=1)
 
 
-def _ensemble_config(args, m: int) -> ensemble.EnsembleConfig:
-    if args.master_seed < 0:
-        raise ValueError(f"--master-seed must be >= 0, got {args.master_seed}")
+def _ensemble_config(args, m: int = EnsembleConfig.m) -> EnsembleConfig:
     base = LearnerConfig(
         kind=args.learner,
         tree=TreeParams(max_depth=args.max_depth,
@@ -53,12 +60,12 @@ def _ensemble_config(args, m: int) -> ensemble.EnsembleConfig:
         gradient=GradientParams(max_iters=args.max_iters,
                                 tolerance=args.tolerance, l2=args.l2),
     )
-    return ensemble.EnsembleConfig(
+    return EnsembleConfig(
         base=base,
         m=m,
         master_seed=args.master_seed,
         posterior_mode=args.posterior_mode,
-        entropy_log_base=2.0 if args.log_base == "2" else math.e,
+        entropy_log_base=persist.log_base_from_tag(args.log_base),
     )
 
 
@@ -91,8 +98,6 @@ def _load(args, known=(), other=(), model=None):
 
 
 def _cmd_synth(args) -> int:
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     spec = datamod.SyntheticSpec(
         regime=args.regime, n_train=args.n_train, n_test=args.n_test,
         n_unknown=args.n_unknown, d=args.d,
@@ -176,23 +181,19 @@ def _cmd_sweep_threshold(args) -> int:
 
 
 def _m_grid(text: str) -> list[int]:
-    """The ``--m-grid`` sizes: integers between commas, blanks skipped,
-    strictly increasing and each at least 1."""
+    """The ``--m-grid`` sizes: integers between commas, blanks skipped;
+    run_stability_sweep checks them."""
     try:
-        grid = [int(v) for v in text.split(",") if v.strip()]
+        return [int(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise ValueError(f"--m-grid must be comma-separated integers, "
                          f"got {text!r}") from None
-    if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError(f"--m-grid must list strictly increasing sizes "
-                         f">= 1, got {text!r}")
-    return grid
 
 
 def _cmd_sweep_size(args) -> int:
     m_grid = _m_grid(args.m_grid)
     # run_stability_sweep sets m to each size of the grid in turn
-    config = _ensemble_config(args, m_grid[0])
+    config = _ensemble_config(args)
     train_data, eval_data = _load(args, known=("data",), other=("eval",))
     report = harness.run_stability_sweep(config, train_data, eval_data, m_grid,
                                          n_workers=args.workers)
@@ -209,14 +210,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("--regime", choices=("ood", "overlap"), required=True)
-    p.add_argument("--n-train", type=int, default=2000)
-    p.add_argument("--n-test", type=int, default=500)
-    p.add_argument("--n-unknown", type=int, default=500)
-    p.add_argument("--d", type=int, default=8)
-    p.add_argument("--class-separation", type=float, default=6.0)
-    p.add_argument("--ood-distance", type=float, default=20.0)
-    p.add_argument("--seed", type=int, default=0)
+    spec = datamod.SyntheticSpec
+    p.add_argument("--regime", choices=datamod.REGIMES, required=True)
+    p.add_argument("--n-train", type=int, default=spec.n_train)
+    p.add_argument("--n-test", type=int, default=spec.n_test)
+    p.add_argument("--n-unknown", type=int, default=spec.n_unknown)
+    p.add_argument("--d", type=int, default=spec.d)
+    p.add_argument("--class-separation", type=float,
+                   default=spec.class_separation)
+    p.add_argument("--ood-distance", type=float, default=spec.ood_distance)
+    p.add_argument("--seed", type=int, default=spec.seed)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_synth)
 
@@ -224,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="training CSV")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="model file to write")
-    p.add_argument("--m", type=int, default=25,
+    p.add_argument("--m", type=int, default=EnsembleConfig.m,
                    help="number of base classifiers")
     _ensemble_flags(p)
     p.set_defaults(func=_cmd_train)

@@ -20,6 +20,7 @@ import numpy as np
 from .core import UNLABELED, Dataset
 
 UNKNOWN_APP_ID = "unknown"
+REGIMES = ("ood", "overlap")
 
 
 class CsvFormatError(ValueError):
@@ -61,6 +62,24 @@ class DatasetTaxonomy:
                     f"{sorted(overlap)[:5]}")
 
 
+def read_json(path, what: str, error: type[ValueError],
+              encoding: str = "utf-8"):
+    """The JSON document in the file ``path``. A file that cannot be
+    decoded (not UTF-8 text, not valid JSON, nested too deeply, or with an
+    integer past Python's digit limit) raises ``error``: one line naming
+    ``path`` and ``what`` the file is."""
+    with open(path, encoding=encoding) as fh:
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: {what} is not UTF-8 text: {exc}") from None
+        except ValueError as exc:       # JSONDecodeError, or too many digits
+            raise error(f"{path}: {what} is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise error(f"{path}: {what} is nested too deeply to "
+                        "read") from None
+
+
 def load_manifest(path) -> tuple[CsvSchema, frozenset[str]]:
     """Read the JSON manifest describing a CSV dataset.
 
@@ -70,15 +89,7 @@ def load_manifest(path) -> tuple[CsvSchema, frozenset[str]]:
     shape, when one column has two roles, or when the file is not UTF-8
     JSON.
     """
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CsvFormatError(f"{path}: manifest is not valid JSON: "
-                             f"{exc}") from None
-    except UnicodeDecodeError as exc:
-        raise CsvFormatError(f"{path}: manifest is not UTF-8 text: "
-                             f"{exc}") from None
+    raw = read_json(path, "manifest", CsvFormatError, encoding="utf-8-sig")
 
     def strings(key, what, least=0, unique=True):
         v = raw[key]
@@ -266,7 +277,7 @@ class SyntheticSpec:
     regimes: a far-away cluster (ood) or more draws from the overlapping
     class mixture itself (overlap)."""
 
-    regime: str                          # "ood" or "overlap"
+    regime: str                          # one of REGIMES
     n_train: int = 2000
     n_test: int = 500
     n_unknown: int = 500
@@ -276,10 +287,10 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.regime not in ("ood", "overlap"):
+        if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
         for name, least in (("n_train", 2), ("n_test", 2), ("n_unknown", 0),
-                            ("d", 1)):
+                            ("d", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, "
                                  f"got {getattr(self, name)}")

@@ -43,6 +43,9 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, "
+                             f"got {self.master_seed}")
         if self.posterior_mode not in (HARD_VOTE, SOFT_AVERAGE):
             raise ValueError(f"unknown posterior_mode {self.posterior_mode!r}")
         if self.entropy_log_base not in (2.0, math.e):

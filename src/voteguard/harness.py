@@ -155,18 +155,23 @@ def run_threshold_sweep(model: EnsembleModel, taxonomy: DatasetTaxonomy,
 def run_stability_sweep(config: EnsembleConfig, data: Dataset,
                         eval_set: Dataset, m_grid: list[int],
                         n_workers: int = 1) -> StabilityReport:
-    """Refit a fresh ensemble for each size M (same master seed and base
-    config) and summarize prediction entropy over a fixed evaluation set."""
-    if not m_grid:
-        raise ValueError("m_grid must be non-empty")
-    if any(m < 1 for m in m_grid) or any(b <= a for a, b in zip(m_grid, m_grid[1:])):
-        raise ValueError("m_grid must be strictly increasing positive ints")
+    """Summarize prediction entropy over a fixed evaluation set for the
+    ensemble of each size M in ``m_grid``, one or more strictly increasing
+    sizes >= 1 (same master seed and base config; ``config.m`` unused)."""
+    if not (m_grid and m_grid[0] >= 1
+            and all(a < b for a, b in zip(m_grid, m_grid[1:]))):
+        raise ValueError(f"m_grid must be one or more strictly increasing "
+                         f"sizes >= 1, got {m_grid}")
     if len(eval_set) == 0:
         raise ValueError("evaluation set is empty")
 
+    # member i depends only on (master_seed, i), so the first m members of
+    # the largest ensemble are the ensemble of size m
+    full = fit(replace(config, m=m_grid[-1]), data, n_workers=n_workers)
     points = []
     for m in m_grid:
-        model = fit(replace(config, m=m), data, n_workers=n_workers)
+        model = replace(full, learners=full.learners[:m],
+                        config=replace(full.config, m=m))
         h = predict(model, eval_set.x).entropy
         points.append(StabilityPoint(m=m, mean_entropy=float(h.mean()),
                                      std_entropy=float(h.std())))

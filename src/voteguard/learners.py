@@ -17,13 +17,14 @@ import numpy as np
 from .core import UNLABELED, Dataset
 
 LEARNER_KINDS = ("tree", "logistic", "linear_svm")
+FEATURE_SUBSAMPLES = ("all", "sqrt")
 
 
 @dataclass(frozen=True)
 class TreeParams:
     max_depth: int | None = None
     min_samples_split: int = 2
-    feature_subsample: str = "sqrt"      # "all" or "sqrt"
+    feature_subsample: str = "sqrt"      # one of FEATURE_SUBSAMPLES
 
     def __post_init__(self):
         if self.max_depth is not None and self.max_depth < 1:
@@ -31,7 +32,7 @@ class TreeParams:
         if self.min_samples_split < 2:
             raise ValueError(f"min_samples_split must be >= 2, "
                              f"got {self.min_samples_split}")
-        if self.feature_subsample not in ("all", "sqrt"):
+        if self.feature_subsample not in FEATURE_SUBSAMPLES:
             raise ValueError("feature_subsample must be 'all' or 'sqrt'")
 
 

@@ -13,15 +13,18 @@ split's children come after it, so every walk of a loaded tree ends.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
+import typing
 
 import numpy as np
 
+from .data import read_json
 from .ensemble import (_Z_MAX, EnsembleConfig, EnsembleModel, Standardizer,
                        SupportBox)
-from .learners import (LEAF, ConstantLearner, GradientParams, LearnerConfig,
-                       LinearLearner, TreeLearner, TreeNode, TreeParams)
+from .learners import (LEAF, ConstantLearner, LinearLearner, TreeLearner,
+                       TreeNode)
 
 FORMAT_NAME = "voteguard-ensemble"
 FORMAT_VERSION = 1
@@ -170,10 +173,6 @@ def _learner_from_dict(raw: dict, n_classes: int, n_features: int,
         if n_classes != 2:
             raise ModelFormatError(
                 f"a linear member needs n_classes 2, got {n_classes}")
-        if raw["kind"] not in ("logistic", "linear_svm"):
-            raise ModelFormatError(f"a linear member's kind must be "
-                                   f"'logistic' or 'linear_svm', got "
-                                   f"{raw['kind']!r}")
         if raw["kind"] != base_kind:
             raise ModelFormatError(f"a linear member's kind is "
                                    f"{raw['kind']!r}, but config.base.kind "
@@ -213,49 +212,44 @@ def _object(raw, name: str) -> dict:
     return raw
 
 
-def _params(cls, raw: dict):
-    """``cls`` built from a config block; a field ``cls`` does not have is
-    an error."""
-    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
+# each config field type's JSON check, and what it says a value must be
+_JSON_TYPES = {int: (_is_int, "an integer"),
+               int | None: (lambda v: v is None or _is_int(v),
+                            "an integer or null"),
+               float: (_is_finite_number, "a finite number"),
+               str: (lambda v: type(v) is str, "a string")}
+# a config class's fields by name, each with its type
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def _read_config(cls, raw, name: str):
+    """``cls`` read from the config block ``raw``, the inverse of
+    ``dataclasses.asdict``: every field present, no other key, and each
+    value of its field's JSON type, a nested config class read the same
+    way. ``cls`` checks the values' ranges."""
+    types = _field_types(cls)
+    unknown = sorted(set(_object(raw, name)) - types.keys())
     if unknown:
         raise ModelFormatError(f"unknown {cls.__name__} fields {unknown}")
-    return cls(**raw)
+    values = {}
+    for key, kind in types.items():
+        value = raw[key]                        # a KeyError if missing
+        if dataclasses.is_dataclass(kind):
+            value = _read_config(kind, value, f"{name}.{key}")
+        else:
+            ok, what = _JSON_TYPES[kind]
+            if not ok(value):
+                raise ModelFormatError(f"{name}.{key} must be {what}, "
+                                       f"got {value!r}")
+        values[key] = value
+    return cls(**values)
 
 
 def _config_from_dict(raw: dict) -> EnsembleConfig:
-    base = _object(raw["base"], "config.base")
-    tree = _object(base["tree"], "config.base.tree")
-    gradient = _object(base["gradient"], "config.base.gradient")
-    # the types the config classes compare and compute with; they check
-    # the values themselves
-    for name, block, key, ok, what in (
-            ("config", raw, "master_seed", _is_int, "an integer"),
-            ("config.base", base, "seed", _is_int, "an integer"),
-            ("config.base.tree", tree, "max_depth",
-             lambda v: v is None or _is_int(v), "an integer or null"),
-            ("config.base.tree", tree, "min_samples_split", _is_int,
-             "an integer"),
-            ("config.base.gradient", gradient, "max_iters", _is_int,
-             "an integer"),
-            ("config.base.gradient", gradient, "tolerance",
-             _is_finite_number, "a finite number"),
-            ("config.base.gradient", gradient, "l2", _is_finite_number,
-             "a finite number")):
-        if key in block and not ok(block[key]):
-            raise ModelFormatError(
-                f"{name}.{key} must be {what}, got {block[key]!r}")
-    return EnsembleConfig(
-        m=raw["m"],
-        master_seed=raw["master_seed"],
-        posterior_mode=raw["posterior_mode"],
-        entropy_log_base=log_base_from_tag(raw["entropy_log_base"]),
-        base=LearnerConfig(
-            kind=base["kind"],
-            seed=base["seed"],
-            tree=_params(TreeParams, tree),
-            gradient=_params(GradientParams, gradient),
-        ),
-    )
+    # the one field stored as a tag, not as its value
+    base = log_base_from_tag(raw["entropy_log_base"])
+    return _read_config(EnsembleConfig, {**raw, "entropy_log_base": base},
+                        "config")
 
 
 def save_model(model: EnsembleModel, path) -> None:
@@ -284,16 +278,8 @@ def save_model(model: EnsembleModel, path) -> None:
 def load_model(path) -> EnsembleModel:
     """Read a model file; raises ModelFormatError, naming ``path``, when the
     file is not a model of this format, lacks a key it needs or holds a
-    value the model cannot use, or is not UTF-8 JSON."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path}: model file is not valid JSON: "
-                               f"{exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ModelFormatError(f"{path}: model file is not UTF-8 text: "
-                               f"{exc}") from None
+    value the model cannot use, or cannot be decoded as JSON."""
+    doc = read_json(path, "model file", ModelFormatError)
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ModelFormatError(f"{path}: not a {FORMAT_NAME} file")
     if doc.get("format_version") != FORMAT_VERSION:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,10 @@ import pytest
 
 import voteguard
 from voteguard.cli import cli_main
+from voteguard.data import load_csv, load_manifest
+from voteguard.ensemble import EnsembleConfig, fit
+from voteguard.learners import GradientParams, LearnerConfig, TreeParams
+from voteguard.persist import save_model
 
 
 def run(capsys, *argv):
@@ -387,6 +392,44 @@ def test_model_without_box_or_with_stale_key_exits_1(pipeline_dir, tmp_path,
     assert err == f"error: {model}: {message}\n"
 
 
+# each config block of a model file, and the class whose fields it holds
+_CONFIG_BLOCKS = {"config": EnsembleConfig, "config.base": LearnerConfig,
+                  "config.base.tree": TreeParams,
+                  "config.base.gradient": GradientParams}
+
+
+@pytest.mark.parametrize("block,key", [
+    *(pytest.param(block, f.name, id=f"missing-{block}.{f.name}")
+      for block, cls in _CONFIG_BLOCKS.items()
+      for f in dataclasses.fields(cls)),
+    *(pytest.param(block, None, id=f"extra-{block}")
+      for block in _CONFIG_BLOCKS),
+])
+def test_config_block_holds_its_fields_and_no_other_key(
+        pipeline_dir, tmp_path, capsys, block, key):
+    # one rule for every config block: each field of its class is present,
+    # and no other key is
+    doc = json.loads((pipeline_dir / "model.json").read_text())
+    raw = doc
+    for name in block.split("."):
+        raw = raw[name]
+    if key is None:
+        raw["extra"] = 0
+        message = f"unknown {_CONFIG_BLOCKS[block].__name__} fields ['extra']"
+    else:
+        del raw[key]
+        message = f"missing key {key!r}"
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    data = pipeline_dir / "data"
+    code, out, err = run(capsys, "predict", "--model", str(model),
+                         "--data", str(data / "test_known.csv"),
+                         "--manifest", str(data / "manifest.json"),
+                         "--threshold", "0.5")
+    assert code == 1 and out == ""
+    assert err == f"error: {model}: {message}\n"
+
+
 def _each_member(key, value):
     def mutate(doc):
         for learner in doc["learners"]:
@@ -403,8 +446,8 @@ def _three_classes(doc):
     ("linear.json", _three_classes,
      "learner 0: a linear member needs n_classes 2, got 3"),
     ("linear.json", _each_member("kind", 7),
-     "learner 0: a linear member's kind must be 'logistic' or "
-     "'linear_svm', got 7"),
+     "learner 0: a linear member's kind is 7, but config.base.kind is "
+     "'logistic'"),
     ("linear.json", _each_member("converged", "no"),
      "learner 0: converged must be true or false, got 'no'"),
     ("model.json", _each_member("converged", 1),
@@ -696,6 +739,41 @@ def test_unreadable_input_exits_1(pipeline_dir, tmp_path, capsys, target,
         assert err.startswith(f"error: {bad}: line 3: ")
 
 
+@pytest.mark.parametrize("content,problem", [
+    (b"[" * 200_000, "is nested too deeply to read"),
+    pytest.param(b"[" + b"1" * 5000 + b"]",
+                 "is not valid JSON: Exceeds the limit", id="digits",
+                 marks=pytest.mark.skipif(
+                     not hasattr(sys, "get_int_max_str_digits"),
+                     reason="this Python has no integer digit limit")),
+    (b'{"classes": ["benign"\n', "is not valid JSON: "),
+    (b"\xff\xfe{}", "is not UTF-8 text: "),
+], ids=["nested", "digits", "invalid", "not-utf8"])
+@pytest.mark.parametrize("target", ["model", "manifest"])
+def test_undecodable_json_exits_1_naming_the_file(pipeline_dir, tmp_path,
+                                                   capsys, target, content,
+                                                   problem):
+    # a model file or manifest that json cannot decode, for any reason,
+    # fails with one line naming it; deep nesting gave a traceback, and
+    # too many digits a line that named no file
+    data = pipeline_dir / "data"
+    bad = tmp_path / f"{target}.json"
+    bad.write_bytes(content)
+    out = tmp_path / "out.json"
+    if target == "model":
+        argv = ["predict", "--model", bad, "--data", data / "test_known.csv",
+                "--manifest", data / "manifest.json", "--threshold", "0.5"]
+        what = "model file"
+    else:
+        argv = ["train", "--data", data / "train.csv", "--manifest", bad,
+                "--out", out]
+        what = "manifest"
+    code, stdout, err = run(capsys, *map(str, argv))
+    assert code == 1 and stdout == "" and not out.exists()
+    assert err.startswith(f"error: {bad}: {what} {problem}")
+    assert err.count("\n") == 1
+
+
 @pytest.fixture(scope="module")
 def overlap_dir(tmp_path_factory):
     """Overlap data (its unknown rows are labeled, so they could be fitted)
@@ -921,3 +999,19 @@ def test_model_without_class_names_compared_by_count(
     assert err == (f"error: {manifest}: classes ['benign', 'malware', "
                    f"'adware'] differ from those of {model}: 2 unnamed "
                    f"classes\n")
+
+
+def test_train_defaults_are_the_library_defaults(pipeline_dir, tmp_path,
+                                                 capsys):
+    # every flag not given takes the default of the config class it sets
+    data = pipeline_dir / "data"
+    out = tmp_path / "cli.json"
+    code, _, err = run(capsys, "train", "--data", str(data / "train.csv"),
+                       "--manifest", str(data / "manifest.json"),
+                       "--out", str(out))
+    assert code == 0, err
+    schema, _ = load_manifest(data / "manifest.json")
+    library = tmp_path / "library.json"
+    save_model(fit(EnsembleConfig(), load_csv(data / "train.csv", schema)),
+               library)
+    assert out.read_bytes() == library.read_bytes()

@@ -220,6 +220,31 @@ def test_load_manifest(tmp_path):
     assert unknown == {"worm"}
 
 
+def test_manifest_missing_key_rejected(tmp_path):
+    p = tmp_path / "m.json"
+    p.write_text('{"classes": ["benign", "malware"], "app_id_column": "app",'
+                 ' "feature_columns": ["f0", "f1"]}')
+    with pytest.raises(CsvFormatError) as info:
+        load_manifest(p)
+    assert str(info.value) == f"{p}: manifest missing key 'label_column'"
+
+
+def test_manifest_not_utf8_rejected(tmp_path):
+    p = tmp_path / "m.json"
+    p.write_bytes('{"classes": ["bénign", "malware"]}'.encode("latin-1"))
+    with pytest.raises(CsvFormatError) as info:
+        load_manifest(p)
+    assert str(info.value).startswith(f"{p}: manifest is not UTF-8 text: ")
+
+
+def test_csv_with_header_and_no_rows_rejected(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("f0,f1,label,app\n\n")
+    with pytest.raises(CsvFormatError) as info:
+        load_csv(p, SCHEMA)
+    assert str(info.value) == f"{p}: no data rows"
+
+
 @pytest.mark.parametrize("change,twice", [
     ({"app_id_column": "f0"}, "f0"), ({"app_id_column": "label"}, "label"),
     ({"label_column": "f1"}, "f1"), ({"feature_columns": ["f0", "app"]}, "app")])
@@ -326,6 +351,9 @@ class TestGenerateSynthetic:
             SyntheticSpec(regime="ood", class_separation=6.0, ood_distance=5.0)
         with pytest.raises(ValueError, match="regime"):
             SyntheticSpec(regime="far")
+        # numpy's generator would fail on it, after the spec was accepted
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            SyntheticSpec(regime="ood", seed=-1)
 
 
 def test_taxonomy_rejects_overlapping_app_ids():

@@ -430,6 +430,10 @@ def test_config_validation():
         EnsembleConfig(posterior_mode="median")
     with pytest.raises(ValueError):
         EnsembleConfig(entropy_log_base=10.0)
+    # numpy's SeedSequence would fail on it inside fit, after standardizing
+    with pytest.raises(ValueError,
+                       match=r"^master_seed must be >= 0, got -1$"):
+        EnsembleConfig(master_seed=-1)
 
 
 def vote_tree(feature, k, d):

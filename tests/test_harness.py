@@ -1,11 +1,12 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from voteguard.data import DatasetTaxonomy, SyntheticSpec, generate_synthetic
-from voteguard.ensemble import EnsembleConfig, fit
+from voteguard.ensemble import EnsembleConfig, fit, predict
 from voteguard.harness import (MAX_GRID_POINTS, default_threshold_grid,
                                emit_report, report_to_dict, run_stability_sweep,
                                run_threshold_sweep)
@@ -137,6 +138,25 @@ class TestStabilitySweep:
         _, tax, config = overlap_setup(n=100)
         with pytest.raises(ValueError, match="strictly increasing"):
             run_stability_sweep(config, tax.train, tax.test_known, [4, 2])
+
+    @pytest.mark.parametrize("grid", [[], [0, 2], [2, 2]])
+    def test_grid_message_names_the_grid(self, grid):
+        _, tax, config = overlap_setup(n=100)
+        with pytest.raises(ValueError) as info:
+            run_stability_sweep(config, tax.train, tax.test_known, grid)
+        assert str(info.value) == (f"m_grid must be one or more strictly "
+                                   f"increasing sizes >= 1, got {grid}")
+
+    def test_each_size_equals_its_own_fit(self):
+        # the sweep fits the largest ensemble once and scores its prefixes
+        _, tax, config = overlap_setup(n=100)
+        report = run_stability_sweep(config, tax.train, tax.test_known,
+                                     [1, 3, 4])
+        for point in report.points:
+            model = fit(replace(config, m=point.m), tax.train)
+            h = predict(model, tax.test_known.x).entropy
+            assert (point.mean_entropy, point.std_entropy) == \
+                (float(h.mean()), float(h.std()))
 
 
 class TestEmitReport:

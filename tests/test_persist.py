@@ -68,6 +68,48 @@ def test_constant_learner_round_trip(tmp_path):
     assert predict(loaded, [0.0, 0.0]).label == 1
 
 
+def test_log_base_e_round_trip(tmp_path):
+    data = make_binary_dataset(n=40, d=3, separation=1.0, seed=3)
+    model = fit(EnsembleConfig(m=3, entropy_log_base=math.e), data)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    assert json.loads(path.read_text())["config"]["entropy_log_base"] == "e"
+    loaded = load_model(path)
+    assert loaded.config == model.config
+    x = data.x[:10]
+    assert predict(loaded, x).entropy.tobytes() == \
+        predict(model, x).entropy.tobytes()
+
+
+@pytest.fixture(scope="module")
+def logistic_doc(tmp_path_factory):
+    """A saved two-member logistic model, as its JSON document."""
+    data = make_binary_dataset(n=40, d=3, separation=1.0, seed=3)
+    path = tmp_path_factory.mktemp("logistic") / "model.json"
+    save_model(fit(EnsembleConfig(base=LearnerConfig(kind="logistic"), m=2),
+                   data), path)
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("member,message", [
+    ({"weights": [2.0 ** 510] * 3},
+     "learner 0: weights must sum in magnitude to at most 2**511"),
+    ({"type": "constant", "label": 2},
+     "learner 0: constant learner label 2 is not a class index below 2"),
+    ({"type": "constant", "label": -1},
+     "learner 0: constant learner label -1 is not a class index below 2"),
+], ids=["weights-past-2-511", "constant-label-2", "constant-label-negative"])
+def test_member_out_of_range_rejected(logistic_doc, tmp_path, member,
+                                      message):
+    doc = json.loads(json.dumps(logistic_doc))
+    doc["learners"][0].update(member)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 @pytest.mark.parametrize("mode", ["hard_vote", "soft_average"])
 def test_mixed_members_vote_in_member_order(tmp_path, mode):
     # a model in memory may mix any members; a file holds the members train
