@@ -49,7 +49,7 @@ class Dataset:
         labeled = y[y != UNLABELED]
         if labeled.size and (labeled.min() < 0 or labeled.max() >= self.n_classes):
             raise ValueError(f"labels out of range [0, {self.n_classes})")
-        if any(not a for a in self.app_ids):
+        if not all(self.app_ids):
             raise ValueError("app_id must be non-empty")
         if self.class_names is not None and len(self.class_names) != self.n_classes:
             raise ValueError("class_names length must equal n_classes")

@@ -10,6 +10,7 @@ UTF-8 text, with or without a byte-order mark.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from array import array
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from .core import UNLABELED, Dataset
 
 UNKNOWN_APP_ID = "unknown"
 REGIMES = ("ood", "overlap")
+_WRITE_BLOCK = 1024        # rows write_csv formats at a time
 
 
 class CsvFormatError(ValueError):
@@ -39,6 +41,12 @@ class CsvSchema:
             raise ValueError("need at least two class names")
         if not self.feature_columns:
             raise ValueError("need at least one feature column")
+        # load_csv strips every cell and reads an empty label as unlabeled,
+        # so no row could carry such a class
+        bad = [c for c in self.class_names if not c or c != c.strip()]
+        if bad:
+            raise ValueError(f"classes must be non-empty and without "
+                             f"surrounding whitespace, got {bad[0]!r}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -86,8 +94,9 @@ def load_manifest(path) -> tuple[CsvSchema, frozenset[str]]:
     Expected keys: classes (ordered list), label_column, app_id_column,
     feature_columns, unknown_app_ids (optional). Raises CsvFormatError,
     naming ``path``, when a key is missing or holds a value of the wrong
-    shape, when one column has two roles, or when the file is not UTF-8
-    JSON.
+    shape, when a class name is one no CSV cell can match (empty, or with
+    surrounding whitespace), when one column has two roles, or when the
+    file is not UTF-8 JSON.
     """
     raw = read_json(path, "manifest", CsvFormatError, encoding="utf-8-sig")
 
@@ -107,7 +116,7 @@ def load_manifest(path) -> tuple[CsvSchema, frozenset[str]]:
             if not isinstance(raw[key], str):
                 raise CsvFormatError(f"{path}: manifest {key} must be a "
                                      f"string, got {raw[key]!r}")
-        schema = CsvSchema(
+        fields = dict(
             label_column=raw["label_column"],
             app_id_column=raw["app_id_column"],
             feature_columns=tuple(strings(
@@ -117,6 +126,10 @@ def load_manifest(path) -> tuple[CsvSchema, frozenset[str]]:
         )
     except KeyError as exc:
         raise CsvFormatError(f"{path}: manifest missing key {exc}") from None
+    try:
+        schema = CsvSchema(**fields)
+    except ValueError as exc:
+        raise CsvFormatError(f"{path}: manifest {exc}") from None
     # a column with two roles would make app ids of feature values, or
     # leak the label into the features
     roles = (schema.label_column, schema.app_id_column,
@@ -259,16 +272,41 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
 
 
 def write_csv(data: Dataset, path, schema: CsvSchema) -> None:
-    """Inverse of load_csv, for exporting generated datasets."""
+    """Inverse of load_csv, for exporting generated datasets. The file is
+    byte for byte what ``csv.writer`` gives row by row: each feature is
+    its float's ``repr``, and each row's label and app id cells are
+    written by ``csv.writer``, so they are quoted as it quotes them. Rows
+    are formatted ``_WRITE_BLOCK`` at a time. Raises ValueError, before
+    the file is created, when the schema does not name every feature
+    column or every label."""
+    names = schema.class_names
+    if len(schema.feature_columns) != data.d:
+        raise ValueError(f"schema names {len(schema.feature_columns)} "
+                         f"feature columns for data with {data.d} features")
+    top = int(data.y.max(initial=UNLABELED))
+    if top >= len(names):
+        raise ValueError(f"schema names {len(names)} classes for data with "
+                         f"label {top}")
+
+    def tail(label, app_id):
+        """``,label,app_id`` and the line end, as csv.writer writes them."""
+        out = io.StringIO()
+        csv.writer(out).writerow(
+            ("", "" if label == UNLABELED else names[label], app_id))
+        return out.getvalue()
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*schema.feature_columns, schema.label_column,
-                         schema.app_id_column])
-        for i in range(len(data)):
-            label = int(data.y[i])
-            name = "" if label == UNLABELED else schema.class_names[label]
-            writer.writerow([*(repr(float(v)) for v in data.x[i]), name,
-                             data.app_ids[i]])
+        csv.writer(fh).writerow([*schema.feature_columns, schema.label_column,
+                                 schema.app_id_column])
+        for lo in range(0, len(data), _WRITE_BLOCK):
+            hi = lo + _WRITE_BLOCK
+            reprs = map(repr, data.x[lo:hi].ravel().tolist())
+            rows = map(",".join, zip(*[reprs] * data.d))
+            keys = list(zip(data.y[lo:hi].tolist(), data.app_ids[lo:hi]))
+            # one tail per distinct pair in this block, not in the file
+            tails = {k: tail(*k) for k in dict.fromkeys(keys)}
+            fh.write("".join(map(str.__add__, rows,
+                                 map(tails.__getitem__, keys))))
 
 
 @dataclass(frozen=True)
@@ -326,7 +364,8 @@ def generate_synthetic(spec: SyntheticSpec) -> DatasetTaxonomy:
     names = ("benign", "malware")
 
     def bucket(x, y, app_prefix):
-        app_ids = tuple(f"{app_prefix}-{int(c)}" for c in y)
+        ids = (f"{app_prefix}-0", f"{app_prefix}-1")
+        app_ids = tuple(map(ids.__getitem__, y.tolist()))
         return Dataset(x=x, y=y, app_ids=app_ids, n_classes=2,
                        class_names=names)
 

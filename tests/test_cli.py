@@ -671,6 +671,28 @@ def test_malformed_manifest_exits_1(pipeline_dir, tmp_path, capsys, change):
     assert str(manifest) in err
 
 
+@pytest.mark.parametrize("command", ["train", "sweep-threshold"])
+@pytest.mark.parametrize("name", ["", " benign"], ids=["empty", "padded"])
+def test_class_name_no_csv_cell_can_match_exits_1(pipeline_dir, tmp_path,
+                                                  capsys, command, name):
+    # load_csv reads an empty label cell as unlabeled and strips every
+    # cell, so no row could carry either class
+    data = pipeline_dir / "data"
+    doc = json.loads((data / "manifest.json").read_text())
+    doc["classes"] = [name, "malware"]
+    manifest, out = tmp_path / "manifest.json", tmp_path / "out.json"
+    flags = {"train": ["--data", data / "train.csv", "--m", "3"],
+             "sweep-threshold": ["--model", pipeline_dir / "model.json",
+                                 "--test-known", data / "test_known.csv",
+                                 "--unknown", data / "unknown.csv"]}[command]
+    manifest.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, command, *map(str, flags),
+                            "--manifest", str(manifest), "--out", str(out))
+    assert code == 1 and stdout == "" and not out.exists()
+    assert err == (f"error: {manifest}: manifest classes must be non-empty "
+                   f"and without surrounding whitespace, got {name!r}\n")
+
+
 def test_features_too_large_to_standardize_exit_1(pipeline_dir, tmp_path,
                                                   capsys):
     # every feature times 1e200: finite, but its variance overflows; train

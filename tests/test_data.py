@@ -7,12 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import make_binary_dataset
 from voteguard.core import UNLABELED, Dataset
-from voteguard.data import (CsvFormatError, CsvSchema, DatasetTaxonomy,
-                            SyntheticSpec, generate_synthetic, load_csv,
-                            load_manifest, write_csv)
+from voteguard.data import (_WRITE_BLOCK, CsvFormatError, CsvSchema,
+                            DatasetTaxonomy, SyntheticSpec,
+                            generate_synthetic, load_csv, load_manifest,
+                            write_csv)
 
 SCHEMA = CsvSchema(label_column="label", app_id_column="app",
                    feature_columns=("f0", "f1"),
@@ -152,6 +154,84 @@ def test_write_load_round_trips_floats_bit_for_bit(rows):
     assert back.x.tobytes() == ds.x.tobytes()
 
 
+def _write_csv_row_by_row(data, path, schema):
+    """The reference for write_csv: one csv.writer row per sample, each
+    feature written as its float's repr."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*schema.feature_columns, schema.label_column,
+                         schema.app_id_column])
+        for i in range(len(data)):
+            label = int(data.y[i])
+            name = "" if label == UNLABELED else schema.class_names[label]
+            writer.writerow([*(repr(float(v)) for v in data.x[i]), name,
+                             data.app_ids[i]])
+
+
+# text that csv.writer quotes or escapes, and non-ASCII text
+TRICKY = st.text(st.sampled_from(list('ab ,"\r\né€😀')), min_size=1,
+                 max_size=6)
+CLASS_NAME = TRICKY.filter(lambda s: s == s.strip())
+
+
+@settings(max_examples=40)
+@given(n=st.sampled_from([0, 1, 2, 9, _WRITE_BLOCK - 1, _WRITE_BLOCK,
+                          _WRITE_BLOCK + 1]),
+       d=st.sampled_from([1, 8]),
+       # (where in the flat feature array, as a fraction; value)
+       special=st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
+                                  FINITE), max_size=8),
+       apps=st.lists(TRICKY, min_size=1, max_size=4),
+       names=st.lists(CLASS_NAME, min_size=2, max_size=2, unique=True),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=_WRITE_BLOCK + 1, d=8,
+         special=[(0.0, -0.0), (0.1, 5e-324), (0.2, 1e-05), (0.3, 1e16),
+                  (0.4, 1e308), (0.5, -1e308)],
+         apps=["a,b", 'x"\r\n y', "é 😀"],
+         names=['b "1"', "m,\n€"], seed=0)
+def test_write_csv_matches_row_by_row_csv_writer(n, d, special, apps, names,
+                                                 seed):
+    # each row draws its label and app id apart, so one app id comes under
+    # several labels; rows either side of a block boundary, too, must each
+    # be written as csv.writer writes them alone
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    for where, value in special if n else ():
+        x.flat[int(where * n * d)] = value
+    data = Dataset(x=x, y=rng.integers(UNLABELED, 2, size=n),
+                   app_ids=tuple(apps[i] for i in
+                                 rng.integers(0, len(apps), size=n)),
+                   n_classes=2)
+    schema = CsvSchema(label_column="label", app_id_column="app",
+                       feature_columns=tuple(f"f{j}" for j in range(d)),
+                       class_names=tuple(names))
+    with tempfile.TemporaryDirectory() as tmp:
+        block, row = Path(tmp) / "block.csv", Path(tmp) / "row.csv"
+        write_csv(data, block, schema)
+        _write_csv_row_by_row(data, row, schema)
+        assert block.read_bytes() == row.read_bytes()
+
+
+def test_write_csv_rejects_a_schema_with_other_features(tmp_path):
+    data = make_binary_dataset(n=5, d=4)
+    p = tmp_path / "d.csv"
+    with pytest.raises(ValueError) as info:
+        write_csv(data, p, SCHEMA)
+    assert str(info.value) == ("schema names 2 feature columns for data "
+                               "with 4 features")
+    assert not p.exists()
+
+
+def test_write_csv_rejects_a_schema_without_every_class(tmp_path):
+    data = Dataset(x=np.zeros((3, 2)), y=np.array([0, 1, 2]),
+                   app_ids=("a", "b", "c"), n_classes=3)
+    p = tmp_path / "d.csv"
+    with pytest.raises(ValueError) as info:
+        write_csv(data, p, SCHEMA)
+    assert str(info.value) == "schema names 2 classes for data with label 2"
+    assert not p.exists()
+
+
 CELL = st.one_of(FINITE.map(repr),
                  st.sampled_from(["oops", "", "nan", "-inf", " 1.5 ", "1e999"]))
 ROW = st.tuples(st.lists(CELL, min_size=2, max_size=2),
@@ -235,6 +315,23 @@ def test_manifest_not_utf8_rejected(tmp_path):
     with pytest.raises(CsvFormatError) as info:
         load_manifest(p)
     assert str(info.value).startswith(f"{p}: manifest is not UTF-8 text: ")
+
+
+@pytest.mark.parametrize("name", ["", " benign", "benign\n"])
+def test_class_name_no_csv_cell_can_match_rejected(tmp_path, name):
+    # load_csv strips cells and reads an empty label as unlabeled
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps({
+        "classes": [name, "malware"], "label_column": "label",
+        "app_id_column": "app", "feature_columns": ["f0", "f1"]}))
+    with pytest.raises(CsvFormatError) as info:
+        load_manifest(p)
+    assert str(info.value) == (
+        f"{p}: manifest classes must be non-empty and without surrounding "
+        f"whitespace, got {name!r}")
+    with pytest.raises(ValueError, match="^classes must be non-empty"):
+        CsvSchema(label_column="label", app_id_column="app",
+                  feature_columns=("f0",), class_names=("benign", name))
 
 
 def test_csv_with_header_and_no_rows_rejected(tmp_path):
