@@ -23,6 +23,8 @@ from .core import UNLABELED, Dataset
 UNKNOWN_APP_ID = "unknown"
 REGIMES = ("ood", "overlap")
 _WRITE_BLOCK = 1024        # rows write_csv formats at a time
+_MANIFEST_KEYS = frozenset({"classes", "label_column", "app_id_column",
+                            "feature_columns", "unknown_app_ids"})
 
 
 class CsvFormatError(ValueError):
@@ -47,6 +49,10 @@ class CsvSchema:
         if bad:
             raise ValueError(f"classes must be non-empty and without "
                              f"surrounding whitespace, got {bad[0]!r}")
+        # one name for two classes reads back as the later class
+        if len(set(self.class_names)) < len(self.class_names):
+            raise ValueError(f"classes must be unique, got "
+                             f"{list(self.class_names)}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -93,10 +99,10 @@ def load_manifest(path) -> tuple[CsvSchema, frozenset[str]]:
 
     Expected keys: classes (ordered list), label_column, app_id_column,
     feature_columns, unknown_app_ids (optional). Raises CsvFormatError,
-    naming ``path``, when a key is missing or holds a value of the wrong
-    shape, when a class name is one no CSV cell can match (empty, or with
-    surrounding whitespace), when one column has two roles, or when the
-    file is not UTF-8 JSON.
+    naming ``path``, when a key is missing, unknown or holds a value of
+    the wrong shape, when a class name is one no CSV cell can match
+    (empty, or with surrounding whitespace), when one column has two
+    roles, or when the file is not UTF-8 JSON.
     """
     raw = read_json(path, "manifest", CsvFormatError, encoding="utf-8-sig")
 
@@ -111,6 +117,10 @@ def load_manifest(path) -> tuple[CsvSchema, frozenset[str]]:
 
     if not isinstance(raw, dict):
         raise CsvFormatError(f"{path}: manifest must be a JSON object")
+    # a misspelt optional key would otherwise read as absent
+    extra = sorted(raw.keys() - _MANIFEST_KEYS)
+    if extra:
+        raise CsvFormatError(f"{path}: unknown manifest fields {extra}")
     try:
         for key in ("label_column", "app_id_column"):
             if not isinstance(raw[key], str):
@@ -278,7 +288,8 @@ def write_csv(data: Dataset, path, schema: CsvSchema) -> None:
     written by ``csv.writer``, so they are quoted as it quotes them. Rows
     are formatted ``_WRITE_BLOCK`` at a time. Raises ValueError, before
     the file is created, when the schema does not name every feature
-    column or every label."""
+    column or every label, or when an app id has surrounding whitespace,
+    which load_csv would strip."""
     names = schema.class_names
     if len(schema.feature_columns) != data.d:
         raise ValueError(f"schema names {len(schema.feature_columns)} "
@@ -287,6 +298,12 @@ def write_csv(data: Dataset, path, schema: CsvSchema) -> None:
     if top >= len(names):
         raise ValueError(f"schema names {len(names)} classes for data with "
                          f"label {top}")
+    # load_csv strips each cell, so such an id would read back changed, or
+    # empty if it is all whitespace
+    bad = [a for a in dict.fromkeys(data.app_ids) if a != a.strip()]
+    if bad:
+        raise ValueError(f"app ids must be without surrounding whitespace, "
+                         f"got {bad[0]!r}")
 
     def tail(label, app_id):
         """``,label,app_id`` and the line end, as csv.writer writes them."""

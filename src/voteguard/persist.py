@@ -48,25 +48,60 @@ def log_base_from_tag(tag: str) -> float:
     raise ValueError(f"unknown entropy log base tag {tag!r}")
 
 
+# every object of a model file, by the name its errors give, with its keys
+# in the order save_model writes them
+_KEYS = {
+    "model file": ("format", "format_version", "n_classes", "n_features",
+                   "class_names", "config", "standardizer", "support",
+                   "learners"),
+    "standardizer": ("mean", "std"),
+    "support box": ("low", "high"),
+    **{f"{kind} member": ("type", *keys, "converged", "seed_used")
+       for kind, keys in (("tree", ("nodes",)),
+                          ("linear", ("kind", "weights", "bias")),
+                          ("constant", ("label",)))},
+}
+
+
+def _to_dict(name: str, *values) -> dict:
+    return dict(zip(_KEYS[name], values, strict=True))
+
+
+def _record(raw, name: str, keys=None, owner: str | None = None) -> tuple:
+    """``raw``'s values for ``keys`` (by default, ``name``'s in ``_KEYS``)
+    in order, checked to be an object with exactly those keys. Errors name
+    the object ``name``, and ``owner``, or else ``name``, as the keys'."""
+    keys = _KEYS[name] if keys is None else keys
+    if not isinstance(raw, dict):
+        raise ModelFormatError(f"{name} must be an object")
+    unknown = sorted(raw.keys() - set(keys))
+    if unknown:
+        raise ModelFormatError(f"unknown {owner or name} fields {unknown}")
+    for key in keys:
+        if key not in raw:
+            raise ModelFormatError(f"missing key {key!r}")
+    return tuple(map(raw.__getitem__, keys))
+
+
+def _vectors(raw, name: str, n_features: int) -> dict:
+    """The object ``name`` in ``raw``, a vector of finite numbers a key."""
+    return {key: _vector(value, f"{name} {key}", n_features)
+            for key, value in zip(_KEYS[name], _record(raw, name))}
+
+
 def _learner_to_dict(learner) -> dict:
-    common = {"converged": learner.converged, "seed_used": learner.seed_used}
     if isinstance(learner, TreeLearner):
-        return {
-            "type": "tree",
-            "nodes": learner.nodes,         # json writes tuples as lists
-            **common,
-        }
-    if isinstance(learner, LinearLearner):
-        return {
-            "type": "linear",
-            "kind": learner.kind,
-            "weights": learner.weights.tolist(),
-            "bias": learner.bias,
-            **common,
-        }
-    if isinstance(learner, ConstantLearner):
-        return {"type": "constant", "label": learner.label, **common}
-    raise ModelFormatError(f"cannot serialize learner {type(learner).__name__}")
+        kind, params = "tree", (learner.nodes,)  # json writes tuples as lists
+    elif isinstance(learner, LinearLearner):
+        kind, params = "linear", (learner.kind, learner.weights.tolist(),
+                                  learner.bias)
+    elif isinstance(learner, ConstantLearner):
+        kind, params = "constant", (learner.label,)
+    else:
+        raise ModelFormatError(
+            f"cannot serialize learner {type(learner).__name__}")
+    return _to_dict(f"{kind} member", kind, *params, learner.converged,
+                    learner.seed_used)
 
 
 def _is_int(value) -> bool:
@@ -155,7 +190,7 @@ def _learner_from_dict(raw: dict, n_classes: int, n_features: int,
     if (kind == "tree") != (base_kind == "tree"):
         raise ModelFormatError(f"a {kind} member in a model whose "
                                f"config.base.kind is {base_kind!r}")
-    converged, seed_used = raw["converged"], raw["seed_used"]
+    _, *params, converged, seed_used = _record(raw, f"{kind} member")
     if type(converged) is not bool:
         raise ModelFormatError(
             f"converged must be true or false, got {converged!r}")
@@ -166,33 +201,32 @@ def _learner_from_dict(raw: dict, n_classes: int, n_features: int,
     common = {"n_classes": n_classes, "converged": converged,
               "seed_used": seed_used}
     if kind == "tree":
-        return TreeLearner(nodes=_tree_nodes(raw["nodes"], n_classes,
-                                             n_features),
+        return TreeLearner(nodes=_tree_nodes(*params, n_classes, n_features),
                            n_features=n_features, **common)
     if kind == "linear":
+        linear_kind, weights, bias = params
         if n_classes != 2:
             raise ModelFormatError(
                 f"a linear member needs n_classes 2, got {n_classes}")
-        if raw["kind"] != base_kind:
+        if linear_kind != base_kind:
             raise ModelFormatError(f"a linear member's kind is "
-                                   f"{raw['kind']!r}, but config.base.kind "
+                                   f"{linear_kind!r}, but config.base.kind "
                                    f"is {base_kind!r}")
         # standardized inputs are clamped to +-_Z_MAX, so a dot product
         # with these weights is at most _Z_MAX**2 = 2**1022 in magnitude,
         # and adding the bias cannot overflow; a sum that does is inf
-        bias = raw["bias"]
         if not (_is_finite_number(bias) and abs(bias) <= _Z_MAX ** 2):
             raise ModelFormatError(f"bias {bias!r} is not a finite number "
                                    "of magnitude at most 2**1022")
-        weights = _vector(raw["weights"], "weights", n_features)
+        weights = _vector(weights, "weights", n_features)
         with np.errstate(over="ignore"):
             magnitude = np.abs(weights).sum()
         if not magnitude <= _Z_MAX:
             raise ModelFormatError("weights must sum in magnitude to at "
                                    "most 2**511")
-        return LinearLearner(kind=raw["kind"], weights=weights,
+        return LinearLearner(kind=linear_kind, weights=weights,
                              bias=float(bias), **common)
-    label = raw["label"]
+    (label,) = params
     if not (_is_int(label) and 0 <= label < n_classes):
         raise ModelFormatError(
             f"constant learner label {label!r} is not a class index "
@@ -204,12 +238,6 @@ def _config_to_dict(config: EnsembleConfig) -> dict:
     # the config classes' field order is the file's key order
     return {**dataclasses.asdict(config),
             "entropy_log_base": log_base_tag(config.entropy_log_base)}
-
-
-def _object(raw, name: str) -> dict:
-    if not isinstance(raw, dict):
-        raise ModelFormatError(f"{name} must be an object")
-    return raw
 
 
 # each config field type's JSON check, and what it says a value must be
@@ -224,52 +252,35 @@ _field_types = functools.cache(typing.get_type_hints)
 
 def _read_config(cls, raw, name: str):
     """``cls`` read from the config block ``raw``, the inverse of
-    ``dataclasses.asdict``: every field present, no other key, and each
+    ``_config_to_dict``: every field present, no other key, and each
     value of its field's JSON type, a nested config class read the same
     way. ``cls`` checks the values' ranges."""
     types = _field_types(cls)
-    unknown = sorted(set(_object(raw, name)) - types.keys())
-    if unknown:
-        raise ModelFormatError(f"unknown {cls.__name__} fields {unknown}")
-    values = {}
+    values = dict(zip(types, _record(raw, name, types, cls.__name__)))
     for key, kind in types.items():
-        value = raw[key]                        # a KeyError if missing
+        value = values[key]
         if dataclasses.is_dataclass(kind):
-            value = _read_config(kind, value, f"{name}.{key}")
+            values[key] = _read_config(kind, value, f"{name}.{key}")
+        elif key == "entropy_log_base":     # stored as a tag, not a value
+            values[key] = log_base_from_tag(value)
         else:
             ok, what = _JSON_TYPES[kind]
             if not ok(value):
                 raise ModelFormatError(f"{name}.{key} must be {what}, "
                                        f"got {value!r}")
-        values[key] = value
     return cls(**values)
 
 
-def _config_from_dict(raw: dict) -> EnsembleConfig:
-    # the one field stored as a tag, not as its value
-    base = log_base_from_tag(raw["entropy_log_base"])
-    return _read_config(EnsembleConfig, {**raw, "entropy_log_base": base},
-                        "config")
-
-
 def save_model(model: EnsembleModel, path) -> None:
-    doc = {
-        "format": FORMAT_NAME,
-        "format_version": FORMAT_VERSION,
-        "n_classes": model.n_classes,
-        "n_features": model.n_features,
-        "class_names": list(model.class_names) if model.class_names else None,
-        "config": _config_to_dict(model.config),
-        "standardizer": {
-            "mean": model.standardizer.mean.tolist(),
-            "std": model.standardizer.std.tolist(),
-        },
-        "support": {
-            "low": model.support.low.tolist(),
-            "high": model.support.high.tolist(),
-        },
-        "learners": [_learner_to_dict(l) for l in model.learners],
-    }
+    std, box = model.standardizer, model.support
+    doc = _to_dict(
+        "model file", FORMAT_NAME, FORMAT_VERSION, model.n_classes,
+        model.n_features,
+        list(model.class_names) if model.class_names else None,
+        _config_to_dict(model.config),
+        _to_dict("standardizer", std.mean.tolist(), std.std.tolist()),
+        _to_dict("support box", box.low.tolist(), box.high.tolist()),
+        [_learner_to_dict(l) for l in model.learners])
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
@@ -277,8 +288,8 @@ def save_model(model: EnsembleModel, path) -> None:
 
 def load_model(path) -> EnsembleModel:
     """Read a model file; raises ModelFormatError, naming ``path``, when the
-    file is not a model of this format, lacks a key it needs or holds a
-    value the model cannot use, or cannot be decoded as JSON."""
+    file is not a model of this format, an object in it lacks a key or holds
+    another, a value is one the model cannot use, or it is not JSON."""
     doc = read_json(path, "model file", ModelFormatError)
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ModelFormatError(f"{path}: not a {FORMAT_NAME} file")
@@ -287,50 +298,37 @@ def load_model(path) -> EnsembleModel:
             f"{path}: unsupported format_version {doc.get('format_version')}")
     try:
         return _model_from_dict(doc)
-    except KeyError as exc:
-        raise ModelFormatError(f"{path}: missing key {exc}") from None
     except ValueError as exc:           # ModelFormatError included
         raise ModelFormatError(f"{path}: {exc}") from None
 
 
 def _model_from_dict(doc: dict) -> EnsembleModel:
-    n_classes = doc["n_classes"]
-    n_features = doc["n_features"]
+    (_, _, n_classes, n_features, names, raw_config, raw_std, raw_box,
+     raw_learners) = _record(doc, "model file")
     if not (_is_int(n_classes) and n_classes >= 2):
         raise ModelFormatError(
             f"n_classes must be an integer >= 2, got {n_classes!r}")
     if not (_is_int(n_features) and n_features >= 1):
         raise ModelFormatError(
             f"n_features must be an integer >= 1, got {n_features!r}")
-    names = doc.get("class_names")
     if names is not None and not (
             isinstance(names, list) and len(names) == n_classes
             and all(isinstance(name, str) for name in names)
             and len(set(names)) == n_classes):
         raise ModelFormatError(
             f"class_names must be {n_classes} unique strings, got {names!r}")
-    raw_learners = doc["learners"]
     if not (isinstance(raw_learners, list) and raw_learners
             and all(isinstance(raw, dict) for raw in raw_learners)):
         raise ModelFormatError("learners must be a non-empty list of objects")
-    raw_config = _object(doc["config"], "config")
-    if not (_is_int(raw_config["m"]) and raw_config["m"] == len(raw_learners)):
-        raise ModelFormatError(
-            f"config.m is {raw_config['m']!r} but the file holds "
-            f"{len(raw_learners)} learners")
-    config = _config_from_dict(raw_config)
-    raw_std = _object(doc["standardizer"], "standardizer")
-    standardizer = Standardizer(
-        mean=_vector(raw_std["mean"], "standardizer mean", n_features),
-        std=_vector(raw_std["std"], "standardizer std", n_features),
-    )
+    config = _read_config(EnsembleConfig, raw_config, "config")
+    if config.m != len(raw_learners):
+        raise ModelFormatError(f"config.m is {config.m} but the file holds "
+                               f"{len(raw_learners)} learners")
+    standardizer = Standardizer(**_vectors(raw_std, "standardizer",
+                                           n_features))
     if not (standardizer.std > 0).all():
         raise ModelFormatError("standardizer std must be > 0 throughout")
-    raw_box = _object(doc["support"], "support box")
-    support = SupportBox(
-        low=_vector(raw_box["low"], "support box low", n_features),
-        high=_vector(raw_box["high"], "support box high", n_features),
-    )
+    support = SupportBox(**_vectors(raw_box, "support box", n_features))
     learners = []
     for i, raw in enumerate(raw_learners):
         try:

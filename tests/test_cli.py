@@ -392,33 +392,58 @@ def test_model_without_box_or_with_stale_key_exits_1(pipeline_dir, tmp_path,
     assert err == f"error: {model}: {message}\n"
 
 
-# each config block of a model file, and the class whose fields it holds
-_CONFIG_BLOCKS = {"config": EnsembleConfig, "config.base": LearnerConfig,
-                  "config.base.tree": TreeParams,
-                  "config.base.gradient": GradientParams}
+# each object of a model file: the test file that holds it, where, the name
+# its errors give and its keys. A config block's keys are its class's
+# fields. format, format_version and a member's type are read before the
+# object's keys and have their own messages, so they are left out here.
+_OBJECTS = {
+    **{block: ("model.json", block.split("."), cls.__name__,
+               [f.name for f in dataclasses.fields(cls)])
+       for block, cls in (("config", EnsembleConfig),
+                          ("config.base", LearnerConfig),
+                          ("config.base.tree", TreeParams),
+                          ("config.base.gradient", GradientParams))},
+    "top": ("model.json", [], "model file",
+            ["n_classes", "n_features", "class_names", "config",
+             "standardizer", "support", "learners"]),
+    "standardizer": ("model.json", ["standardizer"], "standardizer",
+                     ["mean", "std"]),
+    "support": ("model.json", ["support"], "support box", ["low", "high"]),
+    "tree-member": ("model.json", ["learners", 0], "tree member",
+                    ["nodes", "converged", "seed_used"]),
+    "linear-member": ("linear.json", ["learners", 0], "linear member",
+                      ["kind", "weights", "bias", "converged", "seed_used"]),
+    # linear.json with its first member replaced by a constant one
+    "constant-member": ("linear.json", ["learners", 0], "constant member",
+                        ["label", "converged", "seed_used"]),
+}
 
 
 @pytest.mark.parametrize("block,key", [
-    *(pytest.param(block, f.name, id=f"missing-{block}.{f.name}")
-      for block, cls in _CONFIG_BLOCKS.items()
-      for f in dataclasses.fields(cls)),
-    *(pytest.param(block, None, id=f"extra-{block}")
-      for block in _CONFIG_BLOCKS),
+    *(pytest.param(block, key, id=f"missing-{block}.{key}")
+      for block, (*_, keys) in _OBJECTS.items() for key in keys),
+    *(pytest.param(block, None, id=f"extra-{block}") for block in _OBJECTS),
 ])
 def test_config_block_holds_its_fields_and_no_other_key(
         pipeline_dir, tmp_path, capsys, block, key):
-    # one rule for every config block: each field of its class is present,
-    # and no other key is
-    doc = json.loads((pipeline_dir / "model.json").read_text())
+    # one rule for every object of a model file, config blocks included:
+    # each of its keys is present, and no other key is
+    name, where, owner, _ = _OBJECTS[block]
+    doc = json.loads((pipeline_dir / name).read_text())
+    if block == "constant-member":
+        doc["learners"][0] = {"type": "constant", "label": 1,
+                              "converged": True, "seed_used": 0}
     raw = doc
-    for name in block.split("."):
-        raw = raw[name]
+    for step in where:
+        raw = raw[step]
     if key is None:
         raw["extra"] = 0
-        message = f"unknown {_CONFIG_BLOCKS[block].__name__} fields ['extra']"
+        message = f"unknown {owner} fields ['extra']"
     else:
         del raw[key]
         message = f"missing key {key!r}"
+    if where[0:1] == ["learners"]:
+        message = f"learner 0: {message}"
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc))
     data = pipeline_dir / "data"
@@ -893,6 +918,23 @@ def test_no_declared_unknown_app_ids_leaves_train_unchanged(
         assert code == 0, err
     assert (tmp_path / "train.csv.model").read_bytes() == \
         (overlap_dir / "model.json").read_bytes()
+
+
+def test_misspelt_manifest_key_fails_train(overlap_dir, tmp_path, capsys):
+    # read as absent, a misspelt unknown_app_ids would let train fit the
+    # rows of the app it names
+    doc = json.loads((overlap_dir / "manifest.json").read_text())
+    del doc["unknown_app_ids"]
+    doc["unknown_app_id"] = ["known-0"]
+    manifest, out = tmp_path / "manifest.json", tmp_path / "model.json"
+    manifest.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, "train",
+                            "--data", str(overlap_dir / "train.csv"),
+                            "--manifest", str(manifest), "--out", str(out),
+                            "--m", "3")
+    assert code == 1 and stdout == "" and not out.exists()
+    assert err == (f"error: {manifest}: unknown manifest fields "
+                   f"['unknown_app_id']\n")
 
 
 def _predict_with_warnings_as_errors(model, data, manifest):

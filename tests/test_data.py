@@ -168,10 +168,10 @@ def _write_csv_row_by_row(data, path, schema):
                              data.app_ids[i]])
 
 
-# text that csv.writer quotes or escapes, and non-ASCII text
+# text that csv.writer quotes or escapes, and non-ASCII text, without
+# the surrounding whitespace load_csv strips
 TRICKY = st.text(st.sampled_from(list('ab ,"\r\né€😀')), min_size=1,
-                 max_size=6)
-CLASS_NAME = TRICKY.filter(lambda s: s == s.strip())
+                 max_size=6).filter(lambda s: s == s.strip())
 
 
 @settings(max_examples=40)
@@ -182,7 +182,7 @@ CLASS_NAME = TRICKY.filter(lambda s: s == s.strip())
        special=st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
                                   FINITE), max_size=8),
        apps=st.lists(TRICKY, min_size=1, max_size=4),
-       names=st.lists(CLASS_NAME, min_size=2, max_size=2, unique=True),
+       names=st.lists(TRICKY, min_size=2, max_size=2, unique=True),
        seed=st.integers(0, 2**32 - 1))
 @example(n=_WRITE_BLOCK + 1, d=8,
          special=[(0.0, -0.0), (0.1, 5e-324), (0.2, 1e-05), (0.3, 1e16),
@@ -230,6 +230,29 @@ def test_write_csv_rejects_a_schema_without_every_class(tmp_path):
         write_csv(data, p, SCHEMA)
     assert str(info.value) == "schema names 2 classes for data with label 2"
     assert not p.exists()
+
+
+@pytest.mark.parametrize("app_id", [" calc", "  ", "calc\n"])
+def test_write_csv_rejects_an_app_id_it_cannot_read_back(tmp_path, app_id):
+    # load_csv strips every cell: " calc" would read back as "calc", and
+    # "  " as an empty app id, which fails the load
+    data = Dataset(x=np.zeros((3, 2)), y=np.array([0, 1, 0]),
+                   app_ids=("calc", app_id, app_id), n_classes=2)
+    p = tmp_path / "d.csv"
+    with pytest.raises(ValueError) as info:
+        write_csv(data, p, SCHEMA)
+    assert str(info.value) == ("app ids must be without surrounding "
+                               f"whitespace, got {app_id!r}")
+    assert not p.exists()
+
+
+def test_schema_with_a_class_named_twice_rejected():
+    # load_csv would read both classes' rows as the later class
+    with pytest.raises(ValueError) as info:
+        CsvSchema(label_column="label", app_id_column="app",
+                  feature_columns=("f0",), class_names=("benign", "benign"))
+    assert str(info.value) == \
+        "classes must be unique, got ['benign', 'benign']"
 
 
 CELL = st.one_of(FINITE.map(repr),

@@ -1,5 +1,8 @@
+import functools
 import json
 import math
+import operator
+import re
 import warnings
 from dataclasses import replace
 
@@ -91,18 +94,24 @@ def logistic_doc(tmp_path_factory):
     return json.loads(path.read_text())
 
 
+def _constant(label):
+    """A constant member, as a file holds it, with ``label``."""
+    return {"type": "constant", "label": label, "converged": True,
+            "seed_used": 0}
+
+
 @pytest.mark.parametrize("member,message", [
-    ({"weights": [2.0 ** 510] * 3},
+    (lambda linear: {**linear, "weights": [2.0 ** 510] * 3},
      "learner 0: weights must sum in magnitude to at most 2**511"),
-    ({"type": "constant", "label": 2},
+    (lambda linear: _constant(2),
      "learner 0: constant learner label 2 is not a class index below 2"),
-    ({"type": "constant", "label": -1},
+    (lambda linear: _constant(-1),
      "learner 0: constant learner label -1 is not a class index below 2"),
 ], ids=["weights-past-2-511", "constant-label-2", "constant-label-negative"])
 def test_member_out_of_range_rejected(logistic_doc, tmp_path, member,
                                       message):
     doc = json.loads(json.dumps(logistic_doc))
-    doc["learners"][0].update(member)
+    doc["learners"][0] = member(doc["learners"][0])
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError) as info:
@@ -218,7 +227,8 @@ def _paths(doc, path=()):
 @pytest.fixture(scope="module")
 def saved_docs(tmp_path_factory):
     """A hard-vote tree model and a soft-average logistic model, as their
-    saved JSON documents, each with the paths of all its values."""
+    saved JSON documents, each with the paths of all its values and of all
+    its objects, the document itself included."""
     data = make_binary_dataset(n=60, d=3, separation=1.0, seed=4)
     root = tmp_path_factory.mktemp("mutations")
     docs = {}
@@ -227,11 +237,15 @@ def saved_docs(tmp_path_factory):
                                    posterior_mode=mode), data)
         save_model(model, root / f"{kind}.json")
         doc = json.loads((root / f"{kind}.json").read_text())
-        docs[kind] = doc, _paths(doc)
+        paths = _paths(doc)
+        objects = [()] + [p for p in paths
+                          if isinstance(functools.reduce(operator.getitem,
+                                                         p, doc), dict)]
+        docs[kind] = doc, paths, objects
     return root, docs
 
 
-_DELETE = object()
+_DELETE, _ADD = object(), object()
 # other JSON types, and numbers at the ends of float's range and past
 # int64's; json writes and reads inf and nan too
 _REPLACEMENTS = [_DELETE, None, True, False, 0, 1, -1, 0.5, -0.0, 5e-324,
@@ -241,23 +255,33 @@ _REPLACEMENTS = [_DELETE, None, True, False, 0, 1, -1, 0.5, -0.0, 5e-324,
 
 @settings(max_examples=400)
 @given(kind=st.sampled_from(["tree", "logistic"]), data=st.data(),
-       value=st.sampled_from(_REPLACEMENTS))
+       value=st.sampled_from([_ADD, *_REPLACEMENTS]))
 def test_mutated_model_fails_cleanly_or_predicts(saved_docs, kind, data,
                                                  value):
     # one field replaced by another JSON type or an extreme number, or
-    # deleted: the loader raises ModelFormatError, or its model predicts
+    # deleted: the loader raises ModelFormatError, or its model predicts;
+    # a key added to any object, even one another object holds: the
+    # loader raises ModelFormatError
     root, docs = saved_docs
-    doc, paths = docs[kind]
-    *parents, key = data.draw(st.sampled_from(paths), label="path")
+    doc, paths, objects = docs[kind]
     doc = json.loads(json.dumps(doc))
-    block = doc
-    for name in parents:
-        block = block[name]
+    path = root / "mutated.json"
+    if value is _ADD:
+        where = data.draw(st.sampled_from(objects), label="object")
+        block = functools.reduce(operator.getitem, where, doc)
+        names = sorted({p[-1] for p in paths if type(p[-1]) is str} - {*block})
+        block[data.draw(st.sampled_from(["x", *names]), label="key")] = 0
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError,
+                           match=rf"^{re.escape(str(path))}: "):
+            load_model(path)
+        return
+    *where, key = data.draw(st.sampled_from(paths), label="path")
+    block = functools.reduce(operator.getitem, where, doc)
     if value is _DELETE:
         del block[key]
     else:
         block[key] = value
-    path = root / "mutated.json"
     path.write_text(json.dumps(doc))
     rows = np.random.default_rng(0).normal(0.0, 2.0,
                                            size=(LEVEL_WALK_ROWS + 6, 3))
