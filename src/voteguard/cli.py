@@ -48,7 +48,12 @@ def _ensemble_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--log-base", choices=("2", "e"),
         default=persist.log_base_tag(EnsembleConfig.entropy_log_base))
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help="threads that fit tree members (linear members fit one at a "
+             "time); threads pay only on large inputs and up to the core "
+             "count: see the measured thread table in README's Library "
+             "overview")
 
 
 def _ensemble_config(args, m: int = EnsembleConfig.m) -> EnsembleConfig:

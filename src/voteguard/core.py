@@ -19,8 +19,12 @@ UNLABELED = -1
 
 @dataclass(frozen=True)
 class Dataset:
-    """A column-major view of samples: features, labels, app identities.
+    """Samples: features, labels, app identities.
 
+    ``x`` is kept C- or F-contiguous as it is given; any other layout is
+    stored as a C-contiguous copy. ``ensemble.fit`` stores its standardized
+    features F-contiguous, so that :attr:`columns` is a view of them and
+    the fit holds one standardized copy. No result depends on the layout.
     ``y`` uses ``UNLABELED`` (-1) for samples without a label. Instances
     are immutable after construction and safe to share across workers.
     """
@@ -32,7 +36,9 @@ class Dataset:
     class_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        x = np.ascontiguousarray(np.asarray(self.x, dtype=np.float64))
+        x = np.asarray(self.x, dtype=np.float64)
+        if not (x.flags.c_contiguous or x.flags.f_contiguous):
+            x = np.ascontiguousarray(x)
         y = np.asarray(self.y, dtype=np.int64)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -64,9 +70,10 @@ class Dataset:
     @cached_property
     def columns(self) -> np.ndarray:
         """``(d, n)``: row f holds feature f of every sample, contiguous,
-        so a gather along one feature reads only that feature. Computed on
-        first use and kept, so every tree fitted on this dataset shares
-        one copy. Read-only."""
+        so a gather along one feature reads only that feature. A view of
+        ``x`` when ``x`` is F-contiguous, else a copy; made on first use
+        and kept, so every tree fitted on this dataset shares it.
+        Read-only."""
         columns = np.ascontiguousarray(self.x.T)
         columns.flags.writeable = False
         return columns

@@ -64,6 +64,9 @@ class Standardizer:
     def fit(cls, x: np.ndarray) -> "Standardizer":
         """Raises ValueError when a feature's values are finite but so large
         that their mean or standard deviation overflows."""
+        # the reductions sum in an order set by the memory layout, so they
+        # always run over C order: the same values give the same bits
+        x = np.ascontiguousarray(x)
         with np.errstate(over="ignore", invalid="ignore"):
             mean = x.mean(axis=0)
             std = x.std(axis=0)
@@ -193,8 +196,8 @@ class EnsembleModel:
 def fit(config: EnsembleConfig, data: Dataset, n_workers: int = 1) -> EnsembleModel:
     """Train M learners on bootstrap replicates of the standardized data.
     A replicate is a draw of row indices into the one standardized
-    dataset, so no member copies the data, and trees share one presort and
-    one column-major copy of the features.
+    dataset, so no member copies the data. That dataset is stored once,
+    column-major, and trees share it and one presort of it.
 
     Tree members are fitted by ``n_workers`` threads, linear members one
     after another. The result is identical for any ``n_workers``: every
@@ -209,8 +212,9 @@ def fit(config: EnsembleConfig, data: Dataset, n_workers: int = 1) -> EnsembleMo
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
 
     standardizer = Standardizer.fit(data.x)
-    scaled = Dataset(x=standardizer.transform(data.x), y=data.y,
-                     app_ids=data.app_ids, n_classes=data.n_classes,
+    # F order: the trees' column view (Dataset.columns) is then this array
+    scaled = Dataset(x=np.asfortranarray(standardizer.transform(data.x)),
+                     y=data.y, app_ids=data.app_ids, n_classes=data.n_classes,
                      class_names=data.class_names)
     n = len(scaled)
 
@@ -308,12 +312,16 @@ def predict(model: EnsembleModel, x) -> Prediction:
 
 
 def rejected(pred: Prediction, threshold: float):
-    """The gating rule, for one prediction or a batch: reject iff the
-    entropy strictly exceeds ``threshold``, a finite number >= 0, or the
-    input lies outside the training box."""
+    """The gating rule, for one prediction (a bool) or a batch (a bool
+    array): reject iff the entropy strictly exceeds ``threshold``, a finite
+    number >= 0, or the input lies outside the training box."""
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be a finite number >= 0, got {threshold}")
-    return (pred.entropy > threshold) | np.logical_not(pred.support)
+    if isinstance(pred.entropy, np.ndarray):
+        return (pred.entropy > threshold) | np.logical_not(pred.support)
+    # one prediction: a Python bool, with no numpy call for a float
+    # threshold (bool() turns a numpy one's comparison into a Python bool)
+    return bool(pred.entropy > threshold) or not pred.support
 
 
 def gate(model: EnsembleModel, x, threshold: float) -> Verdict:

@@ -70,8 +70,10 @@ class LearnerConfig:
 
 def check_features(x, n_features: int, finite: bool = True) -> np.ndarray:
     """``x`` as float64, one sample ``(d,)`` or a batch ``(n, d)``; raises
-    ValueError on any other shape or, if ``finite``, a non-finite value."""
-    x = np.asarray(x, dtype=np.float64)
+    ValueError on any other shape or, if ``finite``, a non-finite value.
+    The result is C-contiguous: a linear member's ``np.vecdot`` sums in an
+    order set by the layout, and the same values must give the same bits."""
+    x = np.asarray(x, dtype=np.float64, order="C")
     if x.ndim not in (1, 2) or x.shape[-1] != n_features:
         raise ValueError(f"expected {n_features} features, got shape {x.shape}")
     # one sample is checked in Python: for d values this costs a quarter
@@ -183,8 +185,8 @@ def best_split(x, y, feature_indices, n_classes, orders=None,
             # every value differs from the next: no gather, and a slice
             n_edges, boundaries = m - 1, slice(None, -1)
         else:
-            # gathers along one column: x[:, f] is contiguous when x is the
-            # transpose of a column-major copy such as Dataset.columns
+            # gathers along one column: x[:, f] is contiguous when x is
+            # F-contiguous, as the Dataset.columns.T that trees pass is
             sv = x[:, f].take(order)
             edges = sv[:-1] != sv[1:]
             n_edges = np.count_nonzero(edges)

@@ -81,6 +81,51 @@ class TestDataset:
         with pytest.raises(ValueError, match="read-only"):
             data.tie_free[1] = True
 
+    def test_f_contiguous_features_kept_without_copy(self):
+        x = np.asfortranarray(np.arange(12.0).reshape(4, 3))
+        data = Dataset(x=x, y=np.zeros(4, dtype=int), app_ids=("a",) * 4,
+                       n_classes=2)
+        assert data.x is x
+        assert np.shares_memory(data.columns, x)
+        assert data.columns.flags.c_contiguous
+        assert np.array_equal(data.columns, x.T)
+        with pytest.raises(ValueError, match="read-only"):
+            data.columns[0, 0] = 1.0
+        assert x.flags.writeable              # the view alone is read-only
+
+    def test_c_contiguous_features_kept_as_given(self):
+        x = np.arange(12.0).reshape(4, 3)
+        data = Dataset(x=x, y=np.zeros(4, dtype=int), app_ids=("a",) * 4,
+                       n_classes=2)
+        assert data.x is x
+        assert data.columns.flags.c_contiguous
+        assert np.array_equal(data.columns, x.T)
+
+    @pytest.mark.parametrize("view", [lambda x: x[::2], lambda x: x[:, ::2]],
+                             ids=["rows", "columns"])
+    def test_non_contiguous_features_stored_c_contiguous(self, view):
+        x = view(np.arange(48.0).reshape(8, 6))
+        assert not (x.flags.c_contiguous or x.flags.f_contiguous)
+        data = Dataset(x=x, y=np.zeros(len(x), dtype=int),
+                       app_ids=("a",) * len(x), n_classes=2)
+        assert data.x.flags.c_contiguous
+        assert not np.shares_memory(data.x, x)
+        assert np.array_equal(data.x, x)
+
+    def test_layout_leaves_presort_and_ties_unchanged(self):
+        rng = np.random.default_rng(3)
+        # columns 0-2 have ties, column 3 has none
+        x = np.column_stack([rng.integers(0, 5, (50, 3)).astype(float),
+                             rng.permutation(50) / 7.0])
+        c, f = (Dataset(x=v, y=np.zeros(50, dtype=int), app_ids=("a",) * 50,
+                        n_classes=2)
+                for v in (x, np.asfortranarray(x)))
+        assert f.x.flags.f_contiguous and not f.x.flags.c_contiguous
+        assert c.columns.tobytes() == f.columns.tobytes()
+        assert np.array_equal(c.column_order, f.column_order)
+        assert c.tie_free.tolist() == f.tie_free.tolist() == \
+            [False, False, False, True]
+
 
 def test_every_exported_name_resolves():
     assert len(set(voteguard.__all__)) == len(voteguard.__all__)

@@ -2,7 +2,7 @@ import itertools
 import math
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,11 +11,13 @@ from hypothesis.extra.numpy import arrays
 
 from voteguard.core import Dataset
 from voteguard.ensemble import (Decision, EnsembleConfig, EnsembleModel,
-                                Standardizer, SupportBox, bootstrap_indices,
-                                entropy_of, fit, gate, predict)
+                                Prediction, Standardizer, SupportBox,
+                                bootstrap_indices, entropy_of, fit, gate,
+                                predict, rejected)
 from voteguard.learners import (LEAF, LEVEL_WALK_ROWS, ConstantLearner,
                                 LearnerConfig, TreeLearner, TreeNode,
                                 TreeParams, train)
+from voteguard.persist import save_model
 from conftest import make_binary_dataset
 from test_learners import leaf_of
 
@@ -332,6 +334,49 @@ class TestGate:
             rejected_t1 = set(np.nonzero(entropies > t1)[0])
             rejected_t2 = set(np.nonzero(entropies > t2)[0])
             assert rejected_t2 <= rejected_t1
+
+    def test_rejected_gives_a_bool_for_one_and_an_array_for_a_batch(self):
+        overlap = make_binary_dataset(n=120, d=2, separation=0.5, seed=2)
+        model = fit(EnsembleConfig(base=LearnerConfig(kind="tree"), m=15),
+                    overlap)
+        # rows just inside and just outside the box's upper edge on
+        # feature 0, beside rows whose entropies straddle each threshold
+        std, mean = model.standardizer.std, model.standardizer.mean
+        edge = model.support.high[0] * std[0] + mean[0]
+        rows = np.vstack([overlap.x[:40],
+                          [[edge - 1e-6, 0.0], [edge + 1e-6, 0.0]]])
+        batch = predict(model, rows)
+        assert batch.support.tolist() == [True] * 41 + [False]
+        entropies = sorted(set(batch.entropy.tolist()))
+        assert len(entropies) > 2
+        for t in [0.0, *entropies, *np.nextafter(entropies, -1.0)[1:]]:
+            decisions = rejected(batch, t)
+            assert isinstance(decisions, np.ndarray)
+            assert decisions.dtype == bool
+            assert decisions.tolist() == ((batch.entropy > t)
+                                          | ~batch.support).tolist()
+            ones = [rejected(predict(model, r), t) for r in rows]
+            assert all(type(one) is bool for one in ones)
+            assert ones == decisions.tolist()
+
+
+@pytest.mark.parametrize("mode", ["hard_vote", "soft_average"])
+@pytest.mark.parametrize("kind", ["tree", "logistic", "linear_svm"])
+def test_results_do_not_depend_on_memory_layout(kind, mode, tmp_path):
+    data = make_binary_dataset(n=300, d=4, separation=1.0, seed=6)
+    f_data = replace(data, x=np.asfortranarray(data.x))
+    assert not f_data.x.flags.c_contiguous
+    config = EnsembleConfig(base=LearnerConfig(kind=kind), m=7,
+                            posterior_mode=mode)
+    model = fit(config, data)
+    save_model(model, tmp_path / "c")
+    save_model(fit(config, f_data), tmp_path / "f")
+    assert (tmp_path / "c").read_bytes() == (tmp_path / "f").read_bytes()
+    rows = make_binary_dataset(n=300, d=4, separation=1.0, seed=7).x
+    c, f = predict(model, rows), predict(model, np.asfortranarray(rows))
+    for field in fields(Prediction):
+        assert np.asarray(getattr(c, field.name)).tobytes() == \
+            np.asarray(getattr(f, field.name)).tobytes(), field.name
 
 
 @pytest.fixture(scope="module")
