@@ -50,13 +50,13 @@ def _ensemble_flags(parser: argparse.ArgumentParser) -> None:
         default=persist.log_base_tag(EnsembleConfig.entropy_log_base))
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="threads that fit tree members (linear members fit one at a "
-             "time); threads pay only on large inputs and up to the core "
-             "count: see the measured thread table in README's Library "
-             "overview")
+        help="accepted and ignored, kept for existing command lines; "
+             "members are fitted one after another (must be >= 1)")
 
 
 def _ensemble_config(args, m: int = EnsembleConfig.m) -> EnsembleConfig:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     base = LearnerConfig(
         kind=args.learner,
         tree=TreeParams(max_depth=args.max_depth,
@@ -138,7 +138,7 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     config = _ensemble_config(args, args.m)
     train_data, = _load(args, known=("data",))
-    model = ensemble.fit(config, train_data, n_workers=args.workers)
+    model = ensemble.fit(config, train_data)
     persist.save_model(model, args.out)
     print(f"trained m={len(model.learners)} {args.learner} ensemble "
           f"on {len(train_data)} samples -> {args.out}")
@@ -200,8 +200,8 @@ def _cmd_sweep_size(args) -> int:
     # run_stability_sweep sets m to each size of the grid in turn
     config = _ensemble_config(args)
     train_data, eval_data = _load(args, known=("data",), other=("eval",))
-    report = harness.run_stability_sweep(config, train_data, eval_data, m_grid,
-                                         n_workers=args.workers)
+    report = harness.run_stability_sweep(config, train_data, eval_data,
+                                         m_grid)
     harness.emit_report(report, args.out, fmt=args.format)
     print(f"wrote stability sweep over M={m_grid} -> {args.out}")
     return 0
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # library parameters whose flag is not "--" + the name, "_" written "-"
-_FLAG_OF = {"n_workers": "--workers", "points": "--grid-points"}
+_FLAG_OF = {"points": "--grid-points"}
 
 
 def _naming_flag(message: str, args) -> str:

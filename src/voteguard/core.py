@@ -26,7 +26,7 @@ class Dataset:
     features F-contiguous, so that :attr:`columns` is a view of them and
     the fit holds one standardized copy. No result depends on the layout.
     ``y`` uses ``UNLABELED`` (-1) for samples without a label. Instances
-    are immutable after construction and safe to share across workers.
+    are immutable after construction.
     """
 
     x: np.ndarray                      # (n, d) float64

@@ -15,7 +15,6 @@ import enum
 import functools
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -138,8 +137,8 @@ class SupportBox:
 def child_seeds(master_seed: int, index: int) -> tuple[int, int]:
     """Derive (bootstrap seed, learner seed) for ensemble member ``index``.
 
-    Uses a SeedSequence keyed on (master_seed, index) so results do not
-    depend on the order or parallelism in which members are trained.
+    Uses a SeedSequence keyed on (master_seed, index), so member ``index``
+    is the same member in an ensemble of any size.
     """
     state = np.random.SeedSequence([master_seed, index]).generate_state(
         2, dtype=np.uint64)
@@ -193,23 +192,18 @@ class EnsembleModel:
         return self.standardizer.mean.shape[0]
 
 
-def fit(config: EnsembleConfig, data: Dataset, n_workers: int = 1) -> EnsembleModel:
-    """Train M learners on bootstrap replicates of the standardized data.
-    A replicate is a draw of row indices into the one standardized
-    dataset, so no member copies the data. That dataset is stored once,
-    column-major, and trees share it and one presort of it.
-
-    Tree members are fitted by ``n_workers`` threads, linear members one
-    after another. The result is identical for any ``n_workers``: every
-    member's replicate and learner seed derive only from (master_seed,
-    member index).
+def fit(config: EnsembleConfig, data: Dataset) -> EnsembleModel:
+    """Train M learners, one after another, on bootstrap replicates of the
+    standardized data. A replicate is a draw of row indices into the one
+    standardized dataset, so no member copies the data. That dataset is
+    stored once, column-major, and trees share it and one presort of it.
+    Every member's replicate and learner seed derive only from
+    (master_seed, member index).
     """
     if len(data) == 0:
         raise ValueError("cannot fit an ensemble on an empty dataset")
     if not data.fully_labeled:
         raise ValueError("training data contains unlabeled samples")
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
 
     standardizer = Standardizer.fit(data.x)
     # F order: the trees' column view (Dataset.columns) is then this array
@@ -217,19 +211,11 @@ def fit(config: EnsembleConfig, data: Dataset, n_workers: int = 1) -> EnsembleMo
                      y=data.y, app_ids=data.app_ids, n_classes=data.n_classes,
                      class_names=data.class_names)
     n = len(scaled)
-
-    def train_member(i: int) -> TrainedLearner:
-        idx = bootstrap_indices(config.master_seed, i, n)
+    learners = []
+    for i in range(config.m):
         _, learner_seed = child_seeds(config.master_seed, i)
-        member_config = replace(config.base, seed=learner_seed)
-        return train(member_config, scaled, idx)
-
-    # threads made linear fits slower, not faster
-    if n_workers == 1 or config.base.kind != "tree":
-        learners = [train_member(i) for i in range(config.m)]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            learners = list(pool.map(train_member, range(config.m)))
+        learners.append(train(replace(config.base, seed=learner_seed), scaled,
+                              bootstrap_indices(config.master_seed, i, n)))
 
     return EnsembleModel(learners=tuple(learners), standardizer=standardizer,
                          config=config, n_classes=data.n_classes,
@@ -242,8 +228,11 @@ def entropy_of(dist, log_base: float = 2.0):
     each row of ``(n, K)`` (an array), with 0*log(0) = 0.
 
     The result is clamped to [0, log_base(K)] so downstream threshold
-    comparisons never see negative-zero or rounding overshoot.
+    comparisons never see negative-zero or rounding overshoot. ``log_base``
+    must be 2 or e, as in :class:`EnsembleConfig`.
     """
+    if log_base not in (2.0, math.e):
+        raise ValueError(f"log_base must be 2 or e, got {log_base}")
     p = np.asarray(dist, dtype=np.float64)
     if (p < 0).any():
         raise ValueError("probability vector has a negative entry")

@@ -153,8 +153,8 @@ def run_threshold_sweep(model: EnsembleModel, taxonomy: DatasetTaxonomy,
 
 
 def run_stability_sweep(config: EnsembleConfig, data: Dataset,
-                        eval_set: Dataset, m_grid: list[int],
-                        n_workers: int = 1) -> StabilityReport:
+                        eval_set: Dataset,
+                        m_grid: list[int]) -> StabilityReport:
     """Summarize prediction entropy over a fixed evaluation set for the
     ensemble of each size M in ``m_grid``, one or more strictly increasing
     sizes >= 1 (same master seed and base config; ``config.m`` unused)."""
@@ -167,7 +167,7 @@ def run_stability_sweep(config: EnsembleConfig, data: Dataset,
 
     # member i depends only on (master_seed, i), so the first m members of
     # the largest ensemble are the ensemble of size m
-    full = fit(replace(config, m=m_grid[-1]), data, n_workers=n_workers)
+    full = fit(replace(config, m=m_grid[-1]), data)
     points = []
     for m in m_grid:
         model = replace(full, learners=full.learners[:m],

@@ -624,12 +624,14 @@ def train(config: LearnerConfig, data: Dataset, rows=None) -> TrainedLearner:
     A learner that hits max_iters without meeting the tolerance is returned
     with converged=False, never raised.
     """
-    rows = (np.arange(len(data)) if rows is None
-            else np.asarray(rows, dtype=np.int64))
+    rows = np.arange(len(data)) if rows is None else np.asarray(rows)
     if rows.size == 0:
         raise ValueError("cannot train on an empty dataset")
-    if rows.ndim != 1 or rows.min() < 0 or rows.max() >= len(data):
+    # a float or bool array would index other rows than it names
+    if (rows.dtype.kind not in "iu" or rows.ndim != 1 or rows.min() < 0
+            or rows.max() >= len(data)):
         raise ValueError(f"rows must be a list of indices below {len(data)}")
+    rows = rows.astype(np.int64, copy=False)
     if np.any(data.y[rows] == UNLABELED):
         raise ValueError("training data contains unlabeled samples")
     if config.kind == "tree":

@@ -93,6 +93,22 @@ def test_sweep_size_end_to_end(pipeline_dir, capsys):
     assert len(lines) == 3
 
 
+def test_sweep_size_ignores_workers(pipeline_dir, tmp_path, capsys):
+    data = pipeline_dir / "data"
+    reports = []
+    for workers in ("1", "8"):
+        out = tmp_path / f"stability-{workers}.json"
+        code, _, _ = run(capsys, "sweep-size",
+                         "--data", str(data / "train.csv"),
+                         "--eval", str(data / "test_known.csv"),
+                         "--manifest", str(data / "manifest.json"),
+                         "--m-grid", "2,4,8", "--out", str(out),
+                         "--workers", workers)
+        assert code == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_predict_prints_labels_and_entropy(pipeline_dir, capsys):
     data = pipeline_dir / "data"
     code, out, _ = run(capsys, "predict",

@@ -1,6 +1,5 @@
 import itertools
 import math
-import sys
 import warnings
 from dataclasses import fields, replace
 
@@ -48,6 +47,14 @@ class TestEntropyOf:
     def test_nan_row_rejected(self):
         with pytest.raises(ValueError, match="sums to nan, not 1"):
             entropy_of([[0.5, 0.5], [math.nan, 1.0]])
+
+    @pytest.mark.parametrize("log_base", [10, 0.5, 1])
+    def test_log_base_other_than_2_or_e_rejected(self, log_base):
+        # base 10 would take natural logs, 0.5 would clamp to -1 and 1
+        # would divide by zero
+        with pytest.raises(ValueError,
+                           match=f"log_base must be 2 or e, got {log_base}"):
+            entropy_of([0.9, 0.1], log_base)
 
     @given(st.integers(2, 6), st.integers(0, 10 ** 9))
     def test_bounds_hold(self, k, seed):
@@ -172,38 +179,6 @@ class TestFit:
         fractions = [np.unique(bootstrap_indices(11, i, n)).size / n
                      for i in range(100)]
         assert np.mean(fractions) == pytest.approx(0.632, abs=0.03)
-
-    def test_worker_count_does_not_change_model(self, small_dataset):
-        config = EnsembleConfig(base=LearnerConfig(kind="tree"), m=10,
-                                master_seed=5)
-        a = fit(config, small_dataset, n_workers=1)
-        b = fit(config, small_dataset, n_workers=8)
-        for x in small_dataset.x:
-            assert predict(a, x).per_learner_labels == \
-                predict(b, x).per_learner_labels
-
-    def test_threads_sharing_one_presort_build_the_serial_trees(self):
-        # all members read the presort that the first of them caches on
-        # the shared standardized data; switch threads as often as possible
-        data = make_binary_dataset(n=300, d=4, seed=3)
-        config = EnsembleConfig(base=LearnerConfig(kind="tree"), m=16,
-                                master_seed=2)
-        serial = fit(config, data)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = fit(config, data, n_workers=8)
-        finally:
-            sys.setswitchinterval(interval)
-        for a, b in zip(serial.learners, threaded.learners):
-            assert [(n.feature, n.threshold, n.left, n.right) for n in a.nodes] \
-                == [(n.feature, n.threshold, n.left, n.right) for n in b.nodes]
-
-    def test_worker_count_below_one_rejected(self, small_dataset):
-        config = EnsembleConfig(base=LearnerConfig(kind="tree"), m=2)
-        for n_workers in (0, -3):
-            with pytest.raises(ValueError, match="n_workers"):
-                fit(config, small_dataset, n_workers=n_workers)
 
     def test_seed_isolation(self, small_dataset):
         n = len(small_dataset)

@@ -611,6 +611,18 @@ def test_rows_out_of_range_rejected(small_dataset):
         train(LearnerConfig(kind="tree"), small_dataset, [])
 
 
+def test_rows_not_integers_rejected(small_dataset):
+    # [0.5, 1.7] would fit rows 0 and 1, the mask [True, False] rows 1 and 0
+    config = LearnerConfig(kind="tree")
+    for rows in ([0.5, 1.7], [True, False], np.array([0.0, 1.0])):
+        with pytest.raises(ValueError, match="rows must be a list of indices"):
+            train(config, small_dataset, rows)
+    for dtype in (np.int32, np.uint64):
+        assert_same_learner(
+            train(config, small_dataset, np.array([0, 1, 1], dtype=dtype)),
+            train(config, small_dataset, [0, 1, 1]))
+
+
 @pytest.mark.parametrize("field_name", ["tolerance", "l2"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_gradient_params_rejected(field_name, value):
