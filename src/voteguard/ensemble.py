@@ -84,16 +84,14 @@ class Standardizer:
         return float(room.min())
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        """``(x - mean) / std`` for ``(d,)`` or ``(n, d)``. Raises
-        ValueError on a non-finite value. A finite value whose ``|z|``
-        exceeds ``_Z_MAX`` (about 6.7e153), overflowing or not, gets
-        ``z = +-_Z_MAX``, which lies outside any training box."""
+        """``(x - mean) / std`` for ``(d,)`` or ``(n, d)``, by one test and
+        one formula for both. Raises ValueError on a non-finite value. A
+        finite value whose ``|z|`` exceeds ``_Z_MAX`` (about 6.7e153),
+        overflowing or not, gets ``z = +-_Z_MAX``, outside any training box."""
         bound = self._safe_bound
-        # the one test on the common path, in Python for one sample and
-        # with no temporary array for a batch; NaN fails every comparison
-        # and the sum of |x| propagates it, so a non-finite x fails it too
-        if (sum(map(abs, x.tolist())) <= bound if x.ndim == 1 else
-                -bound <= x.min(initial=0.0) and x.max(initial=0.0) <= bound):
+        # the one test on the common path, with no temporary array; NaN
+        # fails every comparison, so a non-finite x fails it too
+        if -bound <= x.min(initial=0.0) and x.max(initial=0.0) <= bound:
             return (x - self.mean) / self.std
         if not np.isfinite(x).all():
             raise ValueError("input contains non-finite values")
@@ -124,13 +122,8 @@ class SupportBox:
 
     def contains(self, z: np.ndarray):
         """Whether every feature of ``z`` (standardized) lies inside the
-        box: a bool for one sample ``(d,)``, tested in Python, and an
-        ``(n,)`` array for a batch ``(n, d)``."""
-        if z.ndim == 1:
-            low, high = self._bounds
-            v = z.tolist()
-            return (all(map(operator.le, low, v))
-                    and all(map(operator.le, v, high)))
+        box, over the last axis: a numpy bool for one sample ``(d,)`` and
+        an ``(n,)`` array for a batch ``(n, d)``."""
         return ((z >= self.low) & (z <= self.high)).all(axis=-1)
 
 
@@ -257,6 +250,30 @@ def _counted_posterior(counts: tuple[int, ...], m: int, log_base: float):
     return tuple(dist.tolist()), float(entropy_of(dist, log_base))
 
 
+def _predict_one(model: EnsembleModel, x: np.ndarray) -> Prediction:
+    """:func:`predict` for one checked sample ``(d,)``, in Python types,
+    equal bit for bit to the sample's row of a batch. Its d values are
+    summed, counted and compared in Python, cheaper than numpy for so few."""
+    std = model.standardizer
+    # NaN fails the test; transform raises on it and on +-inf, and clamps
+    z = ((x - std.mean) / std.std if sum(map(abs, x.tolist())) <=
+         std._safe_bound else std.transform(x))
+    labels = [l.predict_label(z) for l in model.learners]
+    log_base = model.config.entropy_log_base
+    if model.config.posterior_mode == HARD_VOTE:
+        counts = [labels.count(c) for c in range(model.n_classes)]
+        dist, h = _counted_posterior(tuple(counts), len(labels), log_base)
+        # a new array, so a caller may write to it
+        dist, label = np.array(dist), counts.index(max(counts))
+    else:
+        dist = np.mean([l.predict_proba(z) for l in model.learners], axis=0)
+        h, label = float(entropy_of(dist, log_base)), int(dist.argmax())
+    (low, high), v = model.support._bounds, z.tolist()
+    inside = all(map(operator.le, low, v)) and all(map(operator.le, v, high))
+    return Prediction(vote_distribution=dist, per_learner_labels=tuple(labels),
+                      entropy=h, label=label, support=inside)
+
+
 def predict(model: EnsembleModel, x) -> Prediction:
     """Vote distribution, entropy, argmax label and training-box support
     for one sample ``(d,)``, or for each row of a batch ``(n, d)``; see
@@ -265,39 +282,22 @@ def predict(model: EnsembleModel, x) -> Prediction:
     the entropy is :func:`entropy_of` of it in both modes."""
     # the standardizer checks finiteness
     x = check_features(x, model.n_features, finite=False)
+    if x.ndim == 1:
+        return _predict_one(model, x)
     z = model.standardizer.transform(x)
-    labels = [l.predict_label(z) for l in model.learners]
-    m, k = len(labels), model.n_classes
-    log_base = model.config.entropy_log_base
-    if x.ndim == 1 and model.config.posterior_mode == HARD_VOTE:
-        # one sample's votes are counted in Python, with no tiny arrays;
-        # its distribution is a new array, so a caller may write to it
-        counts = [labels.count(c) for c in range(k)]
-        dist, h = _counted_posterior(tuple(counts), m, log_base)
-        return Prediction(vote_distribution=np.array(dist),
-                          per_learner_labels=tuple(labels), entropy=h,
-                          label=counts.index(max(counts)),
-                          support=model.support.contains(z))
-    n = len(x) if x.ndim == 2 else 1
-    votes = np.array(labels).reshape(m, n)
+    votes = np.array([l.predict_label(z) for l in model.learners])
+    (m, n), k = votes.shape, model.n_classes
     if model.config.posterior_mode == HARD_VOTE:
         # row i's votes land in bincount slots i*K .. i*K + K-1
         slots = votes + np.arange(0, n * k, k)
         counts = np.bincount(slots.ravel(), minlength=n * k).reshape(n, k)
         dist = counts / m
     else:
-        dist = np.mean([l.predict_proba(z) for l in model.learners],
-                       axis=0).reshape(n, k)
-    h = entropy_of(dist, log_base)
-    label = dist.argmax(axis=1)
-    inside = model.support.contains(z)
-    if x.ndim == 1:
-        return Prediction(vote_distribution=dist[0],
-                          per_learner_labels=tuple(labels),
-                          entropy=float(h[0]), label=int(label[0]),
-                          support=bool(inside))
+        dist = np.mean([l.predict_proba(z) for l in model.learners], axis=0)
     return Prediction(vote_distribution=dist, per_learner_labels=votes.T,
-                      entropy=h, label=label, support=inside)
+                      entropy=entropy_of(dist, model.config.entropy_log_base),
+                      label=dist.argmax(axis=1),
+                      support=model.support.contains(z))
 
 
 def rejected(pred: Prediction, threshold: float):
@@ -316,7 +316,10 @@ def rejected(pred: Prediction, threshold: float):
 def gate(model: EnsembleModel, x, threshold: float) -> Verdict:
     """Accept the ensemble's label for one sample ``(d,)`` unless its
     entropy strictly exceeds ``threshold`` or it lies outside the training
-    box."""
+    box. A batch ``(n, d)``, even of one row, raises ValueError."""
+    if np.ndim(x) != 1:
+        raise ValueError(f"gate takes one sample of shape "
+                         f"({model.n_features},), got shape {np.shape(x)}")
     pred = predict(model, x)
     decision = (Decision.REJECT if rejected(pred, threshold)
                 else Decision.ACCEPT)

@@ -76,11 +76,7 @@ def check_features(x, n_features: int, finite: bool = True) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64, order="C")
     if x.ndim not in (1, 2) or x.shape[-1] != n_features:
         raise ValueError(f"expected {n_features} features, got shape {x.shape}")
-    # one sample is checked in Python: for d values this costs a quarter
-    # of a numpy reduction, and each linear or constant member of an
-    # ensemble checks it (a tree member checks its sample itself)
-    if finite and not (all(map(math.isfinite, x.tolist())) if x.ndim == 1
-                       else np.isfinite(x).all()):
+    if finite and not np.isfinite(x).all():
         raise ValueError("input contains non-finite values")
     return x
 

@@ -313,7 +313,9 @@ def test_overflowing_input_is_rejected_not_an_error(pipeline_dir, tmp_path,
             assert code == 0 and err == "" and sweep.exists()
 
 
-# flags whose bad value the library rejects under its own parameter name
+# training flags with a bad value: the library rejects each under its own
+# parameter name, except --workers, which the CLI checks itself since the
+# library has no worker count
 _TRAINING_FLAGS = [("--m", "0"), ("--workers", "0"), ("--max-depth", "0"),
                    ("--min-samples-split", "1"), ("--max-iters", "0"),
                    ("--tolerance", "0"), ("--l2", "-1")]

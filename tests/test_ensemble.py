@@ -257,6 +257,15 @@ class TestGate:
         assert np.array_equal(verdict.prediction.vote_distribution, votes)
         assert verdict.prediction.entropy == entropy_of(votes) == 0.0
 
+    def test_batch_refused_with_its_shape(self, small_dataset):
+        model = fit(EnsembleConfig(base=LearnerConfig(kind="tree"), m=3),
+                    small_dataset)
+        for n in (2, 1):
+            with pytest.raises(ValueError) as info:
+                gate(model, small_dataset.x[:n], threshold=0.5)
+            assert str(info.value) == (f"gate takes one sample of shape "
+                                       f"(2,), got shape ({n}, 2)")
+
     def test_non_finite_input_raises(self, small_dataset):
         model = fit(EnsembleConfig(base=LearnerConfig(kind="tree"), m=3),
                     small_dataset)
@@ -369,7 +378,8 @@ def fitted_models():
 @given(rows=arrays(np.float64,
                    st.tuples(st.integers(1, 9) | st.just(LEVEL_WALK_ROWS),
                              st.just(3)),
-                   elements=st.floats(-12, 12)))
+                   elements=st.floats(-12, 12) | st.sampled_from(
+                       [1e300, -1e300, 1.79e308, -1.79e308, 7e153, -7e153])))
 def test_batch_rows_equal_single_samples(fitted_models, kind, mode, rows):
     model = fitted_models[kind]
     model = replace(model, config=replace(model.config, posterior_mode=mode))
