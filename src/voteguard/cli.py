@@ -8,7 +8,6 @@ produces byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -115,22 +114,14 @@ def _cmd_synth(args) -> int:
     schema = datamod.CsvSchema(
         label_column="label", app_id_column="app_id",
         feature_columns=tuple(f"f{i}" for i in range(spec.d)),
-        class_names=("benign", "malware"))
+        class_names=taxonomy.train.class_names)
     datamod.write_csv(taxonomy.train, out / "train.csv", schema)
     datamod.write_csv(taxonomy.test_known, out / "test_known.csv", schema)
-    manifest = {
-        "classes": list(schema.class_names),
-        "label_column": schema.label_column,
-        "app_id_column": schema.app_id_column,
-        "feature_columns": list(schema.feature_columns),
-        "unknown_app_ids": [],
-    }
+    unknown_ids = ()
     if taxonomy.unknown is not None:
         datamod.write_csv(taxonomy.unknown, out / "unknown.csv", schema)
-        manifest["unknown_app_ids"] = [datamod.UNKNOWN_APP_ID]
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        unknown_ids = sorted(set(taxonomy.unknown.app_ids))
+    datamod.write_manifest(out / "manifest.json", schema, unknown_ids)
     print(f"wrote {args.regime} datasets to {out}")
     return 0
 

@@ -23,8 +23,8 @@ class Dataset:
 
     ``x`` is kept C- or F-contiguous as it is given; any other layout is
     stored as a C-contiguous copy. ``ensemble.fit`` stores its standardized
-    features F-contiguous, so that :attr:`columns` is a view of them and
-    the fit holds one standardized copy. No result depends on the layout.
+    features F-contiguous, so that each feature's values are contiguous
+    for the trees that read them. No result depends on the layout.
     ``y`` uses ``UNLABELED`` (-1) for samples without a label. Instances
     are immutable after construction.
     """
@@ -68,22 +68,11 @@ class Dataset:
         return self.x.shape[1]
 
     @cached_property
-    def columns(self) -> np.ndarray:
-        """``(d, n)``: row f holds feature f of every sample, contiguous,
-        so a gather along one feature reads only that feature. A view of
-        ``x`` when ``x`` is F-contiguous, else a copy; made on first use
-        and kept, so every tree fitted on this dataset shares it.
-        Read-only."""
-        columns = np.ascontiguousarray(self.x.T)
-        columns.flags.writeable = False
-        return columns
-
-    @cached_property
     def column_order(self) -> np.ndarray:
         """``(d, n)``: row f lists the sample indices sorted stably by
         feature f. Computed on first use and kept, so every tree fitted
         on this dataset shares one sort. Read-only."""
-        order = np.argsort(self.columns, axis=1, kind="stable")
+        order = np.argsort(self.x.T, axis=1, kind="stable")
         order.flags.writeable = False
         return order
 
@@ -95,7 +84,7 @@ class Dataset:
         boundary between its sorted values without comparing them. Found
         once from :attr:`column_order` and kept. Read-only."""
         # one take per row: a quarter of the time of take_along_axis
-        ranked = map(np.take, self.columns, self.column_order)
+        ranked = map(np.take, self.x.T, self.column_order)
         tie_free = np.array([(v[1:] != v[:-1]).all() for v in ranked],
                             dtype=bool)
         tie_free.flags.writeable = False

@@ -23,8 +23,12 @@ from .core import UNLABELED, Dataset
 UNKNOWN_APP_ID = "unknown"
 REGIMES = ("ood", "overlap")
 _WRITE_BLOCK = 1024        # rows write_csv formats at a time
-_MANIFEST_KEYS = frozenset({"classes", "label_column", "app_id_column",
-                            "feature_columns", "unknown_app_ids"})
+# the manifest's keys, in the order they are checked, and the JSON type
+# of each one's value; a list holds strings, and only the last key,
+# unknown_app_ids, may be left out
+_MANIFEST_KEYS = (("classes", list), ("label_column", str),
+                  ("app_id_column", str), ("feature_columns", list),
+                  ("unknown_app_ids", list))
 
 
 class CsvFormatError(ValueError):
@@ -33,6 +37,13 @@ class CsvFormatError(ValueError):
 
 @dataclass(frozen=True)
 class CsvSchema:
+    """A dataset's columns and class names, and every rule they keep: at
+    least two class names, unique, none empty or with surrounding
+    whitespace; at least one feature column; and one role per column, so
+    the label, the app id and each feature are read from a column of
+    their own. Any other schema raises ValueError, whose message names
+    each field by its manifest key (``classes`` for ``class_names``)."""
+
     label_column: str
     app_id_column: str
     feature_columns: tuple[str, ...]
@@ -40,9 +51,9 @@ class CsvSchema:
 
     def __post_init__(self):
         if len(self.class_names) < 2:
-            raise ValueError("need at least two class names")
+            raise ValueError("classes must hold at least two names")
         if not self.feature_columns:
-            raise ValueError("need at least one feature column")
+            raise ValueError("feature_columns must hold at least one name")
         # load_csv strips every cell and reads an empty label as unlabeled,
         # so no row could carry such a class
         bad = [c for c in self.class_names if not c or c != c.strip()]
@@ -53,6 +64,15 @@ class CsvSchema:
         if len(set(self.class_names)) < len(self.class_names):
             raise ValueError(f"classes must be unique, got "
                              f"{list(self.class_names)}")
+        # a column with two roles would make app ids of feature values, or
+        # leak the label into the features, and write_csv would name it
+        # twice in a header that load_csv refuses
+        roles = (self.label_column, self.app_id_column, *self.feature_columns)
+        if len(set(roles)) < len(roles):
+            twice = next(c for i, c in enumerate(roles) if c in roles[i + 1:])
+            raise ValueError(f"gives column {twice!r} two roles; "
+                             f"label_column, app_id_column and "
+                             f"feature_columns must be distinct")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -95,63 +115,53 @@ def read_json(path, what: str, error: type[ValueError],
 
 
 def load_manifest(path) -> tuple[CsvSchema, frozenset[str]]:
-    """Read the JSON manifest describing a CSV dataset.
+    """Read the JSON manifest describing a CSV dataset: its schema and its
+    unknown app ids.
 
-    Expected keys: classes (ordered list), label_column, app_id_column,
-    feature_columns, unknown_app_ids (optional). Raises CsvFormatError,
-    naming ``path``, when a key is missing, unknown or holds a value of
-    the wrong shape, when a class name is one no CSV cell can match
-    (empty, or with surrounding whitespace), when one column has two
-    roles, or when the file is not UTF-8 JSON.
+    Keys: classes (ordered list), label_column, app_id_column,
+    feature_columns, unknown_app_ids (optional). This checks only the JSON
+    shape: an object with exactly those keys, the two column names strings
+    and the others lists of strings. ``CsvSchema`` checks the rest. Any
+    fault, and a file that is not UTF-8 JSON, raises CsvFormatError naming
+    ``path``; a missing key is named in the order of ``_MANIFEST_KEYS``.
     """
     raw = read_json(path, "manifest", CsvFormatError, encoding="utf-8-sig")
-
-    def strings(key, what, least=0, unique=True):
-        v = raw[key]
-        if not (isinstance(v, list) and len(v) >= least
-                and all(isinstance(s, str) for s in v)
-                and (not unique or len(set(v)) == len(v))):
-            raise CsvFormatError(
-                f"{path}: manifest {key} must be {what}, got {v!r}")
-        return v
-
     if not isinstance(raw, dict):
         raise CsvFormatError(f"{path}: manifest must be a JSON object")
     # a misspelt optional key would otherwise read as absent
-    extra = sorted(raw.keys() - _MANIFEST_KEYS)
+    extra = sorted(raw.keys() - {key for key, _ in _MANIFEST_KEYS})
     if extra:
         raise CsvFormatError(f"{path}: unknown manifest fields {extra}")
+    for key, kind in _MANIFEST_KEYS:
+        if key not in raw and key != "unknown_app_ids":
+            raise CsvFormatError(f"{path}: manifest missing key {key!r}")
+        value = raw.get(key, [])
+        if not (isinstance(value, kind) and (
+                kind is str or all(isinstance(v, str) for v in value))):
+            what = "a string" if kind is str else "a list of strings"
+            raise CsvFormatError(f"{path}: manifest {key} must be {what}, "
+                                 f"got {value!r}")
     try:
-        for key in ("label_column", "app_id_column"):
-            if not isinstance(raw[key], str):
-                raise CsvFormatError(f"{path}: manifest {key} must be a "
-                                     f"string, got {raw[key]!r}")
-        fields = dict(
-            label_column=raw["label_column"],
-            app_id_column=raw["app_id_column"],
-            feature_columns=tuple(strings(
-                "feature_columns", "a non-empty list of unique strings", 1)),
-            class_names=tuple(strings(
-                "classes", "a list of at least two unique strings", 2)),
-        )
-    except KeyError as exc:
-        raise CsvFormatError(f"{path}: manifest missing key {exc}") from None
-    try:
-        schema = CsvSchema(**fields)
+        schema = CsvSchema(label_column=raw["label_column"],
+                           app_id_column=raw["app_id_column"],
+                           feature_columns=tuple(raw["feature_columns"]),
+                           class_names=tuple(raw["classes"]))
     except ValueError as exc:
         raise CsvFormatError(f"{path}: manifest {exc}") from None
-    # a column with two roles would make app ids of feature values, or
-    # leak the label into the features
-    roles = (schema.label_column, schema.app_id_column,
-             *schema.feature_columns)
-    if len(set(roles)) < len(roles):
-        twice = next(c for i, c in enumerate(roles) if c in roles[i + 1:])
-        raise CsvFormatError(f"{path}: manifest gives column {twice!r} two "
-                             f"roles; label_column, app_id_column and "
-                             f"feature_columns must be distinct")
-    unknown = (strings("unknown_app_ids", "a list of strings", unique=False)
-               if "unknown_app_ids" in raw else ())
-    return schema, frozenset(unknown)
+    return schema, frozenset(raw.get("unknown_app_ids", ()))
+
+
+def write_manifest(path, schema: CsvSchema, unknown_app_ids) -> None:
+    """Write the manifest that load_manifest reads back as ``(schema,
+    frozenset(unknown_app_ids))``: one JSON object with every key, sorted,
+    indented by one space and ending in a newline."""
+    values = (list(schema.class_names), schema.label_column,
+              schema.app_id_column, list(schema.feature_columns),
+              list(unknown_app_ids))
+    doc = {key: value for (key, _), value in zip(_MANIFEST_KEYS, values)}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def _diagnose(row, lineno, schema, columns, label_of):
@@ -219,7 +229,7 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
             missing = [c for c in wanted if c not in header]
             if missing:
                 raise CsvFormatError(f"{path}: missing columns {missing}")
-            for c in dict.fromkeys(wanted):
+            for c in wanted:
                 if header.count(c) > 1:
                     raise CsvFormatError(
                         f"{path}: column {c!r} appears "

@@ -199,7 +199,7 @@ def fit(config: EnsembleConfig, data: Dataset) -> EnsembleModel:
         raise ValueError("training data contains unlabeled samples")
 
     standardizer = Standardizer.fit(data.x)
-    # F order: the trees' column view (Dataset.columns) is then this array
+    # F order: each feature's values are contiguous for the trees
     scaled = Dataset(x=np.asfortranarray(standardizer.transform(data.x)),
                      y=data.y, app_ids=data.app_ids, n_classes=data.n_classes,
                      class_names=data.class_names)

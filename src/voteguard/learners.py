@@ -182,7 +182,7 @@ def best_split(x, y, feature_indices, n_classes, orders=None,
             n_edges, boundaries = m - 1, slice(None, -1)
         else:
             # gathers along one column: x[:, f] is contiguous when x is
-            # F-contiguous, as the Dataset.columns.T that trees pass is
+            # F-contiguous, as the standardized data that trees pass is
             sv = x[:, f].take(order)
             edges = sv[:-1] != sv[1:]
             n_edges = np.count_nonzero(edges)
@@ -345,8 +345,9 @@ class TreeLearner(TrainedLearner):
 
 def _train_tree(config: LearnerConfig, data: Dataset, rows) -> TreeLearner:
     params = config.tree
-    # column-major features: every gather reads along one feature
-    x, y = data.columns.T, data.y
+    # fit's standardized features are column-major, so every gather reads
+    # along one feature
+    x, y = data.x, data.y
     n, d = x.shape
     rng = np.random.default_rng(config.seed)
     if params.feature_subsample == "sqrt":

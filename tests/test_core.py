@@ -86,20 +86,12 @@ class TestDataset:
         data = Dataset(x=x, y=np.zeros(4, dtype=int), app_ids=("a",) * 4,
                        n_classes=2)
         assert data.x is x
-        assert np.shares_memory(data.columns, x)
-        assert data.columns.flags.c_contiguous
-        assert np.array_equal(data.columns, x.T)
-        with pytest.raises(ValueError, match="read-only"):
-            data.columns[0, 0] = 1.0
-        assert x.flags.writeable              # the view alone is read-only
 
     def test_c_contiguous_features_kept_as_given(self):
         x = np.arange(12.0).reshape(4, 3)
         data = Dataset(x=x, y=np.zeros(4, dtype=int), app_ids=("a",) * 4,
                        n_classes=2)
         assert data.x is x
-        assert data.columns.flags.c_contiguous
-        assert np.array_equal(data.columns, x.T)
 
     @pytest.mark.parametrize("view", [lambda x: x[::2], lambda x: x[:, ::2]],
                              ids=["rows", "columns"])
@@ -121,7 +113,6 @@ class TestDataset:
                         n_classes=2)
                 for v in (x, np.asfortranarray(x)))
         assert f.x.flags.f_contiguous and not f.x.flags.c_contiguous
-        assert c.columns.tobytes() == f.columns.tobytes()
         assert np.array_equal(c.column_order, f.column_order)
         assert c.tie_free.tolist() == f.tie_free.tolist() == \
             [False, False, False, True]

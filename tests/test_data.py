@@ -2,19 +2,24 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import voteguard
 from conftest import make_binary_dataset
 from voteguard.core import UNLABELED, Dataset
 from voteguard.data import (_WRITE_BLOCK, CsvFormatError, CsvSchema,
                             DatasetTaxonomy, SyntheticSpec,
                             generate_synthetic, load_csv, load_manifest,
-                            write_csv)
+                            write_csv, write_manifest)
 
 SCHEMA = CsvSchema(label_column="label", app_id_column="app",
                    feature_columns=("f0", "f1"),
@@ -380,6 +385,53 @@ def test_manifest_column_with_two_roles_rejected(tmp_path, change, twice):
     assert str(info.value) == (
         f"{p}: manifest gives column {twice!r} two roles; label_column, "
         f"app_id_column and feature_columns must be distinct")
+
+
+@pytest.mark.parametrize("fields,twice", [
+    ({"label_column": "f0"}, "f0"), ({"app_id_column": "label"}, "label"),
+    ({"feature_columns": ("f0", "f0")}, "f0")],
+    ids=["label-is-feature", "app-id-is-label", "feature-twice"])
+def test_schema_column_with_two_roles_rejected(fields, twice):
+    # write_csv would name the column twice in its header, and load_csv
+    # refuses such a file
+    with pytest.raises(ValueError) as info:
+        replace(SCHEMA, **fields)
+    assert str(info.value) == (
+        f"gives column {twice!r} two roles; label_column, app_id_column "
+        f"and feature_columns must be distinct")
+
+
+@settings(max_examples=40)
+@given(columns=st.lists(TRICKY, min_size=3, max_size=6, unique=True),
+       names=st.lists(TRICKY, min_size=2, max_size=3, unique=True),
+       ids=st.lists(TRICKY, max_size=4))
+def test_write_manifest_round_trips(columns, names, ids):
+    schema = CsvSchema(label_column=columns[0], app_id_column=columns[1],
+                       feature_columns=tuple(columns[2:]),
+                       class_names=tuple(names))
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "m.json"
+        write_manifest(p, schema, ids)
+        assert load_manifest(p) == (schema, frozenset(ids))
+
+
+def test_manifest_missing_two_keys_names_the_same_one_every_run(tmp_path):
+    # the keys are checked in a fixed order, whatever the string hash seed
+    p = tmp_path / "m.json"
+    p.write_text('{"app_id_column": "app", "feature_columns": ["f0"]}')
+    with pytest.raises(CsvFormatError) as info:
+        load_manifest(p)
+    assert str(info.value) == f"{p}: manifest missing key 'classes'"
+    src = str(Path(voteguard.__file__).parents[1])
+    code = ("import sys\nfrom voteguard.data import load_manifest\n"
+            "try:\n    load_manifest(sys.argv[1])\n"
+            "except ValueError as exc:\n    print(exc)\n")
+    for seed in ("1", "2", "3"):
+        run = subprocess.run(
+            [sys.executable, "-c", code, str(p)], capture_output=True,
+            text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
+        assert run.stdout == f"{info.value}\n", run.stderr
 
 
 def test_byte_order_mark_is_accepted(tmp_path):
