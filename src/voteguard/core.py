@@ -17,16 +17,31 @@ import numpy as np
 UNLABELED = -1
 
 
+def check_names(names, what: str) -> None:
+    """Raise ValueError, calling the names ``what``, unless they are unique
+    strings, none empty or with surrounding whitespace (a CSV cell reads
+    back stripped). Pass distinct values where repeats are allowed."""
+    names = list(names)
+    for name in names:
+        if not isinstance(name, str):
+            raise ValueError(f"{what} must be strings, got {name!r}")
+        if not name or name != name.strip():
+            raise ValueError(f"{what} must be non-empty and without "
+                             f"surrounding whitespace, got {name!r}")
+    if len(set(names)) < len(names):
+        raise ValueError(f"{what} must be unique, got {names}")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Samples: features, labels, app identities.
 
-    ``x`` is kept C- or F-contiguous as it is given; any other layout is
-    stored as a C-contiguous copy. ``ensemble.fit`` stores its standardized
-    features F-contiguous, so that each feature's values are contiguous
-    for the trees that read them. No result depends on the layout.
-    ``y`` uses ``UNLABELED`` (-1) for samples without a label. Instances
-    are immutable after construction.
+    ``x`` has at least one column and is kept C- or F-contiguous as it is
+    given, any other layout as a C-contiguous copy; ``ensemble.fit``
+    stores its standardized copy F-contiguous for the trees. No result
+    depends on the layout. ``y`` uses ``UNLABELED`` (-1) for samples
+    without a label. Class names and distinct app ids keep
+    :func:`check_names`' rule. Instances are immutable after construction.
     """
 
     x: np.ndarray                      # (n, d) float64
@@ -42,8 +57,9 @@ class Dataset:
         y = np.asarray(self.y, dtype=np.int64)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        if x.ndim != 2:
-            raise ValueError(f"features must be 2-D, got shape {x.shape}")
+        if x.ndim != 2 or x.shape[1] == 0:
+            raise ValueError(f"features must be 2-D with at least one "
+                             f"column, got shape {x.shape}")
         if y.shape != (x.shape[0],):
             raise ValueError("labels and features disagree on sample count")
         if len(self.app_ids) != x.shape[0]:
@@ -55,8 +71,8 @@ class Dataset:
         labeled = y[y != UNLABELED]
         if labeled.size and (labeled.min() < 0 or labeled.max() >= self.n_classes):
             raise ValueError(f"labels out of range [0, {self.n_classes})")
-        if not all(self.app_ids):
-            raise ValueError("app_id must be non-empty")
+        check_names(dict.fromkeys(self.app_ids), "app_ids")
+        check_names(self.class_names or (), "class_names")
         if self.class_names is not None and len(self.class_names) != self.n_classes:
             raise ValueError("class_names length must equal n_classes")
 

@@ -3,8 +3,8 @@
 Ingestion is CSV-only: feature extraction from raw hardware signals is
 upstream of this package. Parsing is strict; a single bad row fails the
 whole load with row numbers in the error, since silently dropped rows
-would corrupt downstream uncertainty experiments. CSVs and manifests are
-UTF-8 text, with or without a byte-order mark.
+would corrupt downstream uncertainty experiments. CSVs, manifests and
+model files are UTF-8 text, with or without a byte-order mark.
 """
 
 from __future__ import annotations
@@ -18,14 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import UNLABELED, Dataset
+from .core import UNLABELED, Dataset, check_names
 
 UNKNOWN_APP_ID = "unknown"
 REGIMES = ("ood", "overlap")
 _WRITE_BLOCK = 1024        # rows write_csv formats at a time
-# the manifest's keys, in the order they are checked, and the JSON type
-# of each one's value; a list holds strings, and only the last key,
-# unknown_app_ids, may be left out
+# the manifest's keys in the order they are checked, each with its value's
+# JSON type; a list holds strings, and only unknown_app_ids may be left out
 _MANIFEST_KEYS = (("classes", list), ("label_column", str),
                   ("app_id_column", str), ("feature_columns", list),
                   ("unknown_app_ids", list))
@@ -38,11 +37,11 @@ class CsvFormatError(ValueError):
 @dataclass(frozen=True)
 class CsvSchema:
     """A dataset's columns and class names, and every rule they keep: at
-    least two class names, unique, none empty or with surrounding
-    whitespace; at least one feature column; and one role per column, so
-    the label, the app id and each feature are read from a column of
-    their own. Any other schema raises ValueError, whose message names
-    each field by its manifest key (``classes`` for ``class_names``)."""
+    least two class names, which keep ``core.check_names``' rule; at least
+    one feature column; and one role per column, so the label, the app id
+    and each feature are read from a column of their own. Any other schema
+    raises ValueError, whose message names each field by its manifest key
+    (``classes`` for ``class_names``)."""
 
     label_column: str
     app_id_column: str
@@ -54,16 +53,7 @@ class CsvSchema:
             raise ValueError("classes must hold at least two names")
         if not self.feature_columns:
             raise ValueError("feature_columns must hold at least one name")
-        # load_csv strips every cell and reads an empty label as unlabeled,
-        # so no row could carry such a class
-        bad = [c for c in self.class_names if not c or c != c.strip()]
-        if bad:
-            raise ValueError(f"classes must be non-empty and without "
-                             f"surrounding whitespace, got {bad[0]!r}")
-        # one name for two classes reads back as the later class
-        if len(set(self.class_names)) < len(self.class_names):
-            raise ValueError(f"classes must be unique, got "
-                             f"{list(self.class_names)}")
+        check_names(self.class_names, "classes")
         # a column with two roles would make app ids of feature values, or
         # leak the label into the features, and write_csv would name it
         # twice in a header that load_csv refuses
@@ -96,13 +86,12 @@ class DatasetTaxonomy:
                     f"{sorted(overlap)[:5]}")
 
 
-def read_json(path, what: str, error: type[ValueError],
-              encoding: str = "utf-8"):
-    """The JSON document in the file ``path``. A file that cannot be
-    decoded (not UTF-8 text, not valid JSON, nested too deeply, or with an
-    integer past Python's digit limit) raises ``error``: one line naming
-    ``path`` and ``what`` the file is."""
-    with open(path, encoding=encoding) as fh:
+def read_json(path, what: str, error: type[ValueError]):
+    """The JSON document in the file ``path``, UTF-8 text with or without
+    a byte-order mark. A file that cannot be decoded (not UTF-8 text, not
+    valid JSON, nested too deeply, or with an integer past Python's digit
+    limit) raises ``error``: one line naming ``path`` and ``what`` it is."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except UnicodeDecodeError as exc:
@@ -119,13 +108,13 @@ def load_manifest(path) -> tuple[CsvSchema, frozenset[str]]:
     unknown app ids.
 
     Keys: classes (ordered list), label_column, app_id_column,
-    feature_columns, unknown_app_ids (optional). This checks only the JSON
-    shape: an object with exactly those keys, the two column names strings
-    and the others lists of strings. ``CsvSchema`` checks the rest. Any
-    fault, and a file that is not UTF-8 JSON, raises CsvFormatError naming
-    ``path``; a missing key is named in the order of ``_MANIFEST_KEYS``.
-    """
-    raw = read_json(path, "manifest", CsvFormatError, encoding="utf-8-sig")
+    feature_columns, unknown_app_ids (optional). This checks the JSON
+    shape (an object with exactly those keys, the two column names strings
+    and the others lists of strings) and, by ``core.check_names``, the
+    unknown app ids; ``CsvSchema`` checks the rest. Any fault, and a file
+    that is not UTF-8 JSON, raises CsvFormatError naming ``path``; a
+    missing key is named in the order of ``_MANIFEST_KEYS``."""
+    raw = read_json(path, "manifest", CsvFormatError)
     if not isinstance(raw, dict):
         raise CsvFormatError(f"{path}: manifest must be a JSON object")
     # a misspelt optional key would otherwise read as absent
@@ -146,18 +135,21 @@ def load_manifest(path) -> tuple[CsvSchema, frozenset[str]]:
                            app_id_column=raw["app_id_column"],
                            feature_columns=tuple(raw["feature_columns"]),
                            class_names=tuple(raw["classes"]))
+        unknown = raw.get("unknown_app_ids", [])
+        check_names(dict.fromkeys(unknown), "unknown_app_ids")
     except ValueError as exc:
         raise CsvFormatError(f"{path}: manifest {exc}") from None
-    return schema, frozenset(raw.get("unknown_app_ids", ()))
+    return schema, frozenset(unknown)
 
 
 def write_manifest(path, schema: CsvSchema, unknown_app_ids) -> None:
     """Write the manifest that load_manifest reads back as ``(schema,
-    frozenset(unknown_app_ids))``: one JSON object with every key, sorted,
-    indented by one space and ending in a newline."""
+    frozenset(unknown_app_ids))``: every key, sorted, one-space indents and a
+    trailing newline. Ids load_manifest refuses raise ValueError first."""
+    ids = list(unknown_app_ids)
+    check_names(dict.fromkeys(ids), "unknown_app_ids")
     values = (list(schema.class_names), schema.label_column,
-              schema.app_id_column, list(schema.feature_columns),
-              list(unknown_app_ids))
+              schema.app_id_column, list(schema.feature_columns), ids)
     doc = {key: value for (key, _), value in zip(_MANIFEST_KEYS, values)}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
@@ -298,8 +290,8 @@ def write_csv(data: Dataset, path, schema: CsvSchema) -> None:
     written by ``csv.writer``, so they are quoted as it quotes them. Rows
     are formatted ``_WRITE_BLOCK`` at a time. Raises ValueError, before
     the file is created, when the schema does not name every feature
-    column or every label, or when an app id has surrounding whitespace,
-    which load_csv would strip."""
+    column or every label. Every app id reads back unchanged, since
+    ``Dataset`` holds none that ``core.check_names`` refuses."""
     names = schema.class_names
     if len(schema.feature_columns) != data.d:
         raise ValueError(f"schema names {len(schema.feature_columns)} "
@@ -308,12 +300,6 @@ def write_csv(data: Dataset, path, schema: CsvSchema) -> None:
     if top >= len(names):
         raise ValueError(f"schema names {len(names)} classes for data with "
                          f"label {top}")
-    # load_csv strips each cell, so such an id would read back changed, or
-    # empty if it is all whitespace
-    bad = [a for a in dict.fromkeys(data.app_ids) if a != a.strip()]
-    if bad:
-        raise ValueError(f"app ids must be without surrounding whitespace, "
-                         f"got {bad[0]!r}")
 
     def tail(label, app_id):
         """``,label,app_id`` and the line end, as csv.writer writes them."""

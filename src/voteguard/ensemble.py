@@ -200,9 +200,7 @@ def fit(config: EnsembleConfig, data: Dataset) -> EnsembleModel:
 
     standardizer = Standardizer.fit(data.x)
     # F order: each feature's values are contiguous for the trees
-    scaled = Dataset(x=np.asfortranarray(standardizer.transform(data.x)),
-                     y=data.y, app_ids=data.app_ids, n_classes=data.n_classes,
-                     class_names=data.class_names)
+    scaled = replace(data, x=np.asfortranarray(standardizer.transform(data.x)))
     n = len(scaled)
     learners = []
     for i in range(config.m):

@@ -20,6 +20,7 @@ import typing
 
 import numpy as np
 
+from .core import check_names
 from .data import read_json
 from .ensemble import (_Z_MAX, EnsembleConfig, EnsembleModel, Standardizer,
                        SupportBox)
@@ -311,12 +312,11 @@ def _model_from_dict(doc: dict) -> EnsembleModel:
     if not (_is_int(n_features) and n_features >= 1):
         raise ModelFormatError(
             f"n_features must be an integer >= 1, got {n_features!r}")
-    if names is not None and not (
-            isinstance(names, list) and len(names) == n_classes
-            and all(isinstance(name, str) for name in names)
-            and len(set(names)) == n_classes):
-        raise ModelFormatError(
-            f"class_names must be {n_classes} unique strings, got {names!r}")
+    if names is not None:       # as a Dataset's, which a CSV's labels match
+        if not (isinstance(names, list) and len(names) == n_classes):
+            raise ModelFormatError(f"class_names must be a list of "
+                                   f"{n_classes} names, got {names!r}")
+        check_names(names, "class_names")
     if not (isinstance(raw_learners, list) and raw_learners
             and all(isinstance(raw, dict) for raw in raw_learners)):
         raise ModelFormatError("learners must be a non-empty list of objects")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from voteguard.core import Dataset
 
@@ -8,6 +8,11 @@ from voteguard.core import Dataset
 # example on a loaded machine is not a failure.
 settings.register_profile("voteguard", derandomize=True, deadline=None)
 settings.load_profile("voteguard")
+
+# names that csv.writer quotes or escapes, and non-ASCII text, without
+# the surrounding whitespace load_csv strips
+TRICKY = st.text(st.sampled_from(list('ab ,"\r\né€😀')), min_size=1,
+                 max_size=6).filter(lambda s: s == s.strip())
 
 
 def make_binary_dataset(n=60, d=2, separation=4.0, seed=0, n_classes=2):

@@ -955,6 +955,41 @@ def test_misspelt_manifest_key_fails_train(overlap_dir, tmp_path, capsys):
                    f"['unknown_app_id']\n")
 
 
+@pytest.mark.parametrize("held_out", [" known-1", "known-1\n", ""],
+                         ids=["padded", "newline", "empty"])
+def test_unknown_app_id_no_csv_cell_can_match_fails_train(
+        overlap_dir, tmp_path, capsys, held_out):
+    # load_csv reads every app id stripped, so " known-1" matched no row:
+    # train exited 0 and fitted the known-1 rows it was told to hold out
+    doc = json.loads((overlap_dir / "manifest.json").read_text())
+    doc["unknown_app_ids"] = [held_out]
+    manifest, out = tmp_path / "manifest.json", tmp_path / "model.json"
+    manifest.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, "train",
+                            "--data", str(overlap_dir / "train.csv"),
+                            "--manifest", str(manifest), "--out", str(out),
+                            "--m", "3")
+    assert code == 1 and stdout == "" and not out.exists()
+    assert err == (f"error: {manifest}: manifest unknown_app_ids must be "
+                   f"non-empty and without surrounding whitespace, got "
+                   f"{held_out!r}\n")
+
+
+def test_model_file_with_a_byte_order_mark_predicts_the_same(
+        pipeline_dir, tmp_path, capsys):
+    # a manifest with a BOM loaded, and a model file with one failed as
+    # "not valid JSON: Unexpected UTF-8 BOM"
+    data, model = pipeline_dir / "data", pipeline_dir / "model.json"
+    bom = tmp_path / "model.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + model.read_bytes())
+    outputs = [run(capsys, "predict", "--model", str(path),
+                   "--data", str(data / "test_known.csv"),
+                   "--manifest", str(data / "manifest.json"),
+                   "--threshold", "0.5") for path in (model, bom)]
+    assert outputs[0][0] == 0 and outputs[0][1]
+    assert outputs[1] == outputs[0]
+
+
 def _predict_with_warnings_as_errors(model, data, manifest):
     """CLI ``predict`` at threshold 0.5 in a new interpreter run with
     ``-W error``."""

@@ -67,6 +67,46 @@ class TestDataset:
             Dataset(x=np.zeros((1, 1)), y=np.array([0]),
                     app_ids=("",), n_classes=2)
 
+    @pytest.mark.parametrize("app_id", [" calc", "  ", "calc\n"])
+    def test_rejects_an_app_id_a_csv_cannot_read_back(self, app_id):
+        # load_csv strips every cell: " calc" would read back as "calc", and
+        # "  " as an empty app id, which fails the load; so write_csv never
+        # meets such an id. Repeats of one id are allowed.
+        with pytest.raises(ValueError) as info:
+            Dataset(x=np.zeros((3, 2)), y=np.array([0, 1, 0]),
+                    app_ids=("calc", app_id, app_id), n_classes=2)
+        assert str(info.value) == ("app_ids must be non-empty and without "
+                                   f"surrounding whitespace, got {app_id!r}")
+
+    @pytest.mark.parametrize("names,message", [
+        (("a", "a"), "must be unique, got ['a', 'a']"),
+        ((0, 1), "must be strings, got 0"),
+        (("a", b"b"), "must be strings, got b'b'"),
+        ((" a", "b"), "must be non-empty and without surrounding "
+                      "whitespace, got ' a'"),
+        (("a", "b\n"), "must be non-empty and without surrounding "
+                       "whitespace, got 'b\\n'"),
+        (("", "b"), "must be non-empty and without surrounding "
+                    "whitespace, got ''"),
+    ], ids=["twice", "ints", "bytes", "padded", "newline", "empty"])
+    def test_rejects_class_names_no_model_file_could_hold(self, names,
+                                                          message):
+        # ("a", "a") and (0, 1) were fitted and saved, and then load_model
+        # refused the file it was given
+        with pytest.raises(ValueError) as info:
+            Dataset(x=np.zeros((2, 1)), y=np.array([0, 1]),
+                    app_ids=("a", "b"), n_classes=2, class_names=names)
+        assert str(info.value) == f"class_names {message}"
+
+    def test_rejects_zero_feature_columns(self):
+        # fit died in the standardizer with numpy's "zero-size array to
+        # reduction operation minimum which has no identity"
+        with pytest.raises(ValueError) as info:
+            Dataset(x=np.zeros((4, 0)), y=np.zeros(4), app_ids=("a",) * 4,
+                    n_classes=2)
+        assert str(info.value) == ("features must be 2-D with at least one "
+                                   "column, got shape (4, 0)")
+
     def test_tie_free_flags_each_column(self):
         # column 1's only tie is one pair, and column 2's -0.0 and 0.0
         # compare equal, so both have ties

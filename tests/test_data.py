@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import voteguard
-from conftest import make_binary_dataset
+from conftest import TRICKY, make_binary_dataset
 from voteguard.core import UNLABELED, Dataset
 from voteguard.data import (_WRITE_BLOCK, CsvFormatError, CsvSchema,
                             DatasetTaxonomy, SyntheticSpec,
@@ -173,12 +173,6 @@ def _write_csv_row_by_row(data, path, schema):
                              data.app_ids[i]])
 
 
-# text that csv.writer quotes or escapes, and non-ASCII text, without
-# the surrounding whitespace load_csv strips
-TRICKY = st.text(st.sampled_from(list('ab ,"\r\né€😀')), min_size=1,
-                 max_size=6).filter(lambda s: s == s.strip())
-
-
 @settings(max_examples=40)
 @given(n=st.sampled_from([0, 1, 2, 9, _WRITE_BLOCK - 1, _WRITE_BLOCK,
                           _WRITE_BLOCK + 1]),
@@ -237,20 +231,6 @@ def test_write_csv_rejects_a_schema_without_every_class(tmp_path):
     assert not p.exists()
 
 
-@pytest.mark.parametrize("app_id", [" calc", "  ", "calc\n"])
-def test_write_csv_rejects_an_app_id_it_cannot_read_back(tmp_path, app_id):
-    # load_csv strips every cell: " calc" would read back as "calc", and
-    # "  " as an empty app id, which fails the load
-    data = Dataset(x=np.zeros((3, 2)), y=np.array([0, 1, 0]),
-                   app_ids=("calc", app_id, app_id), n_classes=2)
-    p = tmp_path / "d.csv"
-    with pytest.raises(ValueError) as info:
-        write_csv(data, p, SCHEMA)
-    assert str(info.value) == ("app ids must be without surrounding "
-                               f"whitespace, got {app_id!r}")
-    assert not p.exists()
-
-
 def test_schema_with_a_class_named_twice_rejected():
     # load_csv would read both classes' rows as the later class
     with pytest.raises(ValueError) as info:
@@ -258,6 +238,13 @@ def test_schema_with_a_class_named_twice_rejected():
                   feature_columns=("f0",), class_names=("benign", "benign"))
     assert str(info.value) == \
         "classes must be unique, got ['benign', 'benign']"
+
+
+def test_schema_with_a_class_that_is_no_string_rejected():
+    # it raised AttributeError: 'int' object has no attribute 'strip'
+    with pytest.raises(ValueError) as info:
+        replace(SCHEMA, class_names=(1, 2))
+    assert str(info.value) == "classes must be strings, got 1"
 
 
 CELL = st.one_of(FINITE.map(repr),
@@ -413,6 +400,26 @@ def test_write_manifest_round_trips(columns, names, ids):
         p = Path(tmp) / "m.json"
         write_manifest(p, schema, ids)
         assert load_manifest(p) == (schema, frozenset(ids))
+
+
+@pytest.mark.parametrize("held_out", [" known-1", "known-1\n", ""],
+                         ids=["padded", "newline", "empty"])
+def test_unknown_app_id_no_csv_cell_can_match_rejected(tmp_path, held_out):
+    # load_csv reads every app id stripped and refuses an empty one, so
+    # such an id held out nothing, and its app's rows were fitted
+    p = tmp_path / "m.json"
+    message = (f"unknown_app_ids must be non-empty and without surrounding "
+               f"whitespace, got {held_out!r}")
+    with pytest.raises(ValueError) as info:
+        write_manifest(p, SCHEMA, ["worm", held_out, "worm"])
+    assert str(info.value) == message
+    assert not p.exists()
+    write_manifest(p, SCHEMA, ["worm"])
+    doc = json.loads(p.read_text())
+    p.write_text(json.dumps({**doc, "unknown_app_ids": ["worm", held_out]}))
+    with pytest.raises(CsvFormatError) as info:
+        load_manifest(p)
+    assert str(info.value) == f"{p}: manifest {message}"
 
 
 def test_manifest_missing_two_keys_names_the_same_one_every_run(tmp_path):

@@ -3,8 +3,10 @@ import json
 import math
 import operator
 import re
+import tempfile
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from voteguard.core import Dataset
 from voteguard.ensemble import EnsembleConfig, fit, predict
 from voteguard.learners import LEVEL_WALK_ROWS, ConstantLearner, LearnerConfig
 from voteguard.persist import ModelFormatError, load_model, save_model
-from conftest import make_binary_dataset
+from conftest import TRICKY, make_binary_dataset
 
 
 @pytest.mark.parametrize("kind", ["tree", "logistic", "linear_svm"])
@@ -161,6 +163,54 @@ def test_class_names_survive(tmp_path):
     path = tmp_path / "m.json"
     save_model(model, path)
     assert load_model(path).class_names == ("benign", "malware")
+
+
+# names Dataset accepts, and names it refuses: empty, padded, not strings
+NAME = st.one_of(TRICKY, st.sampled_from(["", " a", "a\n", "b"]),
+                 st.integers(0, 1))
+
+
+@settings(max_examples=40)
+@given(names=st.tuples(NAME, NAME))
+def test_model_fitted_on_any_dataset_reloads(names):
+    # ("a", "a") and (0, 1) were fitted and saved, and then load_model
+    # refused the file: every check of the names now comes first
+    data = make_binary_dataset(n=20, seed=3)
+    valid = (all(isinstance(n, str) and n and n == n.strip() for n in names)
+             and names[0] != names[1])
+    if not valid:
+        with pytest.raises(ValueError, match="^class_names must be "):
+            replace(data, class_names=names)
+        return
+    model = fit(EnsembleConfig(base=LearnerConfig(kind="tree"), m=2),
+                replace(data, class_names=names))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        save_model(model, path)
+        assert load_model(path).class_names == names
+
+
+@pytest.mark.parametrize("names,problem", [
+    (["benign", "benign"], "must be unique, got ['benign', 'benign']"),
+    ([" benign", "malware"], "must be non-empty and without surrounding "
+                             "whitespace, got ' benign'"),
+    (["benign", ""], "must be non-empty and without surrounding "
+                     "whitespace, got ''"),
+    ([0, 1], "must be strings, got 0"),
+    (["benign"], "must be a list of 2 names, got ['benign']"),
+    ("bm", "must be a list of 2 names, got 'bm'"),
+], ids=["twice", "padded", "empty", "ints", "one", "string"])
+def test_class_names_a_dataset_refuses_rejected(tmp_path, names, problem):
+    data = make_binary_dataset(n=30, seed=1)
+    model = fit(EnsembleConfig(base=LearnerConfig(kind="tree"), m=2), data)
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    doc["class_names"] = names
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}: class_names {problem}"
 
 
 def test_rejects_wrong_format(tmp_path):
