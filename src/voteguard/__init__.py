@@ -3,7 +3,7 @@
 from .core import UNLABELED, ClassificationMetrics, Dataset, compute_metrics
 from .data import (CsvSchema, DatasetTaxonomy, SyntheticSpec,
                    generate_synthetic, load_csv, load_manifest, write_csv)
-from .ensemble import (Decision, EnsembleConfig, EnsembleModel, Prediction,
+from .ensemble import (EnsembleConfig, EnsembleModel, Prediction,
                        Standardizer, SupportBox, Verdict, entropy_of, fit,
                        gate, predict, rejected)
 from .harness import (StabilityReport, ThresholdSweepReport,
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 __all__ = [
     "UNLABELED", "ClassificationMetrics", "Dataset", "compute_metrics",
     "CsvSchema", "DatasetTaxonomy", "SyntheticSpec", "generate_synthetic",
-    "load_csv", "load_manifest", "write_csv", "Decision",
+    "load_csv", "load_manifest", "write_csv",
     "EnsembleConfig", "EnsembleModel", "Prediction", "Standardizer",
     "SupportBox", "Verdict", "entropy_of", "fit", "gate", "predict",
     "rejected",

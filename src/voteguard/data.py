@@ -103,6 +103,14 @@ def read_json(path, what: str, error: type[ValueError]):
                         "read") from None
 
 
+def write_json(path, doc, sort_keys: bool) -> None:
+    """Write ``doc`` to ``path`` as JSON, one-space indents and a trailing
+    newline. The whole text is built before the file is opened, so a value
+    JSON cannot hold raises and leaves any file at ``path`` as it was."""
+    text = json.dumps(doc, indent=1, sort_keys=sort_keys) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
+
+
 def load_manifest(path) -> tuple[CsvSchema, frozenset[str]]:
     """Read the JSON manifest describing a CSV dataset: its schema and its
     unknown app ids.
@@ -151,9 +159,7 @@ def write_manifest(path, schema: CsvSchema, unknown_app_ids) -> None:
     values = (list(schema.class_names), schema.label_column,
               schema.app_id_column, list(schema.feature_columns), ids)
     doc = {key: value for (key, _), value in zip(_MANIFEST_KEYS, values)}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc, sort_keys=True)
 
 
 def _diagnose(row, lineno, schema, columns, label_of):

@@ -11,7 +11,6 @@ its entropy exceeds a threshold or its input lies outside that box.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 import operator
@@ -156,19 +155,13 @@ class Prediction:
     support: bool | np.ndarray           # input inside the training box
 
 
-class Decision(enum.Enum):
-    ACCEPT = "accept"
-    REJECT = "reject"
-
-
 @dataclass(frozen=True)
 class Verdict:
-    prediction: Prediction
-    decision: Decision
+    """One sample's prediction, and its label as accepted by :func:`gate`:
+    the prediction's label, or None where :func:`rejected` holds."""
 
-    @property
-    def label(self) -> int | None:
-        return self.prediction.label if self.decision is Decision.ACCEPT else None
+    prediction: Prediction
+    label: int | None
 
 
 @dataclass(frozen=True)
@@ -319,6 +312,5 @@ def gate(model: EnsembleModel, x, threshold: float) -> Verdict:
         raise ValueError(f"gate takes one sample of shape "
                          f"({model.n_features},), got shape {np.shape(x)}")
     pred = predict(model, x)
-    decision = (Decision.REJECT if rejected(pred, threshold)
-                else Decision.ACCEPT)
-    return Verdict(prediction=pred, decision=decision)
+    label = None if rejected(pred, threshold) else pred.label
+    return Verdict(prediction=pred, label=label)

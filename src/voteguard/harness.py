@@ -10,14 +10,13 @@ metrics, only to rejection rates.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .core import ClassificationMetrics, Dataset, compute_metrics
-from .data import DatasetTaxonomy
+from .data import DatasetTaxonomy, write_json
 from .ensemble import EnsembleConfig, EnsembleModel, fit, predict, rejected
 from .persist import log_base_tag
 
@@ -236,10 +235,7 @@ def emit_report(report, path, fmt: str = "json") -> None:
         raise ValueError(f"unknown report format {fmt!r}")
     doc = report_to_dict(report)
     if fmt == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        return
+        return write_json(path, doc, sort_keys=True)
 
     columns = (_SWEEP_CSV_COLUMNS if doc["schema"] == SWEEP_SCHEMA
                else _STABILITY_CSV_COLUMNS)

@@ -85,9 +85,9 @@ class TrainedLearner:
     """Common surface of fitted base classifiers. Immutable; predict is a
     pure function of the stored parameters. Each kind implements the batch
     ``_labels(rows)`` and ``_proba(rows)``; one sample is a one-row batch,
-    except in a tree's ``predict_label``."""
+    except in a tree's ``predict_label``. The class count is the model's:
+    a member holds its own only where its ``_proba`` reads it."""
 
-    n_classes: int
     n_features: int
     converged: bool
     seed_used: int
@@ -258,7 +258,6 @@ def _gini_gains(parent, n, total, left_counts, work):
 @dataclass(frozen=True)
 class TreeLearner(TrainedLearner):
     nodes: tuple[TreeNode, ...]
-    n_classes: int
     n_features: int
     seed_used: int
     converged: bool = True
@@ -416,8 +415,7 @@ def _train_tree(config: LearnerConfig, data: Dataset, rows) -> TreeLearner:
                       left_counts, depth + 1, me, True))
 
     return TreeLearner(nodes=tuple(map(TreeNode._make, nodes)),
-                       n_classes=data.n_classes, n_features=d,
-                       seed_used=config.seed)
+                       n_features=d, seed_used=config.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +507,6 @@ class LinearLearner(TrainedLearner):
     kind: str                            # "logistic" or "linear_svm"
     weights: np.ndarray
     bias: float
-    n_classes: int
     converged: bool
     seed_used: int
     loss_curve: tuple[float, ...] = ()   # training-time only, not persisted
@@ -609,8 +606,8 @@ def _train_linear(config: LearnerConfig, data: Dataset, rows) -> TrainedLearner:
     w, b, converged, losses = _newton(config.gradient, x, z,
                                       *_OBJECTIVES[config.kind])
     return LinearLearner(kind=config.kind, weights=w, bias=b,
-                         n_classes=data.n_classes, converged=converged,
-                         seed_used=config.seed, loss_curve=tuple(losses))
+                         converged=converged, seed_used=config.seed,
+                         loss_curve=tuple(losses))
 
 
 def train(config: LearnerConfig, data: Dataset, rows=None) -> TrainedLearner:

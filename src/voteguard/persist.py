@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import math
 import typing
 
 import numpy as np
 
 from .core import check_names
-from .data import read_json
+from .data import read_json, write_json
 from .ensemble import (_Z_MAX, EnsembleConfig, EnsembleModel, Standardizer,
                        SupportBox)
 from .learners import (LEAF, ConstantLearner, LinearLearner, TreeLearner,
@@ -199,8 +198,7 @@ def _learner_from_dict(raw: dict, n_classes: int, n_features: int,
     if not (_is_int(seed_used) and 0 <= seed_used < 2 ** 64):
         raise ModelFormatError(f"seed_used must be an integer in "
                                f"[0, 2**64), got {seed_used!r}")
-    common = {"n_classes": n_classes, "converged": converged,
-              "seed_used": seed_used}
+    common = {"converged": converged, "seed_used": seed_used}
     if kind == "tree":
         return TreeLearner(nodes=_tree_nodes(*params, n_classes, n_features),
                            n_features=n_features, **common)
@@ -232,7 +230,8 @@ def _learner_from_dict(raw: dict, n_classes: int, n_features: int,
         raise ModelFormatError(
             f"constant learner label {label!r} is not a class index "
             f"below {n_classes}")
-    return ConstantLearner(label=label, n_features=n_features, **common)
+    return ConstantLearner(label=label, n_classes=n_classes,
+                           n_features=n_features, **common)
 
 
 def _config_to_dict(config: EnsembleConfig) -> dict:
@@ -273,18 +272,19 @@ def _read_config(cls, raw, name: str):
 
 
 def save_model(model: EnsembleModel, path) -> None:
+    """Write ``model`` to ``path``. A config that :func:`load_model` would
+    refuse raises ModelFormatError naming the field, and nothing is written."""
     std, box = model.standardizer, model.support
+    config = _config_to_dict(model.config)
+    _read_config(EnsembleConfig, config, "config")
     doc = _to_dict(
         "model file", FORMAT_NAME, FORMAT_VERSION, model.n_classes,
         model.n_features,
-        list(model.class_names) if model.class_names else None,
-        _config_to_dict(model.config),
+        list(model.class_names) if model.class_names else None, config,
         _to_dict("standardizer", std.mean.tolist(), std.std.tolist()),
         _to_dict("support box", box.low.tolist(), box.high.tolist()),
         [_learner_to_dict(l) for l in model.learners])
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_json(path, doc, sort_keys=False)   # keys in _KEYS' order
 
 
 def load_model(path) -> EnsembleModel:
@@ -294,9 +294,9 @@ def load_model(path) -> EnsembleModel:
     doc = read_json(path, "model file", ModelFormatError)
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ModelFormatError(f"{path}: not a {FORMAT_NAME} file")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ModelFormatError(
-            f"{path}: unsupported format_version {doc.get('format_version')}")
+    version = doc.get("format_version")
+    if not (_is_int(version) and version == FORMAT_VERSION):
+        raise ModelFormatError(f"{path}: unsupported format_version {version}")
     try:
         return _model_from_dict(doc)
     except ValueError as exc:           # ModelFormatError included

@@ -1,11 +1,18 @@
+import contextlib
 import dataclasses
+import functools
+import io
 import json
+import math
+import operator
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import voteguard
 from voteguard.cli import cli_main
@@ -655,6 +662,8 @@ def _set_linear(key, value):
     _set_linear("weights", lambda weights: [float("inf"), *weights[1:]]),
     _set_linear("bias", "0.5"),
     _set_linear("bias", float("nan")),
+    _set("format_version", True),
+    _set("format_version", 1.0),
 ], ids=["self-child", "shared-child", "feature-99", "child-1e6",
         "string-threshold", "counts-one-short", "counts-sum-inf",
         "learners-5", "learners-empty", "m-3", "n-classes-1", "class-names-one-short", "standardizer-list",
@@ -663,7 +672,8 @@ def _set_linear(key, value):
         "max-depth-string", "min-samples-split-float",
         "feature-subsample-most", "max-iters-bool", "tolerance-nan",
         "l2-string", "posterior-mode-list", "log-base-10",
-        "weights-one-short", "weights-inf", "bias-string", "bias-nan"])
+        "weights-one-short", "weights-inf", "bias-string", "bias-nan",
+        "format-version-true", "format-version-float"])
 def test_malformed_model_exits_1(pipeline_dir, tmp_path, capsys, mutate):
     name = "linear.json" if getattr(mutate, "linear", False) else "model.json"
     doc = json.loads((pipeline_dir / name).read_text())
@@ -712,6 +722,74 @@ def test_malformed_manifest_exits_1(pipeline_dir, tmp_path, capsys, change):
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(manifest) in err
+
+
+@pytest.fixture(scope="module")
+def small_pipeline(tmp_path_factory):
+    """A 40-row synth pipeline, an M = 3 model fitted with its manifest,
+    and that manifest with the path of every value in it."""
+    root = tmp_path_factory.mktemp("small")
+    data = root / "data"
+    assert cli_main(["synth", "--regime", "ood", "--out-dir", str(data),
+                     "--n-train", "40", "--n-test", "10", "--n-unknown",
+                     "10", "--d", "2", "--seed", "3"]) == 0
+    assert cli_main(["train", "--data", str(data / "train.csv"),
+                     "--manifest", str(data / "manifest.json"),
+                     "--out", str(root / "model.json"), "--m", "3"]) == 0
+    manifest = json.loads((data / "manifest.json").read_text())
+    paths = [(key,) for key in manifest] + [
+        (key, i) for key, value in manifest.items()
+        if isinstance(value, list) for i in range(len(value))]
+    return root, manifest, paths
+
+
+_DELETE = object()
+# a placeholder written as a list nested 100,000 deep, past the recursion
+# limit of json's parser
+_DEEP = "<deep>"
+# other JSON types, numbers past float's and int64's range, and names the
+# manifest holds elsewhere
+_MANIFEST_VALUES = [_DELETE, None, True, 0, -1, 0.5, 2 ** 70, math.inf,
+                    math.nan, "", " ", "x", "f0", "label", "app_id", "benign",
+                    "unknown", [], [0], ["x"], ["f0", "f0"], ["benign"],
+                    [[]], {}, {"x": 0}]
+
+
+@settings(max_examples=300)
+@example(command="train", data=None, value=_DEEP)
+@example(command="predict", data=None, value=_DEEP)
+@given(command=st.sampled_from(["train", "predict"]), data=st.data(),
+       value=st.sampled_from(_MANIFEST_VALUES))
+def test_mutated_manifest_fails_cleanly_or_runs(small_pipeline, command,
+                                                data, value):
+    # one manifest field, or one entry of a list in it, deleted or replaced
+    # by another JSON type or name: the run exits 0, or 1 with one error
+    # line, and never raises or warns
+    root, manifest, paths = small_pipeline
+    doc = json.loads(json.dumps(manifest))
+    *parent, key = (("classes",) if data is None
+                    else data.draw(st.sampled_from(paths), label="field"))
+    block = functools.reduce(operator.getitem, parent, doc)
+    if value is _DELETE:
+        del block[key]
+    else:
+        block[key] = value
+    path = root / "mutated.json"
+    path.write_text(json.dumps(doc).replace(
+        json.dumps(_DEEP), "[" * 100_000 + "]" * 100_000))
+    flags = (["--data", root / "data" / "train.csv", "--m", "3",
+              "--out", root / "mutated-model.json"] if command == "train"
+             else ["--data", root / "data" / "test_known.csv",
+                   "--model", root / "model.json", "--threshold", "0.5"])
+    err = io.StringIO()
+    with (warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(err)):
+        warnings.simplefilter("error")
+        code = cli_main([command, "--manifest", str(path), *map(str, flags)])
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith("error:")
+        assert err.getvalue().count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["train", "sweep-threshold"])

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from voteguard.core import Dataset
-from voteguard.ensemble import (Decision, EnsembleConfig, EnsembleModel,
-                                Prediction, Standardizer, SupportBox,
+from voteguard.ensemble import (EnsembleConfig, EnsembleModel, Prediction,
+                                Standardizer, SupportBox, Verdict,
                                 bootstrap_indices, entropy_of, fit, gate,
                                 predict, rejected)
 from voteguard.learners import (LEAF, LEVEL_WALK_ROWS, ConstantLearner,
@@ -222,19 +222,18 @@ class TestGate:
     def test_unanimous_accepted_at_zero_threshold(self):
         model = constant_ensemble([1] * 4)
         verdict = gate(model, [0.0], threshold=0.0)
-        assert verdict.decision is Decision.ACCEPT
+        assert [f.name for f in fields(Verdict)] == ["prediction", "label"]
         assert verdict.label == 1
 
     def test_even_split_rejected(self):
         model = constant_ensemble([0] * 5 + [1] * 5)
         verdict = gate(model, [0.0], threshold=0.40)
-        assert verdict.decision is Decision.REJECT
         assert verdict.label is None
 
     def test_six_two_split_accepted_at_higher_threshold(self):
         model = constant_ensemble([1] * 6 + [0] * 2)
         verdict = gate(model, [0.0], threshold=0.9)
-        assert verdict.decision is Decision.ACCEPT
+        assert verdict.label == 1
 
     def test_negative_threshold_rejected(self):
         model = constant_ensemble([1] * 2)
@@ -249,7 +248,7 @@ class TestGate:
         far = small_dataset.x.max(axis=0) + [20.0, 0.0]
         verdict = gate(model, far, threshold=1.0)
         assert verdict.prediction.support is False
-        assert verdict.decision is Decision.REJECT
+        assert verdict.label is None
         # the votes stay the members' own and agree, so the entropy-only
         # rule (entropy > threshold) would accept: the box only gates
         votes = np.bincount(verdict.prediction.per_learner_labels,
@@ -290,7 +289,7 @@ class TestGate:
         big = 2.0 ** 511                  # its square stays below float max
         assert z[:, 1].tolist() == [big, -big]
         assert [v.prediction.support for v in verdicts[4:]] == [False, False]
-        assert [v.decision for v in verdicts[4:]] == [Decision.REJECT] * 2
+        assert [v.label for v in verdicts[4:]] == [None] * 2
         assert batch.support.tolist() == [True] * 4 + [False] * 2
         clean = predict(model, rows[:4])
         assert batch.entropy[:4].tobytes() == clean.entropy.tobytes()
@@ -306,7 +305,6 @@ class TestGate:
             pred = verdict.prediction
             uncertain = pred.entropy > 0.5
             assert pred.support is True
-            assert (verdict.decision is Decision.REJECT) == uncertain
             assert verdict.label == (None if uncertain else pred.label)
 
     def test_monotone_rejection_sets(self, small_dataset):
@@ -477,8 +475,7 @@ def vote_tree(feature, k, d):
                               tuple(float(i == c) for i in range(k))))
     nodes.append(TreeNode(LEAF, 0.0, LEAF, LEAF,
                           tuple(float(i == k - 1) for i in range(k))))
-    return TreeLearner(nodes=tuple(nodes), n_classes=k, n_features=d,
-                       seed_used=0)
+    return TreeLearner(nodes=tuple(nodes), n_features=d, seed_used=0)
 
 
 def voting_model(k, m, log_base=2.0):

@@ -229,6 +229,19 @@ class TestEmitReport:
         emit_report(report, b, fmt="json")
         assert a.read_bytes() == b.read_bytes()
 
+    def test_failed_write_leaves_the_old_file(self, overlap_sweep, tmp_path):
+        # sizes given as numpy ints reach the report, and JSON cannot hold
+        # them: the write left a truncated file in place of the old one
+        path = tmp_path / "report.json"
+        emit_report(overlap_sweep[2], path)
+        before = path.read_bytes()
+        _, tax, config = overlap_setup(n=100)
+        report = run_stability_sweep(config, tax.train, tax.test_known,
+                                     [np.int64(1), np.int64(2)])
+        with pytest.raises(TypeError):
+            emit_report(report, path)
+        assert path.read_bytes() == before
+
     def test_unknown_format_rejected(self, overlap_sweep, tmp_path):
         _, _, report = overlap_sweep
         with pytest.raises(ValueError, match="format"):

@@ -173,16 +173,14 @@ class TestLinearModels:
 
     def test_sign_rule(self):
         learner = LinearLearner(kind="logistic", weights=np.array([1.0]),
-                                bias=0.0, n_classes=2, converged=True,
-                                seed_used=0)
+                                bias=0.0, converged=True, seed_used=0)
         assert learner.predict_label([3.0]) == 1
         assert learner.predict_label([-3.0]) == 0
         assert learner.predict_label([0.0]) == 0   # tie toward lower index
 
     def test_zero_score_probability(self):
         learner = LinearLearner(kind="logistic", weights=np.array([1.0]),
-                                bias=0.0, n_classes=2, converged=True,
-                                seed_used=0)
+                                bias=0.0, converged=True, seed_used=0)
         np.testing.assert_allclose(learner.predict_proba([0.0]), [0.5, 0.5])
 
     def test_single_class_constant(self):

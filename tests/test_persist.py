@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from voteguard.core import Dataset
 from voteguard.ensemble import EnsembleConfig, fit, predict
-from voteguard.learners import LEVEL_WALK_ROWS, ConstantLearner, LearnerConfig
+from voteguard.learners import (LEVEL_WALK_ROWS, ConstantLearner,
+                                GradientParams, LearnerConfig, TreeParams)
 from voteguard.persist import ModelFormatError, load_model, save_model
 from conftest import TRICKY, make_binary_dataset
 
@@ -245,6 +246,40 @@ def test_unknown_config_field_rejected(tmp_path, block):
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError, match="momentum"):
         load_model(path)
+
+
+@pytest.mark.parametrize("config, problem", [
+    (EnsembleConfig(m=True), "config.m must be an integer, got True"),
+    (EnsembleConfig(m=2, base=LearnerConfig(seed=True)),
+     "config.base.seed must be an integer, got True"),
+    (EnsembleConfig(m=2, base=LearnerConfig(tree=TreeParams(max_depth=True))),
+     "config.base.tree.max_depth must be an integer or null, got True"),
+    (EnsembleConfig(m=2, base=LearnerConfig(
+        tree=TreeParams(min_samples_split=2.5))),
+     "config.base.tree.min_samples_split must be an integer, got 2.5"),
+    (EnsembleConfig(m=2, base=LearnerConfig(gradient=GradientParams(l2=True))),
+     "config.base.gradient.l2 must be a finite number, got True"),
+], ids=["m", "seed", "max-depth", "min-samples-split", "l2"])
+def test_config_the_loader_refuses_is_not_saved(tmp_path, config, problem):
+    # fit takes these values, and save_model wrote files load_model refused
+    model = fit(config, make_binary_dataset(n=30, d=3, seed=1))
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError) as info:
+        save_model(model, path)
+    assert str(info.value) == problem
+    assert not path.exists()
+
+
+def test_failed_save_leaves_the_old_file(tmp_path):
+    # a value JSON cannot hold left a truncated file in place of the model
+    data = make_binary_dataset(n=30, d=3, seed=1)
+    path = tmp_path / "model.json"
+    save_model(fit(EnsembleConfig(m=2), data), path)
+    before = path.read_bytes()
+    model = fit(EnsembleConfig(m=2), replace(data, n_classes=np.int64(2)))
+    with pytest.raises(TypeError):
+        save_model(model, path)
+    assert path.read_bytes() == before
 
 
 def test_config_keys_follow_field_order(tmp_path):
