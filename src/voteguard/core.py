@@ -1,4 +1,4 @@
-"""Shared domain types: datasets and classification metrics.
+"""Shared domain types (datasets, classification metrics) and value checks.
 
 Labels are dense integer codes in [0, n_classes). A dataset may carry a
 side mapping of class names (e.g. "benign"/"malware") for display only;
@@ -8,6 +8,7 @@ workloads) carry the sentinel ``UNLABELED``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -15,6 +16,19 @@ from typing import Sequence
 import numpy as np
 
 UNLABELED = -1
+
+
+def is_int(value) -> bool:
+    """Whether ``value`` is a Python int; a bool or a numpy integer is not."""
+    return type(value) is int
+
+
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is a finite Python int or float, not a bool."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:                    # an int past float's range
+        return False
 
 
 def check_names(names, what: str) -> None:

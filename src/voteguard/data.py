@@ -13,12 +13,13 @@ import csv
 import io
 import json
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import UNLABELED, Dataset, check_names
+from .core import UNLABELED, Dataset, check_names, is_finite_number, is_int
 
 UNKNOWN_APP_ID = "unknown"
 REGIMES = ("ood", "overlap")
@@ -59,7 +60,8 @@ class CsvSchema:
         # twice in a header that load_csv refuses
         roles = (self.label_column, self.app_id_column, *self.feature_columns)
         if len(set(roles)) < len(roles):
-            twice = next(c for i, c in enumerate(roles) if c in roles[i + 1:])
+            # a Counter keeps its keys in the order they first occur
+            twice = next(c for c, n in Counter(roles).items() if n > 1)
             raise ValueError(f"gives column {twice!r} two roles; "
                              f"label_column, app_id_column and "
                              f"feature_columns must be distinct")
@@ -224,15 +226,17 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
                 raise CsvFormatError(f"{path}: empty file, no header row")
             wanted = (*schema.feature_columns, schema.label_column,
                       schema.app_id_column)
-            missing = [c for c in wanted if c not in header]
+            counts = Counter(header)
+            missing = [c for c in wanted if c not in counts]
             if missing:
                 raise CsvFormatError(f"{path}: missing columns {missing}")
             for c in wanted:
-                if header.count(c) > 1:
+                if counts[c] > 1:
                     raise CsvFormatError(
                         f"{path}: column {c!r} appears "
-                        f"{header.count(c)} times in the header")
-            columns = [header.index(c) for c in wanted]
+                        f"{counts[c]} times in the header")
+            position = {name: i for i, name in enumerate(header)}
+            columns = [position[c] for c in wanted]
             feature_at, (label_at, app_at) = columns[:d], columns[d:]
 
             next_line = reader.line_num + 1
@@ -348,13 +352,13 @@ class SyntheticSpec:
             raise ValueError(f"unknown regime {self.regime!r}")
         for name, least in (("n_train", 2), ("n_test", 2), ("n_unknown", 0),
                             ("d", 1), ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, "
-                                 f"got {getattr(self, name)}")
+            if not (is_int(v := getattr(self, name)) and v >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, "
+                                 f"got {v!r}")
         for name in ("class_separation", "ood_distance"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, "
-                                 f"got {getattr(self, name)}")
+            if not (is_finite_number(v := getattr(self, name)) and v > 0):
+                raise ValueError(f"{name} must be a finite number > 0, "
+                                 f"got {v!r}")
         if self.regime == "ood" and self.ood_distance <= self.class_separation:
             raise ValueError(f"ood_distance must exceed the class separation "
                              f"({self.class_separation}) in the ood regime, "

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, is_int
 from .learners import LearnerConfig, TrainedLearner, check_features, train
 
 HARD_VOTE = "hard_vote"
@@ -39,13 +39,14 @@ class EnsembleConfig:
     base: LearnerConfig = field(default_factory=LearnerConfig)
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, "
-                             f"got {self.master_seed}")
+        if not (is_int(self.m) and self.m >= 1):
+            raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
+        if not (is_int(self.master_seed) and self.master_seed >= 0):
+            raise ValueError(f"master_seed must be an integer >= 0, "
+                             f"got {self.master_seed!r}")
         if self.posterior_mode not in (HARD_VOTE, SOFT_AVERAGE):
-            raise ValueError(f"unknown posterior_mode {self.posterior_mode!r}")
+            raise ValueError(f"posterior_mode must be {HARD_VOTE!r} or "
+                             f"{SOFT_AVERAGE!r}, got {self.posterior_mode!r}")
         if self.entropy_log_base not in (2.0, math.e):
             raise ValueError("entropy_log_base must be 2 or e")
 

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import ClassificationMetrics, Dataset, compute_metrics
+from .core import ClassificationMetrics, Dataset, compute_metrics, is_int
 from .data import DatasetTaxonomy, write_json
 from .ensemble import EnsembleConfig, EnsembleModel, fit, predict, rejected
 from .persist import log_base_tag
@@ -157,7 +157,7 @@ def run_stability_sweep(config: EnsembleConfig, data: Dataset,
     """Summarize prediction entropy over a fixed evaluation set for the
     ensemble of each size M in ``m_grid``, one or more strictly increasing
     sizes >= 1 (same master seed and base config; ``config.m`` unused)."""
-    if not (m_grid and m_grid[0] >= 1
+    if not (m_grid and all(map(is_int, m_grid)) and m_grid[0] >= 1
             and all(a < b for a, b in zip(m_grid, m_grid[1:]))):
         raise ValueError(f"m_grid must be one or more strictly increasing "
                          f"sizes >= 1, got {m_grid}")

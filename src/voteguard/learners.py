@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import UNLABELED, Dataset
+from .core import UNLABELED, Dataset, is_finite_number, is_int
 
 LEARNER_KINDS = ("tree", "logistic", "linear_svm")
 FEATURE_SUBSAMPLES = ("all", "sqrt")
@@ -27,11 +27,14 @@ class TreeParams:
     feature_subsample: str = "sqrt"      # one of FEATURE_SUBSAMPLES
 
     def __post_init__(self):
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.min_samples_split < 2:
-            raise ValueError(f"min_samples_split must be >= 2, "
-                             f"got {self.min_samples_split}")
+        if not (self.max_depth is None
+                or is_int(self.max_depth) and self.max_depth >= 1):
+            raise ValueError(f"max_depth must be an integer >= 1 or None, "
+                             f"got {self.max_depth!r}")
+        if not (is_int(self.min_samples_split)
+                and self.min_samples_split >= 2):
+            raise ValueError(f"min_samples_split must be an integer >= 2, "
+                             f"got {self.min_samples_split!r}")
         if self.feature_subsample not in FEATURE_SUBSAMPLES:
             raise ValueError("feature_subsample must be 'all' or 'sqrt'")
 
@@ -43,13 +46,15 @@ class GradientParams:
     l2: float = 1e-4
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+        if not (is_int(self.max_iters) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer >= 1, "
+                             f"got {self.max_iters!r}")
+        if not (is_finite_number(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tolerance must be a finite number > 0, "
-                             f"got {self.tolerance}")
-        if not (math.isfinite(self.l2) and self.l2 >= 0):
-            raise ValueError(f"l2 must be a finite number >= 0, got {self.l2}")
+                             f"got {self.tolerance!r}")
+        if not (is_finite_number(self.l2) and self.l2 >= 0):
+            raise ValueError(f"l2 must be a finite number >= 0, "
+                             f"got {self.l2!r}")
 
 
 @dataclass(frozen=True)
@@ -63,9 +68,11 @@ class LearnerConfig:
 
     def __post_init__(self):
         if self.kind not in LEARNER_KINDS:
-            raise ValueError(f"unknown learner kind {self.kind!r}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise ValueError(f"kind must be one of {LEARNER_KINDS}, "
+                             f"got {self.kind!r}")
+        if not (is_int(self.seed) and 0 <= self.seed < 2 ** 64):
+            raise ValueError(f"seed must be an integer in [0, 2**64), "
+                             f"got {self.seed!r}")
 
 
 def check_features(x, n_features: int, finite: bool = True) -> np.ndarray:

@@ -13,13 +13,11 @@ split's children come after it, so every walk of a loaded tree ends.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
-import typing
 
 import numpy as np
 
-from .core import check_names
+from .core import check_names, is_finite_number, is_int
 from .data import read_json, write_json
 from .ensemble import (_Z_MAX, EnsembleConfig, EnsembleModel, Standardizer,
                        SupportBox)
@@ -41,11 +39,10 @@ def log_base_tag(base: float) -> str:
 
 def log_base_from_tag(tag: str) -> float:
     """Inverse of :func:`log_base_tag`; raises ValueError on any other tag."""
-    if tag == "2":
-        return 2.0
-    if tag == "e":
-        return math.e
-    raise ValueError(f"unknown entropy log base tag {tag!r}")
+    if tag not in ("2", "e"):
+        raise ValueError(f"entropy_log_base must be the log base tag '2' or "
+                         f"'e', got {tag!r}")
+    return 2.0 if tag == "2" else math.e
 
 
 # every object of a model file, by the name its errors give, with its keys
@@ -104,22 +101,11 @@ def _learner_to_dict(learner) -> dict:
                     learner.seed_used)
 
 
-def _is_int(value) -> bool:
-    return type(value) is int                # JSON true and false are not
-
-
-def _is_finite_number(value) -> bool:
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:                    # an int past float's range
-        return False
-
-
 def _vector(raw, name: str, n_features: int) -> np.ndarray:
     """``raw`` as a float64 array, checked to be ``n_features`` finite
     numbers."""
     if not (isinstance(raw, list) and len(raw) == n_features
-            and all(map(_is_finite_number, raw))):
+            and all(map(is_finite_number, raw))):
         raise ModelFormatError(
             f"{name} must be a list of {n_features} finite numbers")
     return np.array(raw, dtype=np.float64)
@@ -136,7 +122,7 @@ def _tree_nodes(raw, n_classes: int, n_features: int) -> tuple[TreeNode, ...]:
     if not all(type(row) is list and len(row) == n_classes for row in counts):
         raise ModelFormatError(
             f"tree node counts must be lists of {n_classes} numbers")
-    if not (all(_is_int(v) for column in (feature, left, right)
+    if not (all(is_int(v) for column in (feature, left, right)
                 for v in column)
             and all(type(v) in (int, float) for v in threshold)
             and all(type(v) in (int, float) for row in counts for v in row)):
@@ -195,7 +181,7 @@ def _learner_from_dict(raw: dict, n_classes: int, n_features: int,
         raise ModelFormatError(
             f"converged must be true or false, got {converged!r}")
     # the range LearnerConfig.seed allows
-    if not (_is_int(seed_used) and 0 <= seed_used < 2 ** 64):
+    if not (is_int(seed_used) and 0 <= seed_used < 2 ** 64):
         raise ModelFormatError(f"seed_used must be an integer in "
                                f"[0, 2**64), got {seed_used!r}")
     common = {"converged": converged, "seed_used": seed_used}
@@ -214,7 +200,7 @@ def _learner_from_dict(raw: dict, n_classes: int, n_features: int,
         # standardized inputs are clamped to +-_Z_MAX, so a dot product
         # with these weights is at most _Z_MAX**2 = 2**1022 in magnitude,
         # and adding the bias cannot overflow; a sum that does is inf
-        if not (_is_finite_number(bias) and abs(bias) <= _Z_MAX ** 2):
+        if not (is_finite_number(bias) and abs(bias) <= _Z_MAX ** 2):
             raise ModelFormatError(f"bias {bias!r} is not a finite number "
                                    "of magnitude at most 2**1022")
         weights = _vector(weights, "weights", n_features)
@@ -226,7 +212,7 @@ def _learner_from_dict(raw: dict, n_classes: int, n_features: int,
         return LinearLearner(kind=linear_kind, weights=weights,
                              bias=float(bias), **common)
     (label,) = params
-    if not (_is_int(label) and 0 <= label < n_classes):
+    if not (is_int(label) and 0 <= label < n_classes):
         raise ModelFormatError(
             f"constant learner label {label!r} is not a class index "
             f"below {n_classes}")
@@ -240,47 +226,33 @@ def _config_to_dict(config: EnsembleConfig) -> dict:
             "entropy_log_base": log_base_tag(config.entropy_log_base)}
 
 
-# each config field type's JSON check, and what it says a value must be
-_JSON_TYPES = {int: (_is_int, "an integer"),
-               int | None: (lambda v: v is None or _is_int(v),
-                            "an integer or null"),
-               float: (_is_finite_number, "a finite number"),
-               str: (lambda v: type(v) is str, "a string")}
-# a config class's fields by name, each with its type
-_field_types = functools.cache(typing.get_type_hints)
-
-
 def _read_config(cls, raw, name: str):
     """``cls`` read from the config block ``raw``, the inverse of
-    ``_config_to_dict``: every field present, no other key, and each
-    value of its field's JSON type, a nested config class read the same
-    way. ``cls`` checks the values' ranges."""
-    types = _field_types(cls)
-    values = dict(zip(types, _record(raw, name, types, cls.__name__)))
-    for key, kind in types.items():
-        value = values[key]
-        if dataclasses.is_dataclass(kind):
-            values[key] = _read_config(kind, value, f"{name}.{key}")
-        elif key == "entropy_log_base":     # stored as a tag, not a value
-            values[key] = log_base_from_tag(value)
-        else:
-            ok, what = _JSON_TYPES[kind]
-            if not ok(value):
-                raise ModelFormatError(f"{name}.{key} must be {what}, "
-                                       f"got {value!r}")
-    return cls(**values)
+    ``_config_to_dict``: every field present, no other key, a nested config
+    class read the same way; ``cls``' error, which names a field, prefixed
+    with ``name``."""
+    factories = {f.name: f.default_factory for f in dataclasses.fields(cls)}
+    values = dict(zip(factories, _record(raw, name, factories, cls.__name__)))
+    for key, factory in factories.items():
+        if dataclasses.is_dataclass(factory):          # a config class
+            values[key] = _read_config(factory, values[key], f"{name}.{key}")
+    try:
+        if cls is EnsembleConfig:            # the log base is stored as a tag
+            values["entropy_log_base"] = log_base_from_tag(
+                values["entropy_log_base"])
+        return cls(**values)
+    except ValueError as exc:
+        raise ModelFormatError(f"{name}.{exc}") from None
 
 
 def save_model(model: EnsembleModel, path) -> None:
-    """Write ``model`` to ``path``. A config that :func:`load_model` would
-    refuse raises ModelFormatError naming the field, and nothing is written."""
+    """Write ``model`` to ``path``."""
     std, box = model.standardizer, model.support
-    config = _config_to_dict(model.config)
-    _read_config(EnsembleConfig, config, "config")
     doc = _to_dict(
         "model file", FORMAT_NAME, FORMAT_VERSION, model.n_classes,
         model.n_features,
-        list(model.class_names) if model.class_names else None, config,
+        list(model.class_names) if model.class_names else None,
+        _config_to_dict(model.config),
         _to_dict("standardizer", std.mean.tolist(), std.std.tolist()),
         _to_dict("support box", box.low.tolist(), box.high.tolist()),
         [_learner_to_dict(l) for l in model.learners])
@@ -295,7 +267,7 @@ def load_model(path) -> EnsembleModel:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ModelFormatError(f"{path}: not a {FORMAT_NAME} file")
     version = doc.get("format_version")
-    if not (_is_int(version) and version == FORMAT_VERSION):
+    if not (is_int(version) and version == FORMAT_VERSION):
         raise ModelFormatError(f"{path}: unsupported format_version {version}")
     try:
         return _model_from_dict(doc)
@@ -306,10 +278,10 @@ def load_model(path) -> EnsembleModel:
 def _model_from_dict(doc: dict) -> EnsembleModel:
     (_, _, n_classes, n_features, names, raw_config, raw_std, raw_box,
      raw_learners) = _record(doc, "model file")
-    if not (_is_int(n_classes) and n_classes >= 2):
+    if not (is_int(n_classes) and n_classes >= 2):
         raise ModelFormatError(
             f"n_classes must be an integer >= 2, got {n_classes!r}")
-    if not (_is_int(n_features) and n_features >= 1):
+    if not (is_int(n_features) and n_features >= 1):
         raise ModelFormatError(
             f"n_features must be an integer >= 1, got {n_features!r}")
     if names is not None:       # as a Dataset's, which a CSV's labels match

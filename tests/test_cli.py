@@ -18,7 +18,8 @@ import voteguard
 from voteguard.cli import cli_main
 from voteguard.data import load_csv, load_manifest
 from voteguard.ensemble import EnsembleConfig, fit
-from voteguard.learners import GradientParams, LearnerConfig, TreeParams
+from voteguard.learners import (LEARNER_KINDS, GradientParams, LearnerConfig,
+                                TreeParams)
 from voteguard.persist import save_model
 
 
@@ -790,6 +791,126 @@ def test_mutated_manifest_fails_cleanly_or_runs(small_pipeline, command,
     if code == 1:
         assert err.getvalue().startswith("error:")
         assert err.getvalue().count("\n") == 1
+
+
+def _run_cleanly(argv) -> None:
+    """Run the CLI on ``argv``: it exits 0, or 1 with one ``error:`` line on
+    stderr, and raises and warns nothing."""
+    err = io.StringIO()
+    with (warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(err)):
+        warnings.simplefilter("error")
+        code = cli_main(list(map(str, argv)))
+    assert code in (0, 1), argv
+    if code == 1:
+        assert err.getvalue().startswith("error:"), argv
+        assert err.getvalue().count("\n") == 1, argv
+
+
+# bytes an edit inserts: a BOM, quotes, a lone CR, NUL, separators, a byte
+# that is not UTF-8, number text, and a cell past the csv module's
+# 131,072-character field limit
+_CSV_BYTES = [b"\xef\xbb\xbf", b'"', b'""', b"\r", b"\x00", b",", b"\n",
+              b"\xff", b"-", b"e", b"nan", b"9" * 400, b"x" * 131_073]
+_CSV_EDITS = st.lists(st.one_of(
+    st.tuples(st.just("flip"), st.integers(0), st.integers(1, 255)),
+    st.tuples(st.just("insert"), st.integers(0), st.sampled_from(_CSV_BYTES)),
+    st.tuples(st.just("delete"), st.integers(0), st.integers(1, 40)),
+    st.tuples(st.just("truncate"), st.integers(0), st.none())),
+    min_size=1, max_size=3)
+
+
+def _edit_csv(raw: bytes, edit) -> bytes:
+    kind, at, arg = edit
+    at %= len(raw) + 1
+    if kind == "flip" and at < len(raw):
+        return raw[:at] + bytes([raw[at] ^ arg]) + raw[at + 1:]
+    if kind == "insert":
+        return raw[:at] + arg + raw[at:]
+    if kind == "delete":
+        return raw[:at] + raw[at + arg:]
+    return raw[:at]
+
+
+@settings(max_examples=150)
+@example(edits=[("insert", 0, b"\xef\xbb\xbf")])
+@example(edits=[("insert", 40, b"x" * 131_073)])
+@example(edits=[("insert", 40, b"\r"), ("insert", 60, b"\x00")])
+@example(edits=[("insert", 40, b'"')])
+@example(edits=[("truncate", 50, None)])
+@given(edits=_CSV_EDITS)
+def test_mutated_csv_fails_cleanly_or_runs(small_pipeline, edits):
+    # test_known.csv with bytes flipped, inserted or deleted, or cut short,
+    # read as data to score, as known data to sweep and as training data
+    root = small_pipeline[0]
+    data = root / "data"
+    raw = (data / "test_known.csv").read_bytes()
+    for edit in edits:
+        raw = _edit_csv(raw, edit)
+    path = root / "mutated.csv"
+    path.write_bytes(raw)
+    manifest = ["--manifest", data / "manifest.json"]
+    _run_cleanly(["predict", "--model", root / "model.json", "--data", path,
+                  "--threshold", "0.5", *manifest])
+    _run_cleanly(["sweep-threshold", "--model", root / "model.json",
+                  "--test-known", path, "--out", root / "sweep.json",
+                  *manifest])
+    _run_cleanly(["train", "--data", path, "--m", "3",
+                  "--out", root / "fuzz-model.json", *manifest])
+
+
+# every value a numeric flag is set to: integers for an int flag, and all
+# for a float flag; no size that allocates or runs long (--m, --n-train,
+# --d, --grid-points) is set
+_INT_VALUES = ["0", "-1", str(2 ** 64), str(10 ** 30)]
+_FLOAT_VALUES = [*_INT_VALUES, "-0.0", "nan", "inf", "-inf", "1e308",
+                 "1e-320"]
+_LEARNER_FLAGS = [("--max-depth", _INT_VALUES),
+                  ("--min-samples-split", _INT_VALUES),
+                  ("--max-iters", _INT_VALUES),
+                  ("--tolerance", _FLOAT_VALUES), ("--l2", _FLOAT_VALUES),
+                  ("--master-seed", _INT_VALUES), ("--workers", _INT_VALUES)]
+_NUMERIC_FLAGS = {
+    **{f"train-{kind}": _LEARNER_FLAGS for kind in LEARNER_KINDS},
+    "sweep-size": _LEARNER_FLAGS,
+    "predict": [("--threshold", _FLOAT_VALUES)],
+    "sweep-threshold": [("--positive-class", _INT_VALUES)],
+    "synth": [("--n-test", _INT_VALUES), ("--n-unknown", _INT_VALUES),
+              ("--seed", _INT_VALUES), ("--class-separation", _FLOAT_VALUES),
+              ("--ood-distance", _FLOAT_VALUES)],
+}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, value) for command, flags in _NUMERIC_FLAGS.items()
+    for flag, values in flags for value in values])
+def test_numeric_flag_fails_cleanly_or_runs(small_pipeline, tmp_path,
+                                            command, flag, value):
+    # zero, negative, signed zero, non-finite, huge and subnormal values,
+    # each written --flag=value: as a token of its own, -inf reads as an
+    # option name
+    root = small_pipeline[0]
+    data = root / "data"
+    manifest = ["--manifest", data / "manifest.json"]
+    out = tmp_path / "out"
+    argv = {
+        **{f"train-{kind}": ["train", "--data", data / "train.csv",
+                             "--m", "3", "--learner", kind, "--out", out,
+                             *manifest] for kind in LEARNER_KINDS},
+        "sweep-size": ["sweep-size", "--data", data / "train.csv",
+                       "--eval", data / "test_known.csv", "--m-grid", "1,3",
+                       "--out", out, *manifest],
+        "predict": ["predict", "--model", root / "model.json",
+                    "--data", data / "test_known.csv", *manifest],
+        "sweep-threshold": ["sweep-threshold", "--model", root / "model.json",
+                            "--test-known", data / "test_known.csv",
+                            "--unknown", data / "unknown.csv", "--out", out,
+                            *manifest],
+        "synth": ["synth", "--regime", "ood", "--out-dir", out,
+                  "--n-train", "40", "--n-test", "10", "--n-unknown", "10",
+                  "--d", "2"],
+    }[command]
+    _run_cleanly([*argv, f"{flag}={value}"])
 
 
 @pytest.mark.parametrize("command", ["train", "sweep-threshold"])

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import voteguard
-from voteguard.core import Dataset, compute_metrics
+from voteguard.core import (Dataset, compute_metrics, is_finite_number,
+                            is_int)
 
 
 class TestComputeMetrics:
@@ -162,3 +165,13 @@ def test_every_exported_name_resolves():
     assert len(set(voteguard.__all__)) == len(voteguard.__all__)
     for name in voteguard.__all__:
         assert hasattr(voteguard, name), name
+
+
+def test_number_predicates():
+    # the rules a config value and a model file's number are held to
+    assert is_int(0) and is_int(-3) and is_int(2 ** 70)
+    assert not any(map(is_int, (True, 1.0, np.int64(1), "1", None)))
+    assert is_finite_number(0) and is_finite_number(-1.5)
+    assert is_finite_number(2 ** 70)
+    assert not any(map(is_finite_number, (False, math.nan, math.inf,
+                                          10 ** 400, np.float64(1.0), "1")))

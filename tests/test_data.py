@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -388,6 +389,33 @@ def test_schema_column_with_two_roles_rejected(fields, twice):
         f"and feature_columns must be distinct")
 
 
+def test_schema_names_the_first_column_that_repeats():
+    with pytest.raises(ValueError, match="^gives column 'f1' two roles"):
+        replace(SCHEMA, feature_columns=("f1", "f0", "f0", "f1"))
+
+
+def test_wide_header_checked_in_linear_time(tmp_path):
+    # each wanted column was found by a scan of the header, and a repeated
+    # role by a scan of the roles after each: at 40,000 columns a load took
+    # about 50 s, and refusing a repeated last name about 16 s
+    names = tuple(f"f{i}" for i in range(40_000))
+    schema = replace(SCHEMA, feature_columns=names)
+    data = Dataset(x=np.zeros((4, len(names))), y=np.array([0, 1, 0, 1]),
+                   app_ids=("calc",) * 4, n_classes=2,
+                   class_names=SCHEMA.class_names)
+    write_csv(data, tmp_path / "wide.csv", schema)
+    write_manifest(tmp_path / "manifest.json", schema, [])
+    start = time.perf_counter()
+    loaded = load_csv(tmp_path / "wide.csv",
+                      load_manifest(tmp_path / "manifest.json")[0])
+    assert time.perf_counter() - start < 3
+    assert loaded.x.shape == (4, 40_000)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^gives column 'f39999' two roles"):
+        replace(SCHEMA, feature_columns=(*names, names[-1]))
+    assert time.perf_counter() - start < 3
+
+
 @settings(max_examples=40)
 @given(columns=st.lists(TRICKY, min_size=3, max_size=6, unique=True),
        names=st.lists(TRICKY, min_size=2, max_size=3, unique=True),
@@ -531,8 +559,25 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match="regime"):
             SyntheticSpec(regime="far")
         # numpy's generator would fail on it, after the spec was accepted
-        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        with pytest.raises(ValueError,
+                           match=r"^seed must be an integer >= 0, got -1$"):
             SyntheticSpec(regime="ood", seed=-1)
+
+    @pytest.mark.parametrize("field_name, value, what", [
+        ("d", 2.0, "an integer >= 1"),
+        ("n_train", 10.5, "an integer >= 2"),
+        ("n_test", np.int64(10), "an integer >= 2"),
+        ("n_unknown", True, "an integer >= 0"),
+        ("seed", 1.5, "an integer >= 0"),
+        ("class_separation", "6", "a finite number > 0"),
+        ("class_separation", True, "a finite number > 0"),
+        ("ood_distance", math.inf, "a finite number > 0"),
+    ])
+    def test_spec_refuses_wrong_types(self, field_name, value, what):
+        # each ended in a TypeError from numpy or from the spec's own check
+        with pytest.raises(ValueError) as info:
+            SyntheticSpec(regime="ood", **{field_name: value})
+        assert str(info.value) == f"{field_name} must be {what}, got {value!r}"
 
 
 def test_taxonomy_rejects_overlapping_app_ids():

@@ -460,8 +460,21 @@ def test_config_validation():
         EnsembleConfig(entropy_log_base=10.0)
     # numpy's SeedSequence would fail on it inside fit, after standardizing
     with pytest.raises(ValueError,
-                       match=r"^master_seed must be >= 0, got -1$"):
+                       match=r"^master_seed must be an integer >= 0, "
+                             r"got -1$"):
         EnsembleConfig(master_seed=-1)
+
+
+@pytest.mark.parametrize("field_name, value", [
+    *(("m", v) for v in (2.0, True, np.int64(2), "2")),
+    *(("master_seed", v) for v in (1.5, True, np.int64(0))),
+])
+def test_config_refuses_wrong_types(field_name, value):
+    # fit ran on m=True, and on m=2.0 died inside numpy with a TypeError
+    with pytest.raises(ValueError) as info:
+        EnsembleConfig(**{field_name: value})
+    assert str(info.value) == (f"{field_name} must be an integer >= "
+                               f"{int(field_name == 'm')}, got {value!r}")
 
 
 def vote_tree(feature, k, d):

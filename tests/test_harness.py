@@ -7,7 +7,8 @@ import pytest
 
 from voteguard.data import DatasetTaxonomy, SyntheticSpec, generate_synthetic
 from voteguard.ensemble import EnsembleConfig, fit, predict
-from voteguard.harness import (MAX_GRID_POINTS, default_threshold_grid,
+from voteguard.harness import (MAX_GRID_POINTS, StabilityPoint,
+                               StabilityReport, default_threshold_grid,
                                emit_report, report_to_dict, run_stability_sweep,
                                run_threshold_sweep)
 from voteguard.learners import LearnerConfig
@@ -147,6 +148,16 @@ class TestStabilitySweep:
         assert str(info.value) == (f"m_grid must be one or more strictly "
                                    f"increasing sizes >= 1, got {grid}")
 
+    @pytest.mark.parametrize("grid", [[np.int64(1), np.int64(2)], [1.0, 2.0],
+                                      [True, 2]], ids=["numpy", "float", "bool"])
+    def test_grid_of_non_integers_rejected(self, grid):
+        # the grid's fault, not that of the m it would set
+        _, tax, config = overlap_setup(n=100)
+        with pytest.raises(ValueError) as info:
+            run_stability_sweep(config, tax.train, tax.test_known, grid)
+        assert str(info.value) == (f"m_grid must be one or more strictly "
+                                   f"increasing sizes >= 1, got {grid}")
+
     def test_each_size_equals_its_own_fit(self):
         # the sweep fits the largest ensemble once and scores its prefixes
         _, tax, config = overlap_setup(n=100)
@@ -230,14 +241,13 @@ class TestEmitReport:
         assert a.read_bytes() == b.read_bytes()
 
     def test_failed_write_leaves_the_old_file(self, overlap_sweep, tmp_path):
-        # sizes given as numpy ints reach the report, and JSON cannot hold
-        # them: the write left a truncated file in place of the old one
+        # a report holding a value JSON cannot hold, a numpy int: the write
+        # left a truncated file in place of the old one
         path = tmp_path / "report.json"
         emit_report(overlap_sweep[2], path)
         before = path.read_bytes()
-        _, tax, config = overlap_setup(n=100)
-        report = run_stability_sweep(config, tax.train, tax.test_known,
-                                     [np.int64(1), np.int64(2)])
+        report = StabilityReport(points=(StabilityPoint(
+            m=np.int64(1), mean_entropy=0.0, std_entropy=0.0),), log_base=2.0)
         with pytest.raises(TypeError):
             emit_report(report, path)
         assert path.read_bytes() == before

@@ -628,6 +628,26 @@ def test_non_finite_gradient_params_rejected(field_name, value):
         GradientParams(**{field_name: value})
 
 
+@pytest.mark.parametrize("cls, field_name, value", [
+    *((TreeParams, "max_depth", v) for v in (2.5, True, np.int64(2), "3")),
+    *((TreeParams, "min_samples_split", v) for v in (2.5, True, np.int64(2))),
+    *((GradientParams, "max_iters", v) for v in (2.5, True, np.int64(5))),
+    *(pytest.param(GradientParams, name, v, id=f"{name}-{id_}")
+      for name in ("tolerance", "l2")
+      for v, id_ in ((True, "bool"), ("0.1", "text"), (10 ** 400, "huge"))),
+    *((LearnerConfig, "seed", v) for v in (0.5, True, np.uint64(1))),
+])
+def test_config_refuses_wrong_types(cls, field_name, value):
+    # fit took some of these and ran to the end; numpy or the range check
+    # raised TypeError or OverflowError on the others
+    with pytest.raises(ValueError) as info:
+        cls(**{field_name: value})
+    number = field_name in ("tolerance", "l2")
+    what = "a finite number" if number else "an integer"
+    assert str(info.value).startswith(f"{field_name} must be {what}")
+    assert str(info.value).endswith(f", got {value!r}")
+
+
 def assert_walks_agree(learner, rows):
     """Both tree walks send every row to the leaf a node-by-node walk
     reaches, and a batch votes as its rows do one at a time."""

@@ -248,26 +248,54 @@ def test_unknown_config_field_rejected(tmp_path, block):
         load_model(path)
 
 
-@pytest.mark.parametrize("config, problem", [
-    (EnsembleConfig(m=True), "config.m must be an integer, got True"),
-    (EnsembleConfig(m=2, base=LearnerConfig(seed=True)),
-     "config.base.seed must be an integer, got True"),
-    (EnsembleConfig(m=2, base=LearnerConfig(tree=TreeParams(max_depth=True))),
-     "config.base.tree.max_depth must be an integer or null, got True"),
-    (EnsembleConfig(m=2, base=LearnerConfig(
+@pytest.mark.parametrize("make, problem", [
+    (lambda: EnsembleConfig(m=True), "m must be an integer >= 1, got True"),
+    (lambda: EnsembleConfig(m=2, base=LearnerConfig(seed=True)),
+     "seed must be an integer in [0, 2**64), got True"),
+    (lambda: EnsembleConfig(m=2, base=LearnerConfig(
+        tree=TreeParams(max_depth=True))),
+     "max_depth must be an integer >= 1 or None, got True"),
+    (lambda: EnsembleConfig(m=2, base=LearnerConfig(
         tree=TreeParams(min_samples_split=2.5))),
-     "config.base.tree.min_samples_split must be an integer, got 2.5"),
-    (EnsembleConfig(m=2, base=LearnerConfig(gradient=GradientParams(l2=True))),
-     "config.base.gradient.l2 must be a finite number, got True"),
+     "min_samples_split must be an integer >= 2, got 2.5"),
+    (lambda: EnsembleConfig(m=2, base=LearnerConfig(
+        gradient=GradientParams(l2=True))),
+     "l2 must be a finite number >= 0, got True"),
 ], ids=["m", "seed", "max-depth", "min-samples-split", "l2"])
-def test_config_the_loader_refuses_is_not_saved(tmp_path, config, problem):
-    # fit takes these values, and save_model wrote files load_model refused
-    model = fit(config, make_binary_dataset(n=30, d=3, seed=1))
-    path = tmp_path / "model.json"
+def test_config_the_loader_refuses_is_not_saved(make, problem):
+    # fit took these values, and only save_model refused them; the config
+    # classes now refuse them, so no model can hold one
     with pytest.raises(ValueError) as info:
-        save_model(model, path)
+        make()
     assert str(info.value) == problem
-    assert not path.exists()
+
+
+@pytest.mark.parametrize("key, value, problem", [
+    ("m", 2.0, "config.m must be an integer >= 1, got 2.0"),
+    ("base.seed", True, "config.base.seed must be an integer in [0, 2**64), "
+                        "got True"),
+    ("base.tree.max_depth", 2.5, "config.base.tree.max_depth must be an "
+                                 "integer >= 1 or None, got 2.5"),
+    ("base.gradient.tolerance", "1e-6", "config.base.gradient.tolerance "
+                                        "must be a finite number > 0, got "
+                                        "'1e-6'"),
+    ("posterior_mode", 0, "config.posterior_mode must be 'hard_vote' or "
+                          "'soft_average', got 0"),
+    ("entropy_log_base", 2, "config.entropy_log_base must be the log base "
+                            "tag '2' or 'e', got 2"),
+], ids=["m", "seed", "max-depth", "tolerance", "posterior-mode", "log-base"])
+def test_config_error_names_its_block(tmp_path, key, value, problem):
+    # the config class checks a loaded value, and the loader names its block
+    path = tmp_path / "model.json"
+    save_model(fit(EnsembleConfig(m=2), make_binary_dataset(n=30, seed=1)),
+               path)
+    doc = json.loads(path.read_text())
+    *parents, last = key.split(".")
+    functools.reduce(operator.getitem, parents, doc["config"])[last] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}: {problem}"
 
 
 def test_failed_save_leaves_the_old_file(tmp_path):
