@@ -34,7 +34,9 @@ def is_finite_number(value) -> bool:
 def check_names(names, what: str) -> None:
     """Raise ValueError, calling the names ``what``, unless they are unique
     strings, none empty or with surrounding whitespace (a CSV cell reads
-    back stripped). Pass distinct values where repeats are allowed."""
+    back stripped), and none holding a tab or a line break (``predict``
+    prints one name per tab-separated cell and one sample per line). Pass
+    distinct values where repeats are allowed."""
     names = list(names)
     for name in names:
         if not isinstance(name, str):
@@ -42,6 +44,9 @@ def check_names(names, what: str) -> None:
         if not name or name != name.strip():
             raise ValueError(f"{what} must be non-empty and without "
                              f"surrounding whitespace, got {name!r}")
+        if "\t" in name or name.splitlines() != [name]:
+            raise ValueError(f"{what} must hold no tab or line break, "
+                             f"got {name!r}")
     if len(set(names)) < len(names):
         raise ValueError(f"{what} must be unique, got {names}")
 

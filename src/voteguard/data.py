@@ -198,8 +198,9 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
 
     Labels must be class names from the schema; an empty label cell marks
     an unlabeled sample (unknown bucket). Any non-finite or unparsable
-    feature fails the load with the offending row numbers: the physical
-    line each record starts on, the header being line 1. Blank lines are
+    feature, and any app id that ``core.check_names`` refuses, fails the
+    load with the offending row numbers: the physical line each record
+    starts on, the header being line 1. Blank lines are
     skipped, a short row reads its missing cells as None (a bad feature,
     an empty label or app id) and cells past the header are ignored. A
     file that is not UTF-8 text fails with the line of its first bad byte,
@@ -281,6 +282,18 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
                                           f"in column "
                                           f"{schema.feature_columns[j]!r}")
                         for r, j in zip(*np.nonzero(~finite)))
+    # an app id that check_names refuses, which Dataset would refuse
+    # without naming a row, at each row that holds it
+    bad_ids = {}
+    for app_id in distinct_ids:
+        try:
+            check_names((app_id,), "app_id")
+        except ValueError as exc:
+            bad_ids[app_id] = str(exc)
+    if bad_ids:
+        problems.extend((r, d + 1, f"row {lines[r]}: {bad_ids[app_id]}")
+                        for r, app_id in enumerate(app_ids)
+                        if app_id in bad_ids)
     if problems:
         problems.sort()
         shown = "; ".join(m for _, _, m in problems[:10])
@@ -363,6 +376,20 @@ class SyntheticSpec:
             raise ValueError(f"ood_distance must exceed the class separation "
                              f"({self.class_separation}) in the ood regime, "
                              f"got {self.ood_distance}")
+        if self.regime == "ood" and not is_finite_number(
+                self.class_separation / 2.0 + self.ood_distance):
+            raise ValueError(f"ood_distance must leave the unknown cluster's "
+                             f"centre, class_separation / 2 + ood_distance, "
+                             f"finite, got {self.ood_distance}")
+        # numpy shapes no array of more than intp max bytes, and each bucket
+        # is one (rows, d) float64 array, of at least 2 rows but unknown's
+        cells = np.iinfo(np.intp).max // 8
+        if self.d > cells // 2:
+            raise ValueError(f"d must be at most {cells // 2}, got {self.d}")
+        for name in ("n_train", "n_test", "n_unknown"):
+            if (v := getattr(self, name)) > cells // self.d:
+                raise ValueError(f"{name} must be at most {cells // self.d} "
+                                 f"for d = {self.d}, got {v}")
 
 
 def _gaussian_class_points(rng, n, d, separation):

@@ -199,8 +199,9 @@ def fit(config: EnsembleConfig, data: Dataset) -> EnsembleModel:
     learners = []
     for i in range(config.m):
         _, learner_seed = child_seeds(config.master_seed, i)
-        learners.append(train(replace(config.base, seed=learner_seed), scaled,
-                              bootstrap_indices(config.master_seed, i, n)))
+        learners.append(train(config.base, scaled,
+                              bootstrap_indices(config.master_seed, i, n),
+                              learner_seed))
 
     return EnsembleModel(learners=tuple(learners), standardizer=standardizer,
                          config=config, n_classes=data.n_classes,

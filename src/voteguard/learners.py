@@ -1,7 +1,7 @@
 """Base classifiers: CART decision tree, logistic regression, linear SVM.
 
-All three train deterministically from (config, data) including the seed,
-and expose hard-label plus class-probability prediction. They are meant
+All three train deterministically from (config, data, rows, seed), and
+expose hard-label plus class-probability prediction. They are meant
 to be bagged; see :mod:`voteguard.ensemble`.
 """
 
@@ -62,7 +62,6 @@ class LearnerConfig:
     # the field order, here and in the parameter classes, is the key order
     # of a model file's config.base
     kind: str = "tree"
-    seed: int = 0
     tree: TreeParams = field(default_factory=TreeParams)
     gradient: GradientParams = field(default_factory=GradientParams)
 
@@ -70,9 +69,6 @@ class LearnerConfig:
         if self.kind not in LEARNER_KINDS:
             raise ValueError(f"kind must be one of {LEARNER_KINDS}, "
                              f"got {self.kind!r}")
-        if not (is_int(self.seed) and 0 <= self.seed < 2 ** 64):
-            raise ValueError(f"seed must be an integer in [0, 2**64), "
-                             f"got {self.seed!r}")
 
 
 def check_features(x, n_features: int, finite: bool = True) -> np.ndarray:
@@ -92,8 +88,8 @@ class TrainedLearner:
     """Common surface of fitted base classifiers. Immutable; predict is a
     pure function of the stored parameters. Each kind implements the batch
     ``_labels(rows)`` and ``_proba(rows)``; one sample is a one-row batch,
-    except in a tree's ``predict_label``. The class count is the model's:
-    a member holds its own only where its ``_proba`` reads it."""
+    except in a tree's ``predict_label``. The class count is the model's,
+    and no member holds its own."""
 
     n_features: int
     converged: bool
@@ -349,13 +345,14 @@ class TreeLearner(TrainedLearner):
         return self._walk[5][leaves]
 
 
-def _train_tree(config: LearnerConfig, data: Dataset, rows) -> TreeLearner:
+def _train_tree(config: LearnerConfig, data: Dataset, rows,
+                seed: int) -> TreeLearner:
     params = config.tree
     # fit's standardized features are column-major, so every gather reads
     # along one feature
     x, y = data.x, data.y
     n, d = x.shape
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     if params.feature_subsample == "sqrt":
         k = min(d, math.isqrt(d - 1) + 1)  # ceil(sqrt(d))
     else:
@@ -422,7 +419,7 @@ def _train_tree(config: LearnerConfig, data: Dataset, rows) -> TreeLearner:
                       left_counts, depth + 1, me, True))
 
     return TreeLearner(nodes=tuple(map(TreeNode._make, nodes)),
-                       n_features=d, seed_used=config.seed)
+                       n_features=d, seed_used=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +508,6 @@ def hinge_gradient(w, b, x, z, l2):
 
 @dataclass(frozen=True)
 class LinearLearner(TrainedLearner):
-    kind: str                            # "logistic" or "linear_svm"
     weights: np.ndarray
     bias: float
     converged: bool
@@ -536,25 +532,6 @@ class LinearLearner(TrainedLearner):
         # is a monotone squashing, not a calibrated probability.
         p1 = _sigmoid(self._scores(rows))
         return np.column_stack([1.0 - p1, p1])
-
-
-@dataclass(frozen=True)
-class ConstantLearner(TrainedLearner):
-    """Degenerate learner from single-class training data."""
-
-    label: int
-    n_classes: int
-    n_features: int
-    seed_used: int
-    converged: bool = True
-
-    def _labels(self, rows):
-        return np.full(len(rows), self.label, dtype=np.int64)
-
-    def _proba(self, rows):
-        proba = np.zeros((len(rows), self.n_classes))
-        proba[:, self.label] = 1.0
-        return proba
 
 
 def _newton(g: GradientParams, x, z, loss, slope, curvature):
@@ -600,31 +577,40 @@ def _newton(g: GradientParams, x, z, loss, slope, curvature):
     return w, b, False, losses
 
 
-def _train_linear(config: LearnerConfig, data: Dataset, rows) -> TrainedLearner:
+def _train_linear(config: LearnerConfig, data: Dataset, rows,
+                  seed: int) -> LinearLearner:
     if data.n_classes != 2:
         raise ValueError(f"{config.kind} supports binary problems only")
     x, y = data.x[rows], data.y[rows]
     classes = np.unique(y)
     if classes.size == 1:
-        return ConstantLearner(label=int(classes[0]), n_classes=data.n_classes,
-                               n_features=data.d, seed_used=config.seed)
+        # the limit logistic regression tends to on one class: zero
+        # weights, and a bias whose sigmoid is exactly 1.0 or 0.0, so
+        # every sample gets that class with certainty
+        return LinearLearner(weights=np.zeros(data.d),
+                             bias=1e300 if classes[0] == 1 else -1e300,
+                             converged=True, seed_used=seed)
 
     z = np.where(y == 1, 1.0, -1.0)
     w, b, converged, losses = _newton(config.gradient, x, z,
                                       *_OBJECTIVES[config.kind])
-    return LinearLearner(kind=config.kind, weights=w, bias=b,
-                         converged=converged, seed_used=config.seed,
-                         loss_curve=tuple(losses))
+    return LinearLearner(weights=w, bias=b, converged=converged,
+                         seed_used=seed, loss_curve=tuple(losses))
 
 
-def train(config: LearnerConfig, data: Dataset, rows=None) -> TrainedLearner:
+def train(config: LearnerConfig, data: Dataset, rows=None,
+          seed: int = 0) -> TrainedLearner:
     """Fit one base classifier on ``data.x[rows]``: a row listed twice
-    counts twice, and the default lists every row once. Deterministic
-    given (config, data, rows).
+    counts twice, and the default lists every row once. ``seed``, an
+    integer in [0, 2**64), draws a tree's features at each split.
+    Deterministic given (config, data, rows, seed).
 
     A learner that hits max_iters without meeting the tolerance is returned
     with converged=False, never raised.
     """
+    if not (is_int(seed) and 0 <= seed < 2 ** 64):
+        raise ValueError(f"seed must be an integer in [0, 2**64), "
+                         f"got {seed!r}")
     rows = np.arange(len(data)) if rows is None else np.asarray(rows)
     if rows.size == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -636,5 +622,5 @@ def train(config: LearnerConfig, data: Dataset, rows=None) -> TrainedLearner:
     if np.any(data.y[rows] == UNLABELED):
         raise ValueError("training data contains unlabeled samples")
     if config.kind == "tree":
-        return _train_tree(config, data, rows)
-    return _train_linear(config, data, rows)
+        return _train_tree(config, data, rows, seed)
+    return _train_linear(config, data, rows, seed)

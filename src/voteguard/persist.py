@@ -21,11 +21,10 @@ from .core import check_names, is_finite_number, is_int
 from .data import read_json, write_json
 from .ensemble import (_Z_MAX, EnsembleConfig, EnsembleModel, Standardizer,
                        SupportBox)
-from .learners import (LEAF, ConstantLearner, LinearLearner, TreeLearner,
-                       TreeNode)
+from .learners import LEAF, LinearLearner, TreeLearner, TreeNode
 
 FORMAT_NAME = "voteguard-ensemble"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class ModelFormatError(ValueError):
@@ -46,17 +45,16 @@ def log_base_from_tag(tag: str) -> float:
 
 
 # every object of a model file, by the name its errors give, with its keys
-# in the order save_model writes them
+# in the order save_model writes them; config.base.kind says which of the
+# two member objects every member is
 _KEYS = {
     "model file": ("format", "format_version", "n_classes", "n_features",
                    "class_names", "config", "standardizer", "support",
                    "learners"),
     "standardizer": ("mean", "std"),
     "support box": ("low", "high"),
-    **{f"{kind} member": ("type", *keys, "converged", "seed_used")
-       for kind, keys in (("tree", ("nodes",)),
-                          ("linear", ("kind", "weights", "bias")),
-                          ("constant", ("label",)))},
+    "tree member": ("nodes", "converged", "seed_used"),
+    "linear member": ("weights", "bias", "converged", "seed_used"),
 }
 
 
@@ -88,17 +86,11 @@ def _vectors(raw, name: str, n_features: int) -> dict:
 
 def _learner_to_dict(learner) -> dict:
     if isinstance(learner, TreeLearner):
-        kind, params = "tree", (learner.nodes,)  # json writes tuples as lists
-    elif isinstance(learner, LinearLearner):
-        kind, params = "linear", (learner.kind, learner.weights.tolist(),
-                                  learner.bias)
-    elif isinstance(learner, ConstantLearner):
-        kind, params = "constant", (learner.label,)
+        name, params = "tree member", (learner.nodes,)  # tuples as lists
     else:
-        raise ModelFormatError(
-            f"cannot serialize learner {type(learner).__name__}")
-    return _to_dict(f"{kind} member", kind, *params, learner.converged,
-                    learner.seed_used)
+        name, params = "linear member", (learner.weights.tolist(),
+                                         learner.bias)
+    return _to_dict(name, *params, learner.converged, learner.seed_used)
 
 
 def _vector(raw, name: str, n_features: int) -> np.ndarray:
@@ -168,56 +160,39 @@ def _tree_nodes(raw, n_classes: int, n_features: int) -> tuple[TreeNode, ...]:
 
 def _learner_from_dict(raw: dict, n_classes: int, n_features: int,
                        base_kind: str):
-    kind = raw.get("type")
-    if kind not in ("tree", "linear", "constant"):
-        raise ModelFormatError(f"unknown learner type {kind!r}")
-    # train makes a tree of every tree member, and a linear member or, from
-    # a single-class replicate, a constant one of every other
-    if (kind == "tree") != (base_kind == "tree"):
-        raise ModelFormatError(f"a {kind} member in a model whose "
-                               f"config.base.kind is {base_kind!r}")
-    _, *params, converged, seed_used = _record(raw, f"{kind} member")
+    # train fits a tree under kind "tree" and a linear member under the
+    # other kinds, so config.base.kind says which keys a member holds
+    tree = base_kind == "tree"
+    *params, converged, seed_used = _record(
+        raw, "tree member" if tree else "linear member")
     if type(converged) is not bool:
         raise ModelFormatError(
             f"converged must be true or false, got {converged!r}")
-    # the range LearnerConfig.seed allows
+    # the range train's seed allows
     if not (is_int(seed_used) and 0 <= seed_used < 2 ** 64):
         raise ModelFormatError(f"seed_used must be an integer in "
                                f"[0, 2**64), got {seed_used!r}")
     common = {"converged": converged, "seed_used": seed_used}
-    if kind == "tree":
+    if tree:
         return TreeLearner(nodes=_tree_nodes(*params, n_classes, n_features),
                            n_features=n_features, **common)
-    if kind == "linear":
-        linear_kind, weights, bias = params
-        if n_classes != 2:
-            raise ModelFormatError(
-                f"a linear member needs n_classes 2, got {n_classes}")
-        if linear_kind != base_kind:
-            raise ModelFormatError(f"a linear member's kind is "
-                                   f"{linear_kind!r}, but config.base.kind "
-                                   f"is {base_kind!r}")
-        # standardized inputs are clamped to +-_Z_MAX, so a dot product
-        # with these weights is at most _Z_MAX**2 = 2**1022 in magnitude,
-        # and adding the bias cannot overflow; a sum that does is inf
-        if not (is_finite_number(bias) and abs(bias) <= _Z_MAX ** 2):
-            raise ModelFormatError(f"bias {bias!r} is not a finite number "
-                                   "of magnitude at most 2**1022")
-        weights = _vector(weights, "weights", n_features)
-        with np.errstate(over="ignore"):
-            magnitude = np.abs(weights).sum()
-        if not magnitude <= _Z_MAX:
-            raise ModelFormatError("weights must sum in magnitude to at "
-                                   "most 2**511")
-        return LinearLearner(kind=linear_kind, weights=weights,
-                             bias=float(bias), **common)
-    (label,) = params
-    if not (is_int(label) and 0 <= label < n_classes):
+    weights, bias = params
+    if n_classes != 2:
         raise ModelFormatError(
-            f"constant learner label {label!r} is not a class index "
-            f"below {n_classes}")
-    return ConstantLearner(label=label, n_classes=n_classes,
-                           n_features=n_features, **common)
+            f"a linear member needs n_classes 2, got {n_classes}")
+    # standardized inputs are clamped to +-_Z_MAX, so a dot product with
+    # these weights is at most _Z_MAX**2 = 2**1022 in magnitude, and adding
+    # the bias cannot overflow; a sum that does is inf
+    if not (is_finite_number(bias) and abs(bias) <= _Z_MAX ** 2):
+        raise ModelFormatError(f"bias {bias!r} is not a finite number "
+                               "of magnitude at most 2**1022")
+    weights = _vector(weights, "weights", n_features)
+    with np.errstate(over="ignore"):
+        magnitude = np.abs(weights).sum()
+    if not magnitude <= _Z_MAX:
+        raise ModelFormatError("weights must sum in magnitude to at "
+                               "most 2**511")
+    return LinearLearner(weights=weights, bias=float(bias), **common)
 
 
 def _config_to_dict(config: EnsembleConfig) -> dict:
@@ -267,6 +242,10 @@ def load_model(path) -> EnsembleModel:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ModelFormatError(f"{path}: not a {FORMAT_NAME} file")
     version = doc.get("format_version")
+    if is_int(version) and version == 1:
+        raise ModelFormatError(f"{path}: format_version 1 is no longer read; "
+                               f"retrain the model to write format_version "
+                               f"{FORMAT_VERSION}")
     if not (is_int(version) and version == FORMAT_VERSION):
         raise ModelFormatError(f"{path}: unsupported format_version {version}")
     try:

@@ -10,8 +10,9 @@ settings.register_profile("voteguard", derandomize=True, deadline=None)
 settings.load_profile("voteguard")
 
 # names that csv.writer quotes or escapes, and non-ASCII text, without
-# the surrounding whitespace load_csv strips
-TRICKY = st.text(st.sampled_from(list('ab ,"\r\né€😀')), min_size=1,
+# the surrounding whitespace load_csv strips or the tabs and line breaks
+# core.check_names refuses
+TRICKY = st.text(st.sampled_from(list('ab ,"é€😀')), min_size=1,
                  max_size=6).filter(lambda s: s == s.strip())
 
 

@@ -392,6 +392,19 @@ def test_model_missing_key_exits_1(pipeline_dir, tmp_path, capsys, missing):
     assert str(model) in err and repr(key) in err
 
 
+def _tree_member_first(doc):
+    # a one-leaf tree member, as a tree model holds it
+    doc["learners"][0] = {"nodes": [[-1, 0.0, -1, -1, [1.0, 1.0]]],
+                          "converged": True, "seed_used": 0}
+
+
+def _each_member(key, value):
+    def mutate(doc):
+        for learner in doc["learners"]:
+            learner[key] = value
+    return mutate
+
+
 @pytest.mark.parametrize("name,mutate,message", [
     ("model.json", lambda doc: doc.pop("support"), "missing key 'support'"),
     ("model.json", lambda doc: doc.update(support=None),
@@ -399,7 +412,21 @@ def test_model_missing_key_exits_1(pipeline_dir, tmp_path, capsys, missing):
     ("linear.json",
      lambda doc: doc["config"]["base"]["gradient"].update(learning_rate=0.1),
      "unknown GradientParams fields ['learning_rate']"),
-], ids=["support-missing", "support-null", "learning-rate"])
+    # format 2 stores each fact once: config.base.kind says what every
+    # member is, and the fit never read config.base.seed
+    ("model.json", lambda doc: doc.update(format_version=1),
+     "format_version 1 is no longer read; retrain the model to write "
+     "format_version 2"),
+    ("model.json", _each_member("type", "tree"),
+     "learner 0: unknown tree member fields ['type']"),
+    ("linear.json", _each_member("type", "linear"),
+     "learner 0: unknown linear member fields ['type']"),
+    ("model.json", lambda doc: doc["config"]["base"].update(seed=0),
+     "unknown LearnerConfig fields ['seed']"),
+    ("linear.json", _tree_member_first,
+     "learner 0: unknown linear member fields ['nodes']"),
+], ids=["support-missing", "support-null", "learning-rate", "version-1",
+        "tree-type", "linear-type", "base-seed", "tree-in-linear"])
 def test_model_without_box_or_with_stale_key_exits_1(pipeline_dir, tmp_path,
                                                      capsys, name, mutate,
                                                      message):
@@ -420,8 +447,8 @@ def test_model_without_box_or_with_stale_key_exits_1(pipeline_dir, tmp_path,
 
 # each object of a model file: the test file that holds it, where, the name
 # its errors give and its keys. A config block's keys are its class's
-# fields. format, format_version and a member's type are read before the
-# object's keys and have their own messages, so they are left out here.
+# fields. format and format_version are read before the object's keys and
+# have their own messages, so they are left out here.
 _OBJECTS = {
     **{block: ("model.json", block.split("."), cls.__name__,
                [f.name for f in dataclasses.fields(cls)])
@@ -438,10 +465,7 @@ _OBJECTS = {
     "tree-member": ("model.json", ["learners", 0], "tree member",
                     ["nodes", "converged", "seed_used"]),
     "linear-member": ("linear.json", ["learners", 0], "linear member",
-                      ["kind", "weights", "bias", "converged", "seed_used"]),
-    # linear.json with its first member replaced by a constant one
-    "constant-member": ("linear.json", ["learners", 0], "constant member",
-                        ["label", "converged", "seed_used"]),
+                      ["weights", "bias", "converged", "seed_used"]),
 }
 
 
@@ -456,9 +480,6 @@ def test_config_block_holds_its_fields_and_no_other_key(
     # each of its keys is present, and no other key is
     name, where, owner, _ = _OBJECTS[block]
     doc = json.loads((pipeline_dir / name).read_text())
-    if block == "constant-member":
-        doc["learners"][0] = {"type": "constant", "label": 1,
-                              "converged": True, "seed_used": 0}
     raw = doc
     for step in where:
         raw = raw[step]
@@ -481,13 +502,6 @@ def test_config_block_holds_its_fields_and_no_other_key(
     assert err == f"error: {model}: {message}\n"
 
 
-def _each_member(key, value):
-    def mutate(doc):
-        for learner in doc["learners"]:
-            learner[key] = value
-    return mutate
-
-
 def _three_classes(doc):
     doc.update(n_classes=3, class_names=None)
     doc["config"]["posterior_mode"] = "soft_average"
@@ -497,8 +511,7 @@ def _three_classes(doc):
     ("linear.json", _three_classes,
      "learner 0: a linear member needs n_classes 2, got 3"),
     ("linear.json", _each_member("kind", 7),
-     "learner 0: a linear member's kind is 7, but config.base.kind is "
-     "'logistic'"),
+     "learner 0: unknown linear member fields ['kind']"),
     ("linear.json", _each_member("converged", "no"),
      "learner 0: converged must be true or false, got 'no'"),
     ("model.json", _each_member("converged", 1),
@@ -539,33 +552,27 @@ def _base_kind(kind):
 
 
 def _constant_first(doc):
+    # the constant member format_version 1 wrote for a one-class replicate
     doc["learners"][0] = {"type": "constant", "label": 0, "converged": True,
                           "seed_used": 0}
 
 
 @pytest.mark.parametrize("name,mutate,message", [
     ("linear.json", _each_member("kind", "linear_svm"),
-     "learner 0: a linear member's kind is 'linear_svm', but "
-     "config.base.kind is 'logistic'"),
-    ("linear.json", _base_kind("linear_svm"),
-     "learner 0: a linear member's kind is 'logistic', but "
-     "config.base.kind is 'linear_svm'"),
+     "learner 0: unknown linear member fields ['kind']"),
     ("linear.json", _base_kind("tree"),
-     "learner 0: a linear member in a model whose config.base.kind is "
-     "'tree'"),
+     "learner 0: unknown tree member fields ['bias', 'weights']"),
     ("model.json", _base_kind("logistic"),
-     "learner 0: a tree member in a model whose config.base.kind is "
-     "'logistic'"),
+     "learner 0: unknown linear member fields ['nodes']"),
     ("model.json", _constant_first,
-     "learner 0: a constant member in a model whose config.base.kind is "
-     "'tree'"),
-], ids=["linear-kind", "base-linear-svm", "base-tree", "tree-base-logistic",
-        "constant-in-tree"])
+     "learner 0: unknown tree member fields ['label', 'type']"),
+], ids=["linear-kind", "base-tree", "tree-base-logistic", "constant-in-tree"])
 def test_member_type_differs_from_base_kind_exits_1(pipeline_dir, tmp_path,
                                                     capsys, name, mutate,
                                                     message):
-    # a member is what train makes for config.base.kind: a tree, or a
-    # linear member of that kind or a constant one
+    # config.base.kind alone says what every member is: a tree, or a linear
+    # member of that kind; a member of the other shape has keys its object
+    # does not hold
     doc = json.loads((pipeline_dir / name).read_text())
     mutate(doc)
     model = tmp_path / "model.json"
@@ -793,9 +800,9 @@ def test_mutated_manifest_fails_cleanly_or_runs(small_pipeline, command,
         assert err.getvalue().count("\n") == 1
 
 
-def _run_cleanly(argv) -> None:
+def _run_cleanly(argv) -> str:
     """Run the CLI on ``argv``: it exits 0, or 1 with one ``error:`` line on
-    stderr, and raises and warns nothing."""
+    stderr, and raises and warns nothing. Returns what it wrote to stderr."""
     err = io.StringIO()
     with (warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()),
           contextlib.redirect_stderr(err)):
@@ -805,6 +812,7 @@ def _run_cleanly(argv) -> None:
     if code == 1:
         assert err.getvalue().startswith("error:"), argv
         assert err.getvalue().count("\n") == 1, argv
+    return err.getvalue()
 
 
 # bytes an edit inserts: a BOM, quotes, a lone CR, NUL, separators, a byte
@@ -910,7 +918,10 @@ def test_numeric_flag_fails_cleanly_or_runs(small_pipeline, tmp_path,
                   "--n-train", "40", "--n-test", "10", "--n-unknown", "10",
                   "--d", "2"],
     }[command]
-    _run_cleanly([*argv, f"{flag}={value}"])
+    err = _run_cleanly([*argv, f"{flag}={value}"])
+    if command == "synth" and err:
+        # every size and distance synth refuses is named by its flag
+        assert err.startswith("error: --"), err
 
 
 @pytest.mark.parametrize("command", ["train", "sweep-threshold"])
@@ -1154,6 +1165,39 @@ def test_misspelt_manifest_key_fails_train(overlap_dir, tmp_path, capsys):
                    f"['unknown_app_id']\n")
 
 
+@pytest.mark.parametrize("where", ["app-id-tab", "app-id-newline",
+                                   "class-tab"])
+def test_name_that_would_break_predict_tsv_exits_1(pipeline_dir, tmp_path,
+                                                   capsys, where):
+    # a newline in an app id printed a forged row, and a tab a fifth column
+    data = pipeline_dir / "data"
+    manifest, csv_path = data / "manifest.json", tmp_path / "test_known.csv"
+    lines = (data / "test_known.csv").read_text().splitlines(True)
+    if where == "class-tab":
+        doc = json.loads(manifest.read_text())
+        doc["classes"] = ["benign", "mal\tware"]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        csv_path = data / "test_known.csv"
+        message = (f"{manifest}: manifest classes must hold no tab or line "
+                   f"break, got 'mal\\tware'")
+    else:
+        app_id = {"app-id-tab": "known-1\tx",
+                  "app-id-newline": "known-1\nfake\t0\tmalware\t0.0"}[where]
+        cells = lines[2].rstrip("\r\n").split(",")
+        cells[-1] = f'"{app_id}"'              # a quoted CSV cell
+        csv_path.write_text("".join(lines[:2]) + ",".join(cells) + "\n"
+                            + "".join(lines[3:]))
+        message = (f"{csv_path}: row 3: app_id must hold no tab or line "
+                   f"break, got {app_id!r}")
+    code, out, err = run(capsys, "predict", "--model",
+                         str(pipeline_dir / "model.json"), "--data",
+                         str(csv_path), "--manifest", str(manifest),
+                         "--threshold", "0.5")
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("held_out", [" known-1", "known-1\n", ""],
                          ids=["padded", "newline", "empty"])
 def test_unknown_app_id_no_csv_cell_can_match_fails_train(
@@ -1233,7 +1277,8 @@ def test_linear_bias_bounded_so_scores_cannot_overflow(pipeline_dir,
     cells[:d] = [f"{'+-'[j % 2]}1.79e308" for j in range(d)]
     huge = tmp_path / "huge.csv"
     huge.write_text(lines[0] + ",".join(cells))
-    assert [learner["type"] for learner in doc["learners"]] == ["linear"] * 3
+    assert [sorted(learner) for learner in doc["learners"]] == \
+        [["bias", "converged", "seed_used", "weights"]] * 3
     for bias, code in ((2.0 ** 1022, 0), (1.7e308, 1)):
         for learner in doc["learners"]:
             learner["weights"] = [(-1) ** j * 2.0 ** 511 / d

@@ -91,7 +91,13 @@ class TestDataset:
                        "whitespace, got 'b\\n'"),
         (("", "b"), "must be non-empty and without surrounding "
                     "whitespace, got ''"),
-    ], ids=["twice", "ints", "bytes", "padded", "newline", "empty"])
+        # predict prints names in tab-separated cells, one sample a line
+        (("a\tb", "b"), "must hold no tab or line break, got 'a\\tb'"),
+        (("a", "b\nc"), "must hold no tab or line break, got 'b\\nc'"),
+        (("a\u2028b", "b"), "must hold no tab or line break, "
+                            "got 'a\\u2028b'"),
+    ], ids=["twice", "ints", "bytes", "padded", "newline", "empty", "tab",
+            "inner-newline", "line-separator"])
     def test_rejects_class_names_no_model_file_could_hold(self, names,
                                                           message):
         # ("a", "a") and (0, 1) were fitted and saved, and then load_model

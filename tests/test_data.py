@@ -187,8 +187,8 @@ def _write_csv_row_by_row(data, path, schema):
 @example(n=_WRITE_BLOCK + 1, d=8,
          special=[(0.0, -0.0), (0.1, 5e-324), (0.2, 1e-05), (0.3, 1e16),
                   (0.4, 1e308), (0.5, -1e308)],
-         apps=["a,b", 'x"\r\n y', "é 😀"],
-         names=['b "1"', "m,\n€"], seed=0)
+         apps=["a,b", 'x" y', "é 😀"],
+         names=['b "1"', "m,€"], seed=0)
 def test_write_csv_matches_row_by_row_csv_writer(n, d, special, apps, names,
                                                  seed):
     # each row draws its label and app id apart, so one app id comes under
@@ -578,6 +578,28 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError) as info:
             SyntheticSpec(regime="ood", **{field_name: value})
         assert str(info.value) == f"{field_name} must be {what}, got {value!r}"
+
+    @pytest.mark.parametrize("fields, message", [
+        # 2**60 rows of 8 float64s: numpy said "array is too big"
+        ({"n_test": 2 ** 60}, f"n_test must be at most {2 ** 60 // 8 - 1} "
+                              f"for d = 8, got {2 ** 60}"),
+        ({"n_unknown": 2 ** 64, "d": 1},
+         f"n_unknown must be at most {2 ** 60 - 1} for d = 1, got {2 ** 64}"),
+        ({"n_train": 2 ** 59, "d": 2},
+         f"n_train must be at most {2 ** 59 - 1} for d = 2, got {2 ** 59}"),
+        ({"d": 2 ** 59}, f"d must be at most {2 ** 59 - 1}, got {2 ** 59}"),
+        # the unknown cluster's centre overflowed, and every feature of
+        # the bucket was +inf
+        ({"class_separation": 1e308, "ood_distance": 1.7e308},
+         "ood_distance must leave the unknown cluster's centre, "
+         "class_separation / 2 + ood_distance, finite, got 1.7e+308"),
+    ], ids=["n-test-2-60", "n-unknown-2-64", "n-train-2-59", "d-2-59",
+            "ood-centre-inf"])
+    def test_spec_refuses_what_numpy_cannot_make(self, fields, message):
+        # refused before any array is made, under the field's own name
+        with pytest.raises(ValueError) as info:
+            SyntheticSpec(regime="ood", **fields)
+        assert str(info.value) == message
 
 
 def test_taxonomy_rejects_overlapping_app_ids():

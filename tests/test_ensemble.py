@@ -13,8 +13,8 @@ from voteguard.ensemble import (EnsembleConfig, EnsembleModel, Prediction,
                                 Standardizer, SupportBox, Verdict,
                                 bootstrap_indices, entropy_of, fit, gate,
                                 predict, rejected)
-from voteguard.learners import (LEAF, LEVEL_WALK_ROWS, ConstantLearner,
-                                LearnerConfig, TreeLearner, TreeNode,
+from voteguard.learners import (LEAF, LEVEL_WALK_ROWS, LearnerConfig,
+                                LinearLearner, TreeLearner, TreeNode,
                                 TreeParams, train)
 from voteguard.persist import save_model
 from conftest import make_binary_dataset
@@ -85,13 +85,15 @@ def test_hard_vote_posterior_matches_every_count_vector(k, max_m, log_base):
             assert np.float64(one.entropy).tobytes() == h.tobytes()
 
 
-def constant_ensemble(votes, m=None, mode="hard_vote"):
-    """Ensemble of constant voters over 1 standardized feature, 2 classes,
-    whose box holds the input 0."""
-    learners = tuple(ConstantLearner(label=v, n_classes=2, n_features=1,
-                                     seed_used=0) for v in votes)
-    config = EnsembleConfig(base=LearnerConfig(kind="tree"), m=len(votes),
-                            posterior_mode=mode)
+def constant_ensemble(votes):
+    """Ensemble of voters over 1 standardized feature, 2 classes, whose box
+    holds the input 0: each one the zero-weight linear member that train
+    fits on a replicate of its one class."""
+    learners = tuple(LinearLearner(weights=np.zeros(1),
+                                   bias=1e300 if v else -1e300,
+                                   converged=True, seed_used=0)
+                     for v in votes)
+    config = EnsembleConfig(base=LearnerConfig(kind="logistic"), m=len(votes))
     return EnsembleModel(learners=learners,
                          standardizer=Standardizer(mean=np.zeros(1),
                                                    std=np.ones(1)),
@@ -419,8 +421,8 @@ def tree_ensembles(draw):
         rows = rng.integers(0, n, size=n)
         if draw(st.booleans()):                  # one class: a single leaf
             rows = rows[data.y[rows] == data.y[rows[0]]]
-        learners.append(train(LearnerConfig(kind="tree", tree=tree,
-                                            seed=seed), data, rows))
+        learners.append(train(LearnerConfig(kind="tree", tree=tree), data,
+                              rows, seed))
     mode = draw(st.sampled_from(["hard_vote", "soft_average"]))
     model = EnsembleModel(
         learners=tuple(learners),

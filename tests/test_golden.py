@@ -7,7 +7,8 @@ record with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says which outputs changed, and why.
+which prints the name of each output whose hash it changed, and says
+which outputs changed, and why.
 """
 
 import contextlib
@@ -77,14 +78,20 @@ def golden_outputs(root: Path) -> dict[str, str]:
 
 
 def write_golden() -> None:
-    """Rewrite the record from the code as it stands."""
+    """Rewrite the record from the code as it stands, and print the name of
+    each output whose hash this changed, added or dropped."""
     with tempfile.TemporaryDirectory() as tmp:
         hashes = golden_outputs(Path(tmp))
+    old = (json.loads(GOLDEN.read_text(encoding="utf-8"))["sha256"]
+           if GOLDEN.exists() else {})
     record = {"numpy": np.__version__, "python": platform.python_version(),
               "platform": f"{platform.system()} {platform.machine()}",
               "sha256": hashes}
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")
+    for name in sorted(old.keys() | hashes.keys()):
+        if old.get(name) != hashes.get(name):
+            print(name)
 
 
 def test_outputs_match_golden(tmp_path):

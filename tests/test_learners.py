@@ -11,8 +11,8 @@ from voteguard.core import Dataset
 from voteguard.data import SyntheticSpec, generate_synthetic
 from voteguard.ensemble import Standardizer, bootstrap_indices
 from voteguard.learners import (_OBJECTIVES, LEAF, LEVEL_WALK_ROWS,
-                                ConstantLearner, GradientParams, LearnerConfig,
-                                LinearLearner, TreeNode, TreeParams,
+                                GradientParams, LearnerConfig, LinearLearner,
+                                TreeNode, TreeParams,
                                 _gini_gains, _gradient, _penalized, _sigmoid,
                                 best_split, hinge_gradient, hinge_loss,
                                 logistic_gradient, logistic_loss, train)
@@ -72,9 +72,9 @@ class TestTree:
                 assert got[1] == pytest.approx(expected[1], abs=1e-12)
 
     def test_deterministic_retraining(self, small_dataset):
-        cfg = LearnerConfig(kind="tree", seed=9)
-        a = train(cfg, small_dataset)
-        b = train(cfg, small_dataset)
+        cfg = LearnerConfig(kind="tree")
+        a = train(cfg, small_dataset, seed=9)
+        b = train(cfg, small_dataset, seed=9)
         assert len(a.nodes) == len(b.nodes)
         for na, nb in zip(a.nodes, b.nodes):
             assert (na.feature, na.threshold, na.left, na.right) == \
@@ -172,23 +172,41 @@ class TestLinearModels:
         assert acc >= oracle_acc - 0.01
 
     def test_sign_rule(self):
-        learner = LinearLearner(kind="logistic", weights=np.array([1.0]),
-                                bias=0.0, converged=True, seed_used=0)
+        learner = LinearLearner(weights=np.array([1.0]), bias=0.0,
+                                converged=True, seed_used=0)
         assert learner.predict_label([3.0]) == 1
         assert learner.predict_label([-3.0]) == 0
         assert learner.predict_label([0.0]) == 0   # tie toward lower index
 
     def test_zero_score_probability(self):
-        learner = LinearLearner(kind="logistic", weights=np.array([1.0]),
-                                bias=0.0, converged=True, seed_used=0)
+        learner = LinearLearner(weights=np.array([1.0]), bias=0.0,
+                                converged=True, seed_used=0)
         np.testing.assert_allclose(learner.predict_proba([0.0]), [0.5, 0.5])
 
     def test_single_class_constant(self):
-        learner = train(LearnerConfig(kind="logistic"),
-                        one_d([0.0, 1.0], [1, 1]))
-        assert isinstance(learner, ConstantLearner)
-        assert learner.converged
-        np.testing.assert_array_equal(learner.predict_proba([0.3]), [0.0, 1.0])
+        # a one-class replicate gives zero weights and a bias of +-1e300:
+        # that one class and its certain probability, bit for bit, for one
+        # sample and a batch, whatever the input, clamped values included
+        rows = np.array([[0.3], [-2.0 ** 511], [2.0 ** 511], [0.0]])
+        for kind in ("logistic", "linear_svm"):
+            for label in (0, 1):
+                learner = train(LearnerConfig(kind=kind),
+                                one_d([0.0, 1.0], [label, label]), seed=7)
+                assert learner.weights.tolist() == [0.0]
+                assert learner.bias == (1e300 if label else -1e300)
+                assert learner.converged and learner.seed_used == 7
+                assert learner.loss_curve == ()
+                proba = np.zeros(2)
+                proba[label] = 1.0
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    for row in rows:
+                        assert learner.predict_label(row) == label
+                        assert learner.predict_proba(row).tobytes() == \
+                            proba.tobytes()
+                    assert learner.predict_label(rows).tolist() == [label] * 4
+                    assert learner.predict_proba(rows).tobytes() == \
+                        np.tile(proba, (4, 1)).tobytes()
 
     def test_non_convergence_is_reported_not_raised(self, small_dataset):
         cfg = LearnerConfig(kind="linear_svm",
@@ -373,10 +391,8 @@ def assert_same_learner(a, b):
             assert (na.feature, na.threshold, na.left, na.right) == \
                    (nb.feature, nb.threshold, nb.left, nb.right)
             assert np.array_equal(na.counts, nb.counts)
-    elif hasattr(a, "weights"):
-        assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
     else:
-        assert a.label == b.label
+        assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
 
 def leaf_of(learner, row):
@@ -389,8 +405,8 @@ def leaf_of(learner, row):
 
 @st.composite
 def row_draws(draw, kind):
-    """A small dataset on a coarse grid (so feature values tie), and a
-    bootstrap-like draw of its rows with repeats."""
+    """A config, a small dataset on a coarse grid (so feature values tie),
+    a bootstrap-like draw of its rows with repeats, and a seed."""
     n_classes = draw(st.sampled_from([2, 3])) if kind == "tree" else 2
     n = draw(st.integers(2, 40))
     d = draw(st.integers(1, 4))
@@ -403,10 +419,9 @@ def row_draws(draw, kind):
         min_samples_split=draw(st.integers(2, 5)),
         feature_subsample=draw(st.sampled_from(["all", "sqrt"])))
     config = LearnerConfig(kind=kind, tree=tree,
-                           gradient=GradientParams(max_iters=50),
-                           seed=draw(st.integers(0, 2 ** 32)))
+                           gradient=GradientParams(max_iters=50))
     data = Dataset(x=x, y=y, app_ids=("a",) * n, n_classes=n_classes)
-    return config, data, rows
+    return config, data, rows, draw(st.integers(0, 2 ** 32))
 
 
 @pytest.mark.parametrize("kind", ["tree", "logistic", "linear_svm"])
@@ -414,11 +429,11 @@ def row_draws(draw, kind):
 @given(case=st.data())
 def test_rows_equal_subset(kind, case):
     # fitting on row indices is fitting on the copied rows
-    config, data, rows = case.draw(row_draws(kind))
-    learner = train(config, data, rows)
+    config, data, rows, seed = case.draw(row_draws(kind))
+    learner = train(config, data, rows, seed)
     copied = Dataset(x=data.x[rows], y=data.y[rows],
                      app_ids=("a",) * len(rows), n_classes=data.n_classes)
-    assert_same_learner(learner, train(config, copied))
+    assert_same_learner(learner, train(config, copied, seed=seed))
     if config.kind == "tree":
         # each leaf counts exactly the drawn rows that prediction routes to it
         routed = np.array([leaf_of(learner, data.x[r]) for r in rows])
@@ -444,8 +459,8 @@ def test_weighted_split_equals_repeated_rows(data, n, n_classes):
         == best_split(x[repeated], y[repeated], feats, n_classes)
 
 
-def reference_tree(config, data, rows):
-    """The tree ``train(config, data, rows)`` should grow, grown by plain
+def reference_tree(config, data, rows, seed):
+    """The tree ``train(config, data, rows, seed)`` should grow, grown by plain
     recursion on the copied rows: each node draws its features as train
     does, in the same order (a node, then its left subtree, then its
     right), searches them with public ``best_split`` and sends a row left
@@ -453,7 +468,7 @@ def reference_tree(config, data, rows):
     x, y = data.x[rows], data.y[rows]
     params, d, n_classes = config.tree, data.d, data.n_classes
     k = d if params.feature_subsample == "all" else math.isqrt(d - 1) + 1
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     nodes = []
 
     def grow(x, y, depth):
@@ -484,13 +499,13 @@ def reference_tree(config, data, rows):
 def test_tree_equals_reference_tree(case, tied, seed):
     # node for node: the split, the children and the class counts that
     # train takes from the search's sums and the sorted rows' prefix
-    config, data, rows = case
+    config, data, rows, fit_seed = case
     if not tied:
         x = np.random.default_rng(seed).uniform(-1, 1, size=data.x.shape)
         data = Dataset(x=x, y=data.y, app_ids=data.app_ids,
                        n_classes=data.n_classes)
-    assert train(config, data, rows).nodes == tuple(
-        reference_tree(config, data, rows))
+    assert train(config, data, rows, fit_seed).nodes == tuple(
+        reference_tree(config, data, rows, fit_seed))
 
 
 @settings(max_examples=100)
@@ -498,7 +513,7 @@ def test_tree_equals_reference_tree(case, tied, seed):
 def test_tree_equals_reference_tree_with_mixed_ties(case, data, seed):
     # one dataset with columns on the coarse grid, whose values tie, and
     # columns without ties, whose search skips comparing the values
-    config, tied, rows = case
+    config, tied, rows, fit_seed = case
     assume(tied.d >= 2)
     untied = data.draw(st.lists(st.integers(0, tied.d - 1), min_size=1,
                                 max_size=tied.d - 1, unique=True))
@@ -508,8 +523,8 @@ def test_tree_equals_reference_tree_with_mixed_ties(case, data, seed):
     mixed = Dataset(x=x, y=tied.y, app_ids=tied.app_ids,
                     n_classes=tied.n_classes)
     assert mixed.tie_free[untied].all()
-    assert train(config, mixed, rows).nodes == tuple(
-        reference_tree(config, mixed, rows))
+    assert train(config, mixed, rows, fit_seed).nodes == tuple(
+        reference_tree(config, mixed, rows, fit_seed))
 
 
 @pytest.mark.parametrize("heavy", [256, 65_536], ids=["over-255", "over-65535"])
@@ -526,11 +541,11 @@ def test_draw_counts_past_narrow_dtypes(heavy):
     copied = Dataset(x=data.x[rows], y=data.y[rows],
                      app_ids=("a",) * len(rows), n_classes=n_classes)
     for subsample in ("all", "sqrt"):
-        config = LearnerConfig(kind="tree", seed=heavy,
+        config = LearnerConfig(kind="tree",
                                tree=TreeParams(feature_subsample=subsample))
-        learner = train(config, data, rows)
+        learner = train(config, data, rows, heavy)
         assert sum(learner.nodes[0].counts) == len(rows)
-        assert_same_learner(learner, train(config, copied))
+        assert_same_learner(learner, train(config, copied, seed=heavy))
 
     weights = np.bincount(rows, minlength=n)
     feats = np.arange(d)
@@ -635,7 +650,6 @@ def test_non_finite_gradient_params_rejected(field_name, value):
     *(pytest.param(GradientParams, name, v, id=f"{name}-{id_}")
       for name in ("tolerance", "l2")
       for v, id_ in ((True, "bool"), ("0.1", "text"), (10 ** 400, "huge"))),
-    *((LearnerConfig, "seed", v) for v in (0.5, True, np.uint64(1))),
 ])
 def test_config_refuses_wrong_types(cls, field_name, value):
     # fit took some of these and ran to the end; numpy or the range check
@@ -646,6 +660,19 @@ def test_config_refuses_wrong_types(cls, field_name, value):
     what = "a finite number" if number else "an integer"
     assert str(info.value).startswith(f"{field_name} must be {what}")
     assert str(info.value).endswith(f", got {value!r}")
+
+
+@pytest.mark.parametrize("seed", [0.5, True, np.uint64(1), -1, 2 ** 64],
+                         ids=["float", "bool", "numpy-int", "negative",
+                              "2-64"])
+def test_train_refuses_bad_seed(small_dataset, seed):
+    # the seed is train's argument, checked as LearnerConfig checked it
+    with pytest.raises(ValueError) as info:
+        train(LearnerConfig(), small_dataset, seed=seed)
+    assert str(info.value) == (f"seed must be an integer in [0, 2**64), "
+                               f"got {seed!r}")
+    assert train(LearnerConfig(), small_dataset,
+                 seed=2 ** 64 - 1).seed_used == 2 ** 64 - 1
 
 
 def assert_walks_agree(learner, rows):
@@ -675,8 +702,8 @@ def on_every_threshold(learner, x, n_rows):
 @settings(max_examples=50)
 @given(case=st.data())
 def test_level_walk_equals_row_walk(n_rows, case):
-    config, data, rows = case.draw(row_draws("tree"))
-    learner = train(config, data, rows)
+    config, data, rows, seed = case.draw(row_draws("tree"))
+    learner = train(config, data, rows, seed)
     assert_walks_agree(learner, on_every_threshold(learner, data.x, n_rows))
 
 

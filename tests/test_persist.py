@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from voteguard.core import Dataset
 from voteguard.ensemble import EnsembleConfig, fit, predict
-from voteguard.learners import (LEVEL_WALK_ROWS, ConstantLearner,
-                                GradientParams, LearnerConfig, TreeParams)
+from voteguard.learners import (LEVEL_WALK_ROWS, GradientParams,
+                                LearnerConfig, LinearLearner, TreeParams)
 from voteguard.persist import ModelFormatError, load_model, save_model
 from conftest import TRICKY, make_binary_dataset
 
@@ -70,6 +70,10 @@ def test_constant_learner_round_trip(tmp_path):
     model = fit(EnsembleConfig(base=LearnerConfig(kind="logistic"), m=3), single)
     path = tmp_path / "model.json"
     save_model(model, path)
+    # each member is a linear one with zero weights and a bias of 1e300
+    learners = json.loads(path.read_text())["learners"]
+    assert [(m["weights"], m["bias"]) for m in learners] == \
+        [([0.0, 0.0], 1e300)] * 3
     loaded = load_model(path)
     assert predict(loaded, [0.0, 0.0]).label == 1
 
@@ -97,20 +101,10 @@ def logistic_doc(tmp_path_factory):
     return json.loads(path.read_text())
 
 
-def _constant(label):
-    """A constant member, as a file holds it, with ``label``."""
-    return {"type": "constant", "label": label, "converged": True,
-            "seed_used": 0}
-
-
 @pytest.mark.parametrize("member,message", [
     (lambda linear: {**linear, "weights": [2.0 ** 510] * 3},
      "learner 0: weights must sum in magnitude to at most 2**511"),
-    (lambda linear: _constant(2),
-     "learner 0: constant learner label 2 is not a class index below 2"),
-    (lambda linear: _constant(-1),
-     "learner 0: constant learner label -1 is not a class index below 2"),
-], ids=["weights-past-2-511", "constant-label-2", "constant-label-negative"])
+], ids=["weights-past-2-511"])
 def test_member_out_of_range_rejected(logistic_doc, tmp_path, member,
                                       message):
     doc = json.loads(json.dumps(logistic_doc))
@@ -125,13 +119,14 @@ def test_member_out_of_range_rejected(logistic_doc, tmp_path, member,
 @pytest.mark.parametrize("mode", ["hard_vote", "soft_average"])
 def test_mixed_members_vote_in_member_order(tmp_path, mode):
     # a model in memory may mix any members; a file holds the members train
-    # makes for its config.base.kind, here linear and constant ones
+    # makes for its config.base.kind, here linear ones, one of them what a
+    # one-class replicate gives
     data = make_binary_dataset(n=80, d=3, separation=1.0, seed=4)
     trees = fit(EnsembleConfig(base=LearnerConfig(kind="tree"), m=3), data)
     linear = fit(EnsembleConfig(base=LearnerConfig(kind="logistic"), m=2),
                  data)
-    constant = ConstantLearner(label=1, n_classes=2, n_features=3,
-                               seed_used=0)
+    constant = LinearLearner(weights=np.zeros(3), bias=1e300, converged=True,
+                             seed_used=0)
     t, l = trees.learners, linear.learners
     mixed = replace(trees, learners=(l[0], constant, t[0], t[1], l[1], t[2]),
                     config=replace(trees.config, m=6, posterior_mode=mode))
@@ -235,6 +230,15 @@ def test_rejects_future_version(tmp_path):
         load_model(path)
 
 
+def test_rejects_format_1_with_advice_to_retrain(tmp_path):
+    path = tmp_path / "old.json"
+    path.write_text('{"format": "voteguard-ensemble", "format_version": 1}')
+    with pytest.raises(ModelFormatError) as info:
+        load_model(path)
+    assert str(info.value) == (f"{path}: format_version 1 is no longer read; "
+                               f"retrain the model to write format_version 2")
+
+
 @pytest.mark.parametrize("block", ["tree", "gradient"])
 def test_unknown_config_field_rejected(tmp_path, block):
     data = make_binary_dataset(n=30, d=3, seed=1)
@@ -250,8 +254,6 @@ def test_unknown_config_field_rejected(tmp_path, block):
 
 @pytest.mark.parametrize("make, problem", [
     (lambda: EnsembleConfig(m=True), "m must be an integer >= 1, got True"),
-    (lambda: EnsembleConfig(m=2, base=LearnerConfig(seed=True)),
-     "seed must be an integer in [0, 2**64), got True"),
     (lambda: EnsembleConfig(m=2, base=LearnerConfig(
         tree=TreeParams(max_depth=True))),
      "max_depth must be an integer >= 1 or None, got True"),
@@ -261,7 +263,7 @@ def test_unknown_config_field_rejected(tmp_path, block):
     (lambda: EnsembleConfig(m=2, base=LearnerConfig(
         gradient=GradientParams(l2=True))),
      "l2 must be a finite number >= 0, got True"),
-], ids=["m", "seed", "max-depth", "min-samples-split", "l2"])
+], ids=["m", "max-depth", "min-samples-split", "l2"])
 def test_config_the_loader_refuses_is_not_saved(make, problem):
     # fit took these values, and only save_model refused them; the config
     # classes now refuse them, so no model can hold one
@@ -272,8 +274,8 @@ def test_config_the_loader_refuses_is_not_saved(make, problem):
 
 @pytest.mark.parametrize("key, value, problem", [
     ("m", 2.0, "config.m must be an integer >= 1, got 2.0"),
-    ("base.seed", True, "config.base.seed must be an integer in [0, 2**64), "
-                        "got True"),
+    # format 2 stores no seed: the fit draws each member's from master_seed
+    ("base.seed", True, "unknown LearnerConfig fields ['seed']"),
     ("base.tree.max_depth", 2.5, "config.base.tree.max_depth must be an "
                                  "integer >= 1 or None, got 2.5"),
     ("base.gradient.tolerance", "1e-6", "config.base.gradient.tolerance "
@@ -319,7 +321,7 @@ def test_config_keys_follow_field_order(tmp_path):
     config = json.loads(path.read_text())["config"]
     assert list(config) == ["m", "master_seed", "posterior_mode",
                             "entropy_log_base", "base"]
-    assert list(config["base"]) == ["kind", "seed", "tree", "gradient"]
+    assert list(config["base"]) == ["kind", "tree", "gradient"]
     assert list(config["base"]["tree"]) == ["max_depth", "min_samples_split",
                                             "feature_subsample"]
     assert list(config["base"]["gradient"]) == ["max_iters", "tolerance",
@@ -350,6 +352,7 @@ def saved_docs(tmp_path_factory):
                                    posterior_mode=mode), data)
         save_model(model, root / f"{kind}.json")
         doc = json.loads((root / f"{kind}.json").read_text())
+        assert doc["format_version"] == 2
         paths = _paths(doc)
         objects = [()] + [p for p in paths
                           if isinstance(functools.reduce(operator.getitem,
