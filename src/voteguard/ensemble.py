@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import Dataset, is_int
-from .learners import LearnerConfig, TrainedLearner, check_features, train
+from .learners import (LearnerConfig, TrainedLearner, TreeLearner,
+                       check_features, train)
 
 HARD_VOTE = "hard_vote"
 SOFT_AVERAGE = "soft_average"
@@ -178,6 +179,14 @@ class EnsembleModel:
     def n_features(self) -> int:
         return self.standardizer.mean.shape[0]
 
+    @functools.cached_property
+    def _tree_walks(self):
+        """Every member's node lists (``TreeLearner._walk``), in member
+        order, if every member is a tree; else None."""
+        if all(isinstance(l, TreeLearner) for l in self.learners):
+            return tuple(l._walk for l in self.learners)
+        return None
+
 
 def fit(config: EnsembleConfig, data: Dataset) -> EnsembleModel:
     """Train M learners, one after another, on bootstrap replicates of the
@@ -243,15 +252,30 @@ def _counted_posterior(counts: tuple[int, ...], m: int, log_base: float):
     return tuple(dist.tolist()), float(entropy_of(dist, log_base))
 
 
-def _predict_one(model: EnsembleModel, x: np.ndarray) -> Prediction:
+def _predict_one(model: EnsembleModel, x: np.ndarray,
+                 ask_members: bool = False) -> Prediction:
     """:func:`predict` for one checked sample ``(d,)``, in Python types,
     equal bit for bit to the sample's row of a batch. Its d values are
-    summed, counted and compared in Python, cheaper than numpy for so few."""
+    summed, counted and compared in Python, cheaper than numpy for so few.
+    Where every member is a tree, the votes come from one loop over all
+    their node lists, unless ``ask_members``; otherwise each member's
+    ``predict_label`` (and ``predict_proba``) gives its own."""
     std = model.standardizer
     # NaN fails the test; transform raises on it and on +-inf, and clamps
     z = ((x - std.mean) / std.std if sum(map(abs, x.tolist())) <=
          std._safe_bound else std.transform(x))
-    labels = [l.predict_label(z) for l in model.learners]
+    v = z.tolist()
+    walks = None if ask_members else model._tree_walks
+    if walks is None:
+        labels = [l.predict_label(z) for l in model.learners]
+    else:
+        leaves, labels = [], []
+        for feature, threshold, left, right, node_label, _ in walks:
+            i = 0
+            while feature[i] >= 0:               # LEAF, -1, marks a leaf
+                i = left[i] if v[feature[i]] <= threshold[i] else right[i]
+            leaves.append(i)
+            labels.append(node_label[i])
     log_base = model.config.entropy_log_base
     if model.config.posterior_mode == HARD_VOTE:
         counts = [labels.count(c) for c in range(model.n_classes)]
@@ -259,9 +283,15 @@ def _predict_one(model: EnsembleModel, x: np.ndarray) -> Prediction:
         # a new array, so a caller may write to it
         dist, label = np.array(dist), counts.index(max(counts))
     else:
-        dist = np.mean([l.predict_proba(z) for l in model.learners], axis=0)
+        # each reached leaf's class shares, the (K,) row predict_proba
+        # gives, averaged over an (M, K) array as a batch averages its
+        # (M, n, K) one
+        shares = ([l.predict_proba(z) for l in model.learners]
+                  if walks is None else
+                  [walk[5][i] for walk, i in zip(walks, leaves)])
+        dist = np.mean(shares, axis=0)
         h, label = float(entropy_of(dist, log_base)), int(dist.argmax())
-    (low, high), v = model.support._bounds, z.tolist()
+    low, high = model.support._bounds
     inside = all(map(operator.le, low, v)) and all(map(operator.le, v, high))
     return Prediction(vote_distribution=dist, per_learner_labels=tuple(labels),
                       entropy=h, label=label, support=inside)
@@ -276,7 +306,9 @@ def predict(model: EnsembleModel, x) -> Prediction:
     # the standardizer checks finiteness
     x = check_features(x, model.n_features, finite=False)
     if x.ndim == 1:
-        return _predict_one(model, x)
+        # each member votes through predict_label, one call each, as
+        # bench/test_bench_helpers.py counts; gate takes the tree loop
+        return _predict_one(model, x, ask_members=True)
     z = model.standardizer.transform(x)
     votes = np.array([l.predict_label(z) for l in model.learners])
     (m, n), k = votes.shape, model.n_classes
@@ -309,10 +341,14 @@ def rejected(pred: Prediction, threshold: float):
 def gate(model: EnsembleModel, x, threshold: float) -> Verdict:
     """Accept the ensemble's label for one sample ``(d,)`` unless its
     entropy strictly exceeds ``threshold`` or it lies outside the training
-    box. A batch ``(n, d)``, even of one row, raises ValueError."""
+    box. A batch ``(n, d)``, even of one row, raises ValueError. The
+    prediction is :func:`predict`'s, bit for bit; on a model of trees it
+    walks all of them in one loop, with no call to a member."""
     if np.ndim(x) != 1:
         raise ValueError(f"gate takes one sample of shape "
                          f"({model.n_features},), got shape {np.shape(x)}")
-    pred = predict(model, x)
+    # the standardizer checks finiteness
+    pred = _predict_one(model, check_features(x, model.n_features,
+                                              finite=False))
     label = None if rejected(pred, threshold) else pred.label
     return Verdict(prediction=pred, label=label)

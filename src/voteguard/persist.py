@@ -84,8 +84,14 @@ def _vectors(raw, name: str, n_features: int) -> dict:
             for key, value in zip(_KEYS[name], _record(raw, name))}
 
 
-def _learner_to_dict(learner) -> dict:
-    if isinstance(learner, TreeLearner):
+def _learner_to_dict(index: int, learner, kind: str) -> dict:
+    # load_model reads every member as the kind config.base.kind names, so
+    # a member of another type would write a file that does not load
+    tree = kind == "tree"
+    if not isinstance(learner, TreeLearner if tree else LinearLearner):
+        raise ValueError(f"learner {index} is a {type(learner).__name__}, "
+                         f"not a member of config.base.kind {kind!r}")
+    if tree:
         name, params = "tree member", (learner.nodes,)  # tuples as lists
     else:
         name, params = "linear member", (learner.weights.tolist(),
@@ -221,7 +227,8 @@ def _read_config(cls, raw, name: str):
 
 
 def save_model(model: EnsembleModel, path) -> None:
-    """Write ``model`` to ``path``."""
+    """Write ``model`` to ``path``. Raises ValueError, before the file is
+    opened, if a member is not of the type ``config.base.kind`` trains."""
     std, box = model.standardizer, model.support
     doc = _to_dict(
         "model file", FORMAT_NAME, FORMAT_VERSION, model.n_classes,
@@ -230,7 +237,8 @@ def save_model(model: EnsembleModel, path) -> None:
         _config_to_dict(model.config),
         _to_dict("standardizer", std.mean.tolist(), std.std.tolist()),
         _to_dict("support box", box.low.tolist(), box.high.tolist()),
-        [_learner_to_dict(l) for l in model.learners])
+        [_learner_to_dict(i, l, model.config.base.kind)
+         for i, l in enumerate(model.learners)])
     write_json(path, doc, sort_keys=False)   # keys in _KEYS' order
 
 

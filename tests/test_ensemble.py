@@ -16,7 +16,7 @@ from voteguard.ensemble import (EnsembleConfig, EnsembleModel, Prediction,
 from voteguard.learners import (LEAF, LEVEL_WALK_ROWS, LearnerConfig,
                                 LinearLearner, TreeLearner, TreeNode,
                                 TreeParams, train)
-from voteguard.persist import save_model
+from voteguard.persist import load_model, save_model
 from conftest import make_binary_dataset
 from test_learners import leaf_of
 
@@ -364,16 +364,26 @@ def test_results_do_not_depend_on_memory_layout(kind, mode, tmp_path):
 
 
 @pytest.fixture(scope="module")
-def fitted_models():
-    """One overlapping-class ensemble per learner kind, so votes split."""
+def fitted_models(tmp_path_factory):
+    """One overlapping-class ensemble per learner kind, so votes split; the
+    tree one also as load_model reads it back, and cut to its first 3
+    members."""
     data = make_binary_dataset(n=80, d=3, separation=1.0, seed=4)
-    return {kind: fit(EnsembleConfig(base=LearnerConfig(kind=kind), m=7,
-                                     master_seed=2), data)
-            for kind in ("tree", "logistic", "linear_svm")}
+    models = {kind: fit(EnsembleConfig(base=LearnerConfig(kind=kind), m=7,
+                                       master_seed=2), data)
+              for kind in ("tree", "logistic", "linear_svm")}
+    trees = models["tree"]
+    path = tmp_path_factory.mktemp("trees") / "model.json"
+    save_model(trees, path)
+    models["tree-loaded"] = load_model(path)
+    models["tree-first-3"] = replace(trees, learners=trees.learners[:3],
+                                     config=replace(trees.config, m=3))
+    return models
 
 
 @pytest.mark.parametrize("mode", ["hard_vote", "soft_average"])
-@pytest.mark.parametrize("kind", ["tree", "logistic", "linear_svm"])
+@pytest.mark.parametrize("kind", ["tree", "logistic", "linear_svm",
+                                  "tree-loaded", "tree-first-3"])
 @settings(max_examples=40, deadline=None)
 @given(rows=arrays(np.float64,
                    st.tuples(st.integers(1, 9) | st.just(LEVEL_WALK_ROWS),
@@ -384,18 +394,25 @@ def test_batch_rows_equal_single_samples(fitted_models, kind, mode, rows):
     model = fitted_models[kind]
     model = replace(model, config=replace(model.config, posterior_mode=mode))
     batch = predict(model, rows)
+    assert batch.per_learner_labels.shape == (len(rows), model.config.m)
     for i, x in enumerate(rows):
-        one = predict(model, x)
-        assert batch.vote_distribution[i].tobytes() == \
-            one.vote_distribution.tobytes()
-        assert tuple(batch.per_learner_labels[i].tolist()) == \
-            one.per_learner_labels
-        assert batch.entropy[i].tobytes() == np.float64(one.entropy).tobytes()
-        if mode == "hard_vote":
-            assert np.float64(one.entropy).tobytes() == entropy_of(
-                one.vote_distribution, model.config.entropy_log_base).tobytes()
-        assert int(batch.label[i]) == one.label
-        assert bool(batch.support[i]) == one.support
+        # gate's prediction, from one loop over all trees where every
+        # member is one, is predict's
+        for one in (predict(model, x), gate(model, x, 0.5).prediction):
+            assert batch.vote_distribution[i].tobytes() == \
+                one.vote_distribution.tobytes()
+            assert tuple(batch.per_learner_labels[i].tolist()) == \
+                one.per_learner_labels
+            assert all(type(v) is int for v in one.per_learner_labels)
+            assert type(one.entropy) is float
+            assert batch.entropy[i].tobytes() == \
+                np.float64(one.entropy).tobytes()
+            if mode == "hard_vote":
+                assert np.float64(one.entropy).tobytes() == entropy_of(
+                    one.vote_distribution,
+                    model.config.entropy_log_base).tobytes()
+            assert type(one.label) is int and one.label == batch.label[i]
+            assert one.support is bool(batch.support[i])
     z = model.standardizer.transform(rows)
     for learner in model.learners:
         assert learner.predict_label(z).tolist() == \
@@ -407,7 +424,7 @@ def test_batch_rows_equal_single_samples(fitted_models, kind, mode, rows):
 @st.composite
 def tree_ensembles(draw):
     """Trees of differing depths, single leaves among them, on 2 or 3
-    classes, and rows to predict."""
+    classes, and rows to predict, some on a split's threshold."""
     n_classes = draw(st.sampled_from([2, 3]))
     n, d = draw(st.integers(2, 30)), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
@@ -430,7 +447,11 @@ def tree_ensembles(draw):
         config=EnsembleConfig(m=len(learners), posterior_mode=mode),
         n_classes=n_classes,
         support=SupportBox(low=np.full(d, -2.0), high=np.full(d, 2.0)))
-    return model, rng.integers(-4, 5, size=(draw(st.integers(1, 8)), d)) / 2.0
+    # values on the grid and on the splits' thresholds, where a row goes left
+    values = np.concatenate([np.arange(-4, 5) / 2.0,
+                             [node.threshold for l in learners
+                              for node in l.nodes if node.feature != LEAF]])
+    return model, rng.choice(values, size=(draw(st.integers(1, 8)), d))
 
 
 @settings(max_examples=200)
@@ -446,11 +467,39 @@ def test_tree_votes_equal_node_by_node_walk(case):
             dist = np.bincount(votes, minlength=model.n_classes) / len(votes)
         else:
             dist = np.mean([c / c.sum() for c in counts], axis=0)
-        one = predict(model, x)
-        assert one.per_learner_labels == votes
         assert tuple(batch.per_learner_labels[i].tolist()) == votes
-        assert one.vote_distribution.tobytes() == dist.tobytes()
         assert batch.vote_distribution[i].tobytes() == dist.tobytes()
+        for one in (predict(model, x), gate(model, x, 0.5).prediction):
+            assert one.per_learner_labels == votes
+            assert one.vote_distribution.tobytes() == dist.tobytes()
+            assert np.float64(one.entropy).tobytes() == \
+                batch.entropy[i].tobytes()
+            assert one.label == batch.label[i]
+            assert one.support is bool(batch.support[i])
+
+
+@pytest.mark.parametrize("mode", ["hard_vote", "soft_average"])
+def test_gate_on_trees_asks_no_member(fitted_models, monkeypatch, mode):
+    # gate walks every tree in one loop; a one-sample predict still asks
+    # each member
+    model = fitted_models["tree"]
+    model = replace(model, config=replace(model.config, posterior_mode=mode))
+    rows = make_binary_dataset(n=20, d=3, separation=1.0, seed=5).x
+    batch = predict(model, rows)
+
+    def refuse(self, x):
+        raise AssertionError("a member was asked")
+
+    monkeypatch.setattr(TreeLearner, "predict_label", refuse)
+    monkeypatch.setattr(TreeLearner, "predict_proba", refuse)
+    for i, x in enumerate(rows):
+        verdict = gate(model, x, 0.5)
+        assert verdict.prediction.vote_distribution.tobytes() == \
+            batch.vote_distribution[i].tobytes()
+        assert verdict.label == (None if rejected(batch, 0.5)[i]
+                                 else batch.label[i])
+    with pytest.raises(AssertionError, match="a member was asked"):
+        predict(model, rows[0])
 
 
 def test_config_validation():
@@ -519,17 +568,17 @@ class TestOneSampleHardVote:
         shares = rng.dirichlet(np.full(k, 0.5), size=160)
         votes = np.array([rng.choice(k, size=m, p=p) for p in shares])
         batch = predict(model, votes.astype(float))
-        for i, row in enumerate(votes):
-            one = predict(model, row.astype(float))
-            assert one.per_learner_labels == tuple(row.tolist())
-            assert one.vote_distribution.dtype == np.float64
-            assert one.vote_distribution.tobytes() == \
-                batch.vote_distribution[i].tobytes()
-            assert type(one.entropy) is float
-            assert np.float64(one.entropy).tobytes() == \
-                batch.entropy[i].tobytes()
-            assert type(one.label) is int and one.label == batch.label[i]
-            assert one.support is bool(batch.support[i]) is True
+        for i, row in enumerate(votes.astype(float)):
+            for one in (predict(model, row), gate(model, row, 0.5).prediction):
+                assert one.per_learner_labels == tuple(votes[i].tolist())
+                assert one.vote_distribution.dtype == np.float64
+                assert one.vote_distribution.tobytes() == \
+                    batch.vote_distribution[i].tobytes()
+                assert type(one.entropy) is float
+                assert np.float64(one.entropy).tobytes() == \
+                    batch.entropy[i].tobytes()
+                assert type(one.label) is int and one.label == batch.label[i]
+                assert one.support is bool(batch.support[i]) is True
 
     @pytest.mark.parametrize("votes,label", [
         ([1, 0, 1, 0], 0), ([2, 1, 2, 1, 0], 1), ([2, 0, 1], 0),
@@ -563,6 +612,7 @@ class TestOneSampleHardVote:
                 inside += [True, False]
         rows = np.array(rows)
         assert [predict(model, r).support for r in rows] == inside
+        assert [gate(model, r, 1.0).prediction.support for r in rows] == inside
         assert [model.support.contains(r) for r in rows] == inside
         assert predict(model, rows).support.tolist() == inside
         assert model.support.contains(rows).tolist() == inside

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voteguard.core import Dataset
-from voteguard.ensemble import EnsembleConfig, fit, predict
+from voteguard.ensemble import EnsembleConfig, fit, gate, predict
 from voteguard.learners import (LEVEL_WALK_ROWS, GradientParams,
                                 LearnerConfig, LinearLearner, TreeParams)
 from voteguard.persist import ModelFormatError, load_model, save_model
@@ -151,6 +151,31 @@ def test_mixed_members_vote_in_member_order(tmp_path, mode):
         for i, row in enumerate(x):
             assert predict(model, row).per_learner_labels == \
                 tuple(expected[i])
+            assert gate(model, row, 1.0).prediction.per_learner_labels == \
+                tuple(expected[i])
+
+
+@pytest.mark.parametrize("kind, member", [
+    ("tree", 0), ("tree", 1), ("logistic", 1), ("linear_svm", 0)])
+def test_members_of_another_kind_are_not_saved(tmp_path, kind, member):
+    # a file whose members are not of config.base.kind failed to load, as
+    # "unknown linear member fields ['nodes']"; the save now fails first,
+    # and leaves the file it would have replaced as it was
+    data = make_binary_dataset(n=40, d=3, seed=1)
+    model = fit(EnsembleConfig(base=LearnerConfig(kind=kind), m=2), data)
+    other = fit(EnsembleConfig(base=LearnerConfig(
+        kind="logistic" if kind == "tree" else "tree"), m=1), data)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    before = path.read_bytes()
+    learners = list(model.learners)
+    learners[member] = other.learners[0]
+    with pytest.raises(ValueError) as info:
+        save_model(replace(model, learners=tuple(learners)), path)
+    assert str(info.value) == (
+        f"learner {member} is a {type(other.learners[0]).__name__}, not a "
+        f"member of config.base.kind {kind!r}")
+    assert path.read_bytes() == before
 
 
 def test_class_names_survive(tmp_path):
