@@ -252,30 +252,24 @@ def _counted_posterior(counts: tuple[int, ...], m: int, log_base: float):
     return tuple(dist.tolist()), float(entropy_of(dist, log_base))
 
 
-def _predict_one(model: EnsembleModel, x: np.ndarray,
-                 ask_members: bool = False) -> Prediction:
-    """:func:`predict` for one checked sample ``(d,)``, in Python types,
-    equal bit for bit to the sample's row of a batch. Its d values are
-    summed, counted and compared in Python, cheaper than numpy for so few.
-    Where every member is a tree, the votes come from one loop over all
-    their node lists, unless ``ask_members``; otherwise each member's
-    ``predict_label`` (and ``predict_proba``) gives its own."""
+def _predict_one(model: EnsembleModel, x: np.ndarray) -> Prediction:
+    """:func:`gate`'s prediction for one checked sample ``(d,)`` on a model
+    whose members are all trees, in Python types, equal bit for bit to the
+    sample's row of a batch. The votes come from one loop over every
+    member's node lists, with no call to a member. Its d values are summed,
+    counted and compared in Python, cheaper than numpy for so few."""
     std = model.standardizer
     # NaN fails the test; transform raises on it and on +-inf, and clamps
     z = ((x - std.mean) / std.std if sum(map(abs, x.tolist())) <=
          std._safe_bound else std.transform(x))
-    v = z.tolist()
-    walks = None if ask_members else model._tree_walks
-    if walks is None:
-        labels = [l.predict_label(z) for l in model.learners]
-    else:
-        leaves, labels = [], []
-        for feature, threshold, left, right, node_label, _ in walks:
-            i = 0
-            while feature[i] >= 0:               # LEAF, -1, marks a leaf
-                i = left[i] if v[feature[i]] <= threshold[i] else right[i]
-            leaves.append(i)
-            labels.append(node_label[i])
+    v, walks = z.tolist(), model._tree_walks
+    leaves, labels = [], []
+    for feature, threshold, left, right, node_label, _ in walks:
+        i = 0
+        while feature[i] >= 0:                   # LEAF, -1, marks a leaf
+            i = left[i] if v[feature[i]] <= threshold[i] else right[i]
+        leaves.append(i)
+        labels.append(node_label[i])
     log_base = model.config.entropy_log_base
     if model.config.posterior_mode == HARD_VOTE:
         counts = [labels.count(c) for c in range(model.n_classes)]
@@ -286,10 +280,8 @@ def _predict_one(model: EnsembleModel, x: np.ndarray,
         # each reached leaf's class shares, the (K,) row predict_proba
         # gives, averaged over an (M, K) array as a batch averages its
         # (M, n, K) one
-        shares = ([l.predict_proba(z) for l in model.learners]
-                  if walks is None else
-                  [walk[5][i] for walk, i in zip(walks, leaves)])
-        dist = np.mean(shares, axis=0)
+        dist = np.mean([walk[5][i] for walk, i in zip(walks, leaves)],
+                       axis=0)
         h, label = float(entropy_of(dist, log_base)), int(dist.argmax())
     low, high = model.support._bounds
     inside = all(map(operator.le, low, v)) and all(map(operator.le, v, high))
@@ -297,19 +289,10 @@ def _predict_one(model: EnsembleModel, x: np.ndarray,
                       entropy=h, label=label, support=inside)
 
 
-def predict(model: EnsembleModel, x) -> Prediction:
-    """Vote distribution, entropy, argmax label and training-box support
-    for one sample ``(d,)``, or for each row of a batch ``(n, d)``; see
-    :class:`Prediction`. The distribution is the vote shares under hard
-    votes and the mean of the members' probabilities under soft averages;
-    the entropy is :func:`entropy_of` of it in both modes."""
-    # the standardizer checks finiteness
-    x = check_features(x, model.n_features, finite=False)
-    if x.ndim == 1:
-        # each member votes through predict_label, one call each, as
-        # bench/test_bench_helpers.py counts; gate takes the tree loop
-        return _predict_one(model, x, ask_members=True)
-    z = model.standardizer.transform(x)
+def _predict_rows(model: EnsembleModel, x: np.ndarray) -> Prediction:
+    """:func:`predict` for a checked sample ``(d,)`` or batch ``(n, d)``.
+    One sample is a one-row batch, whose row comes back in Python types."""
+    z = model.standardizer.transform(np.atleast_2d(x))
     votes = np.array([l.predict_label(z) for l in model.learners])
     (m, n), k = votes.shape, model.n_classes
     if model.config.posterior_mode == HARD_VOTE:
@@ -319,10 +302,26 @@ def predict(model: EnsembleModel, x) -> Prediction:
         dist = counts / m
     else:
         dist = np.mean([l.predict_proba(z) for l in model.learners], axis=0)
-    return Prediction(vote_distribution=dist, per_learner_labels=votes.T,
-                      entropy=entropy_of(dist, model.config.entropy_log_base),
-                      label=dist.argmax(axis=1),
-                      support=model.support.contains(z))
+    entropy = entropy_of(dist, model.config.entropy_log_base)
+    label, support = dist.argmax(axis=1), model.support.contains(z)
+    if x.ndim == 2:
+        return Prediction(vote_distribution=dist, per_learner_labels=votes.T,
+                          entropy=entropy, label=label, support=support)
+    return Prediction(vote_distribution=dist[0],
+                      per_learner_labels=tuple(votes[:, 0].tolist()),
+                      entropy=float(entropy[0]), label=int(label[0]),
+                      support=bool(support[0]))
+
+
+def predict(model: EnsembleModel, x) -> Prediction:
+    """Vote distribution, entropy, argmax label and training-box support
+    for one sample ``(d,)``, or for each row of a batch ``(n, d)``; see
+    :class:`Prediction`. The distribution is the vote shares under hard
+    votes and the mean of the members' probabilities under soft averages;
+    the entropy is :func:`entropy_of` of it in both modes."""
+    # the standardizer checks finiteness
+    return _predict_rows(model, check_features(x, model.n_features,
+                                               finite=False))
 
 
 def rejected(pred: Prediction, threshold: float):
@@ -343,12 +342,14 @@ def gate(model: EnsembleModel, x, threshold: float) -> Verdict:
     entropy strictly exceeds ``threshold`` or it lies outside the training
     box. A batch ``(n, d)``, even of one row, raises ValueError. The
     prediction is :func:`predict`'s, bit for bit; on a model of trees it
-    walks all of them in one loop, with no call to a member."""
+    walks all of them in one loop, with no call to a member, and on any
+    other model it is :func:`predict`'s one-row batch."""
     if np.ndim(x) != 1:
         raise ValueError(f"gate takes one sample of shape "
                          f"({model.n_features},), got shape {np.shape(x)}")
     # the standardizer checks finiteness
-    pred = _predict_one(model, check_features(x, model.n_features,
-                                              finite=False))
+    x = check_features(x, model.n_features, finite=False)
+    pred = (_predict_rows(model, x) if model._tree_walks is None
+            else _predict_one(model, x))
     label = None if rejected(pred, threshold) else pred.label
     return Verdict(prediction=pred, label=label)

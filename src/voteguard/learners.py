@@ -87,9 +87,8 @@ def check_features(x, n_features: int, finite: bool = True) -> np.ndarray:
 class TrainedLearner:
     """Common surface of fitted base classifiers. Immutable; predict is a
     pure function of the stored parameters. Each kind implements the batch
-    ``_labels(rows)`` and ``_proba(rows)``; one sample is a one-row batch,
-    except in a tree's ``predict_label``. The class count is the model's,
-    and no member holds its own."""
+    ``_labels(rows)`` and ``_proba(rows)``; one sample is a one-row batch.
+    The class count is the model's, and no member holds its own."""
 
     n_features: int
     converged: bool
@@ -292,22 +291,6 @@ class TreeLearner(TrainedLearner):
         return (np.where(leaf, 0, feature), np.where(leaf, np.inf, threshold),
                 np.where(leaf, me, left), np.where(leaf, me, right),
                 np.array(label), max(depth))
-
-    def predict_label(self, x):
-        # one sample is checked, made a list and walked once, without the
-        # batch path's one-row array; it must not call the base method,
-        # which a profiler wrapping both would count twice per batch
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1 or len(x) != self.n_features:
-            return np.asarray(self._labels(check_features(x, self.n_features)),
-                              dtype=np.int64)
-        v = x.tolist()
-        # a NaN or +-inf term makes the sum non-finite, so a finite sum
-        # clears every term; a finite row whose sum overflows takes the
-        # term-by-term test
-        if not (math.isfinite(sum(v)) or all(map(math.isfinite, v))):
-            raise ValueError("input contains non-finite values")
-        return self._walk[4][self._leaf(v)]
 
     def _leaf(self, x):
         """The leaf one row, a list of floats, reaches."""

@@ -228,7 +228,11 @@ def _read_config(cls, raw, name: str):
 
 def save_model(model: EnsembleModel, path) -> None:
     """Write ``model`` to ``path``. Raises ValueError, before the file is
-    opened, if a member is not of the type ``config.base.kind`` trains."""
+    opened, if ``config.m`` is not the member count or a member is not of
+    the type ``config.base.kind`` trains: load_model refuses either file."""
+    if model.config.m != len(model.learners):
+        raise ValueError(f"config.m is {model.config.m} but the model holds "
+                         f"{len(model.learners)} learners")
     std, box = model.standardizer, model.support
     doc = _to_dict(
         "model file", FORMAT_NAME, FORMAT_VERSION, model.n_classes,

@@ -366,8 +366,8 @@ def test_results_do_not_depend_on_memory_layout(kind, mode, tmp_path):
 @pytest.fixture(scope="module")
 def fitted_models(tmp_path_factory):
     """One overlapping-class ensemble per learner kind, so votes split; the
-    tree one also as load_model reads it back, and cut to its first 3
-    members."""
+    tree one also as load_model reads it back, cut to its first 3 members,
+    and with its last 3 members swapped for logistic ones."""
     data = make_binary_dataset(n=80, d=3, separation=1.0, seed=4)
     models = {kind: fit(EnsembleConfig(base=LearnerConfig(kind=kind), m=7,
                                        master_seed=2), data)
@@ -378,12 +378,15 @@ def fitted_models(tmp_path_factory):
     models["tree-loaded"] = load_model(path)
     models["tree-first-3"] = replace(trees, learners=trees.learners[:3],
                                      config=replace(trees.config, m=3))
+    models["tree-and-logistic"] = replace(
+        trees, learners=trees.learners[:4] + models["logistic"].learners[:3])
     return models
 
 
 @pytest.mark.parametrize("mode", ["hard_vote", "soft_average"])
 @pytest.mark.parametrize("kind", ["tree", "logistic", "linear_svm",
-                                  "tree-loaded", "tree-first-3"])
+                                  "tree-loaded", "tree-first-3",
+                                  "tree-and-logistic"])
 @settings(max_examples=40, deadline=None)
 @given(rows=arrays(np.float64,
                    st.tuples(st.integers(1, 9) | st.just(LEVEL_WALK_ROWS),
@@ -397,7 +400,7 @@ def test_batch_rows_equal_single_samples(fitted_models, kind, mode, rows):
     assert batch.per_learner_labels.shape == (len(rows), model.config.m)
     for i, x in enumerate(rows):
         # gate's prediction, from one loop over all trees where every
-        # member is one, is predict's
+        # member is one and from a one-row batch otherwise, is predict's
         for one in (predict(model, x), gate(model, x, 0.5).prediction):
             assert batch.vote_distribution[i].tobytes() == \
                 one.vote_distribution.tobytes()
@@ -480,8 +483,8 @@ def test_tree_votes_equal_node_by_node_walk(case):
 
 @pytest.mark.parametrize("mode", ["hard_vote", "soft_average"])
 def test_gate_on_trees_asks_no_member(fitted_models, monkeypatch, mode):
-    # gate walks every tree in one loop; a one-sample predict still asks
-    # each member
+    # gate walks every tree in one loop; a one-sample predict is a
+    # one-row batch, which asks each member
     model = fitted_models["tree"]
     model = replace(model, config=replace(model.config, posterior_mode=mode))
     rows = make_binary_dataset(n=20, d=3, separation=1.0, seed=5).x

@@ -723,8 +723,8 @@ def test_level_walk_of_single_leaf():
 
 
 class TestOneSampleTreeWalk:
-    """A tree member's one-sample ``predict_label``, which checks the row
-    and walks it without making a one-row batch."""
+    """A tree member's one-sample ``predict_label``: the base class's
+    one-row batch, which checks the row and walks it in Python."""
 
     @pytest.fixture
     def learner(self):

@@ -178,6 +178,20 @@ def test_members_of_another_kind_are_not_saved(tmp_path, kind, member):
     assert path.read_bytes() == before
 
 
+def test_member_count_other_than_config_m_is_not_saved(tmp_path):
+    # such a file failed to load, as "config.m is 5 but the file holds 3
+    # learners"; the save now fails first, and leaves the file as it was
+    data = make_binary_dataset(n=40, d=3, seed=1)
+    model = fit(EnsembleConfig(base=LearnerConfig(kind="tree"), m=5), data)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError) as info:
+        save_model(replace(model, learners=model.learners[:3]), path)
+    assert str(info.value) == "config.m is 5 but the model holds 3 learners"
+    assert path.read_bytes() == before
+
+
 def test_class_names_survive(tmp_path):
     data = make_binary_dataset(n=30, seed=1)
     model = fit(EnsembleConfig(base=LearnerConfig(kind="tree"), m=2), data)
