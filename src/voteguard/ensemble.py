@@ -195,6 +195,15 @@ def fit(config: EnsembleConfig, data: Dataset) -> EnsembleModel:
     stored once, column-major, and trees share it and one presort of it.
     Every member's replicate and learner seed derive only from
     (master_seed, member index).
+
+    Each member is one call of ``train(config, data, rows=None, seed=0, *,
+    start=None)``, with no start until one linear member has been fitted
+    by Newton, which takes a replicate that holds both classes; every
+    later linear member's Newton loop starts from that member's optimum
+    instead of zero weights, since bootstrap replicates' optima lie close
+    together. Member i thus depends only on the data, master_seed, i and
+    that earlier member, which every ensemble of more than i members
+    holds alike.
     """
     if len(data) == 0:
         raise ValueError("cannot fit an ensemble on an empty dataset")
@@ -205,12 +214,17 @@ def fit(config: EnsembleConfig, data: Dataset) -> EnsembleModel:
     # F order: each feature's values are contiguous for the trees
     scaled = replace(data, x=np.asfortranarray(standardizer.transform(data.x)))
     n = len(scaled)
-    learners = []
+    learners, start = [], None
     for i in range(config.m):
         _, learner_seed = child_seeds(config.master_seed, i)
-        learners.append(train(config.base, scaled,
-                              bootstrap_indices(config.master_seed, i, n),
-                              learner_seed))
+        learner = train(config.base, scaled,
+                        bootstrap_indices(config.master_seed, i, n),
+                        learner_seed, start=start)
+        # a one-class replicate's member has no Newton steps, and its bias
+        # of +-1e300 is no start
+        if start is None and getattr(learner, "loss_curve", ()):
+            start = learner
+        learners.append(learner)
 
     return EnsembleModel(learners=tuple(learners), standardizer=standardizer,
                          config=config, n_classes=data.n_classes,

@@ -517,20 +517,29 @@ class LinearLearner(TrainedLearner):
         return np.column_stack([1.0 - p1, p1])
 
 
-def _newton(g: GradientParams, x, z, loss, slope, curvature):
+def _newton(g: GradientParams, x, z, loss, slope, curvature, *,
+            start=None):
     """Minimize the penalized ``loss`` by damped Newton: each step solves the
     (generalized) Hessian system and backtracks from step 1 until the Armijo
     test holds. Stops once the Newton decrement lambda^2 / 2 is below the
     tolerance, after taking that last step. The squared hinge is piecewise
     quadratic, so full steps reach its optimum in finitely many iterations.
-    Each step starts from the scores of the trial it accepted."""
+    Each step starts from the scores of the trial it accepted.
+
+    The loop starts from zero weights and bias, or from a copy of those of
+    the :class:`LinearLearner` ``start``: :func:`voteguard.ensemble.fit`
+    passes its first Newton-fitted member, whose optimum lies close to
+    every other bootstrap replicate's."""
     n, d = x.shape
     xb = np.column_stack([x, np.ones(n)])
     # The bias is unpenalized. The jitter keeps the solve defined for l2=0,
     # where the Hessian is singular if the samples (for the hinge: those
     # inside the margin) span fewer than d + 1 dimensions.
     penalty = np.diag(np.append(np.full(d, g.l2), 0.0) + 1e-12)
-    w, b = np.zeros(d), 0.0
+    if start is None:
+        w, b = np.zeros(d), 0.0
+    else:
+        w, b = np.array(start.weights, dtype=np.float64), float(start.bias)
     s = x @ w + b
     prev = _penalized(loss, w, s, z, g.l2)
     losses = [prev]
@@ -560,8 +569,8 @@ def _newton(g: GradientParams, x, z, loss, slope, curvature):
     return w, b, False, losses
 
 
-def _train_linear(config: LearnerConfig, data: Dataset, rows,
-                  seed: int) -> LinearLearner:
+def _train_linear(config: LearnerConfig, data: Dataset, rows, seed: int, *,
+                  start=None) -> LinearLearner:
     if data.n_classes != 2:
         raise ValueError(f"{config.kind} supports binary problems only")
     x, y = data.x[rows], data.y[rows]
@@ -576,17 +585,21 @@ def _train_linear(config: LearnerConfig, data: Dataset, rows,
 
     z = np.where(y == 1, 1.0, -1.0)
     w, b, converged, losses = _newton(config.gradient, x, z,
-                                      *_OBJECTIVES[config.kind])
+                                      *_OBJECTIVES[config.kind], start=start)
     return LinearLearner(weights=w, bias=b, converged=converged,
                          seed_used=seed, loss_curve=tuple(losses))
 
 
-def train(config: LearnerConfig, data: Dataset, rows=None,
-          seed: int = 0) -> TrainedLearner:
+def train(config: LearnerConfig, data: Dataset, rows=None, seed: int = 0,
+          *, start: LinearLearner | None = None) -> TrainedLearner:
     """Fit one base classifier on ``data.x[rows]``: a row listed twice
     counts twice, and the default lists every row once. ``seed``, an
-    integer in [0, 2**64), draws a tree's features at each split.
-    Deterministic given (config, data, rows, seed).
+    integer in [0, 2**64), draws a tree's features at each split. A linear
+    kind's Newton loop starts from zero weights, or from the finite
+    weights and bias of the :class:`LinearLearner` ``start``, which
+    :func:`voteguard.ensemble.fit` sets to its first Newton-fitted member
+    for every later linear member; a tree takes no start. Deterministic
+    given (config, data, rows, seed, start).
 
     A learner that hits max_iters without meeting the tolerance is returned
     with converged=False, never raised.
@@ -605,5 +618,14 @@ def train(config: LearnerConfig, data: Dataset, rows=None,
     if np.any(data.y[rows] == UNLABELED):
         raise ValueError("training data contains unlabeled samples")
     if config.kind == "tree":
+        if start is not None:
+            raise ValueError("a tree takes no start")
         return _train_tree(config, data, rows, seed)
-    return _train_linear(config, data, rows, seed)
+    if start is not None:
+        if np.shape(start.weights) != (data.d,):
+            raise ValueError(f"start must hold {data.d} weights, "
+                             f"got shape {np.shape(start.weights)}")
+        if not (np.isfinite(start.weights).all()
+                and math.isfinite(start.bias)):
+            raise ValueError("start must have finite weights and bias")
+    return _train_linear(config, data, rows, seed, start=start)

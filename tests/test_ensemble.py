@@ -9,13 +9,15 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from voteguard.core import Dataset
+from voteguard.data import SyntheticSpec, generate_synthetic
 from voteguard.ensemble import (EnsembleConfig, EnsembleModel, Prediction,
                                 Standardizer, SupportBox, Verdict,
-                                bootstrap_indices, entropy_of, fit, gate,
-                                predict, rejected)
-from voteguard.learners import (LEAF, LEVEL_WALK_ROWS, LearnerConfig,
-                                LinearLearner, TreeLearner, TreeNode,
-                                TreeParams, train)
+                                bootstrap_indices, child_seeds, entropy_of,
+                                fit, gate, predict, rejected)
+from voteguard.learners import (LEAF, LEVEL_WALK_ROWS, GradientParams,
+                                LearnerConfig, LinearLearner, TreeLearner,
+                                TreeNode, TreeParams, hinge_loss,
+                                logistic_gradient, train)
 from voteguard.persist import load_model, save_model
 from conftest import make_binary_dataset
 from test_learners import leaf_of
@@ -619,3 +621,99 @@ class TestOneSampleHardVote:
         assert [model.support.contains(r) for r in rows] == inside
         assert predict(model, rows).support.tolist() == inside
         assert model.support.contains(rows).tolist() == inside
+
+
+def linear_bits(learner):
+    """Everything a linear member holds, its weights as bytes."""
+    return (learner.weights.tobytes(), learner.bias, learner.converged,
+            learner.seed_used, learner.loss_curve)
+
+
+def fit_scaled(data):
+    """The standardized, column-major dataset that ``fit`` trains on."""
+    x = Standardizer.fit(data.x).transform(data.x)
+    return replace(data, x=np.asfortranarray(x))
+
+
+class TestWarmStart:
+    """Every linear member after the first Newton-fitted one starts its
+    Newton loop from that member's optimum."""
+
+    @pytest.mark.parametrize("kind", ["logistic", "linear_svm"])
+    def test_every_member_reaches_its_optimum_at_paper_scale(self, kind):
+        # the bounds that the cold-start tests in test_learners put on
+        # member 0 alone, here on each of the 25 paper-scale members
+        train_data = generate_synthetic(SyntheticSpec(
+            regime="ood", n_train=2000, d=8, seed=0)).train
+        g = GradientParams()
+        model = fit(EnsembleConfig(base=LearnerConfig(kind=kind, gradient=g)),
+                    train_data)
+        scaled = fit_scaled(train_data)
+        tight = LearnerConfig(kind=kind,
+                              gradient=GradientParams(tolerance=1e-15))
+        for i, learner in enumerate(model.learners):
+            assert learner.converged is True, i
+            curve = learner.loss_curve
+            assert len(curve) > 1, i
+            assert all(b <= a for a, b in zip(curve, curve[1:])), i
+            rows = bootstrap_indices(0, i, len(scaled))
+            x, y = scaled.x[rows], scaled.y[rows]
+            z = np.where(y == 1, 1.0, -1.0)
+            if kind == "logistic":
+                gw, gb = logistic_gradient(learner.weights, learner.bias, x,
+                                           z, g.l2)
+                assert np.linalg.norm(np.append(gw, gb)) <= 1e-6, i
+            else:
+                # both fits end at the exact optimum of a piecewise
+                # quadratic, so the member's loss may round below the tight
+                # fit's: only the excess over it is bounded
+                best = train(tight, scaled, rows)
+                loss = hinge_loss(learner.weights, learner.bias, x, z, g.l2)
+                assert loss - hinge_loss(best.weights, best.bias, x, z,
+                                         g.l2) <= g.tolerance, i
+
+    @pytest.mark.parametrize("kind", ["logistic", "linear_svm"])
+    def test_smaller_ensemble_is_a_prefix(self, kind):
+        data = make_binary_dataset(n=120, d=4, separation=1.0, seed=3)
+        small, large = (fit(EnsembleConfig(base=LearnerConfig(kind=kind), m=m,
+                                           master_seed=5), data)
+                        for m in (3, 7))
+        assert ([linear_bits(l) for l in small.learners]
+                == [linear_bits(l) for l in large.learners[:3]])
+
+    @pytest.mark.parametrize("kind", ["logistic", "linear_svm"])
+    def test_start_is_the_first_newton_fitted_member(self, kind):
+        # master seed 17 draws member 0 and member 3 from the 0 rows alone,
+        # so member 1 is the first one fitted by Newton
+        data = Dataset(x=np.array([[0.1, 2.0], [0.9, -1.0], [-1.2, 0.3],
+                                   [0.4, 0.8], [1.5, -0.2], [-0.3, -1.7]]),
+                       y=np.array([0, 0, 0, 0, 1, 1]),
+                       app_ids=("a",) * 6, n_classes=2)
+        config = EnsembleConfig(base=LearnerConfig(kind=kind), m=5,
+                                master_seed=17)
+        model = fit(config, data)
+        curves = [len(l.loss_curve) for l in model.learners]
+        assert curves[0] == curves[3] == 0
+        assert curves[1] > 1 and curves[2] > 1 and curves[4] > 1
+        scaled = fit_scaled(data)
+        for i, learner in enumerate(model.learners):
+            rows = bootstrap_indices(17, i, len(data))
+            seed = child_seeds(17, i)[1]
+            start = model.learners[1] if i > 1 else None
+            want = train(config.base, scaled, rows, seed, start=start)
+            assert linear_bits(learner) == linear_bits(want), i
+        # the start matters: a cold start takes another path to the optimum
+        cold = train(config.base, scaled, bootstrap_indices(17, 2, 6),
+                     child_seeds(17, 2)[1])
+        assert cold.loss_curve != model.learners[2].loss_curve
+
+    @pytest.mark.parametrize("kind", ["logistic", "linear_svm"])
+    def test_unregularized_separable_neither_raises_nor_warns(self, kind):
+        data = make_binary_dataset(n=5, d=8, separation=10.0, seed=0)
+        config = EnsembleConfig(base=LearnerConfig(
+            kind=kind, gradient=GradientParams(l2=0.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit(config, data)
+        for learner in model.learners:
+            assert np.all(np.isfinite(learner.weights))

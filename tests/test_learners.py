@@ -382,6 +382,38 @@ class TestTrainValidation:
             TreeParams(min_samples_split=1)
 
 
+class TestStart:
+    def start(self, weights, bias=0.0):
+        return LinearLearner(weights=np.array(weights), bias=bias,
+                             converged=True, seed_used=0)
+
+    def test_tree_refuses_a_start(self, small_dataset):
+        with pytest.raises(ValueError, match="a tree takes no start"):
+            train(LearnerConfig(kind="tree"), small_dataset,
+                  start=self.start([0.0, 0.0]))
+
+    @pytest.mark.parametrize("kind", ["logistic", "linear_svm"])
+    @pytest.mark.parametrize("weights,bias,message", [
+        ([0.0, 0.0, 0.0], 0.0, r"start must hold 2 weights, got shape \(3,\)"),
+        ([math.nan, 0.0], 0.0, "start must have finite weights and bias"),
+        ([0.0, 0.0], math.inf, "start must have finite weights and bias"),
+    ])
+    def test_bad_start_refused(self, small_dataset, kind, weights, bias,
+                               message):
+        with pytest.raises(ValueError, match=message):
+            train(LearnerConfig(kind=kind), small_dataset,
+                  start=self.start(weights, bias))
+
+    @pytest.mark.parametrize("kind", ["logistic", "linear_svm"])
+    def test_start_at_the_optimum_takes_one_step(self, small_dataset, kind):
+        config = LearnerConfig(kind=kind)
+        cold = train(config, small_dataset)
+        warm = train(config, small_dataset, start=cold)
+        assert warm.converged and len(warm.loss_curve) <= 2
+        assert warm.loss_curve[0] == cold.loss_curve[-1]
+        np.testing.assert_allclose(warm.weights, cold.weights, atol=1e-6)
+
+
 def assert_same_learner(a, b):
     assert type(a) is type(b)
     assert a.converged == b.converged
