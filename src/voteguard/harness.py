@@ -25,7 +25,7 @@ STABILITY_SCHEMA = "voteguard-stability-sweep"
 SCHEMA_VERSION = 1
 
 DEFAULT_GRID_POINTS = 50
-# a sweep costs about 0.2 ms per point at paper scale, so this runs for
+# a sweep costs about 0.05 ms per point at paper scale, so this runs for
 # seconds, not hours
 MAX_GRID_POINTS = 10_000
 

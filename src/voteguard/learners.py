@@ -122,10 +122,6 @@ class TreeNode(NamedTuple):
     counts: tuple[float, ...]
 
 LEAF = -1
-# A batch of at least this many rows walks a tree one level per step for
-# all rows at once, in numpy; a shorter one, a single sample included,
-# walks one row at a time in Python, which costs less below it.
-LEVEL_WALK_ROWS = 64
 
 
 def _gini(counts, n):
@@ -267,9 +263,9 @@ class TreeLearner(TrainedLearner):
     @functools.cached_property
     def _walk(self):
         """This tree as columns, built on first use: each node's feature,
-        threshold, left and right child for :meth:`_leaves`, then its
-        argmax label (ties toward the lower class) and its class shares,
-        an ``(N, K)`` array."""
+        threshold, left and right child, argmax label (ties toward the
+        lower class) and class shares, an ``(N, K)`` array. Its lists serve
+        only ``ensemble._predict_one``, the package's one Python walk."""
         *columns, counts = zip(*self.nodes)
         counts = np.array(counts, dtype=np.float64)
         return (*columns, counts.argmax(axis=1).tolist(),
@@ -292,18 +288,6 @@ class TreeLearner(TrainedLearner):
                 np.where(leaf, me, left), np.where(leaf, me, right),
                 np.array(label), max(depth))
 
-    def _leaf(self, x):
-        """The leaf one row, a list of floats, reaches."""
-        feature, threshold, left, right, _, _ = self._walk
-        i = 0
-        while feature[i] != LEAF:
-            i = left[i] if x[feature[i]] <= threshold[i] else right[i]
-        return i
-
-    def _leaves(self, rows):
-        """The leaf each row reaches, as a list, one row at a time."""
-        return list(map(self._leaf, rows.tolist()))
-
     def _level_walk(self, rows):
         """The leaf each row reaches, as an array: every row goes down one
         level per step, and a row at its leaf stays there."""
@@ -317,15 +301,10 @@ class TreeLearner(TrainedLearner):
         return node
 
     def _labels(self, rows):
-        if len(rows) >= LEVEL_WALK_ROWS:
-            return self._levels[4][self._level_walk(rows)]
-        label = self._walk[4]
-        return [label[i] for i in self._leaves(rows)]
+        return self._levels[4][self._level_walk(rows)]
 
     def _proba(self, rows):
-        leaves = (self._level_walk(rows) if len(rows) >= LEVEL_WALK_ROWS
-                  else self._leaves(rows))
-        return self._walk[5][leaves]
+        return self._walk[5][self._level_walk(rows)]
 
 
 def _train_tree(config: LearnerConfig, data: Dataset, rows,

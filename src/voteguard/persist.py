@@ -292,6 +292,12 @@ def _model_from_dict(doc: dict) -> EnsembleModel:
     if not (standardizer.std > 0).all():
         raise ModelFormatError("standardizer std must be > 0 throughout")
     support = SupportBox(**_vectors(raw_box, "support box", n_features))
+    # SupportBox.fit widens each side by at least 1; an inverted box would
+    # put every sample outside it
+    inverted = np.flatnonzero(support.low > support.high)
+    if inverted.size:
+        raise ModelFormatError(f"support box low exceeds high at feature "
+                               f"{inverted[0]}")
     learners = []
     for i, raw in enumerate(raw_learners):
         try:

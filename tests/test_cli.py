@@ -656,6 +656,7 @@ def _set_linear(key, value):
     _set("standardizer.mean", lambda mean: ["0", *mean[1:]]),
     _set("support.low", lambda low: [*low[:3], float("-inf")]),
     _set("support.high", lambda high: [10 ** 400, *high[1:]]),
+    _set("support.low", lambda low: [1e308] * len(low)),
     _set("config.master_seed", "0"),
     _set("config.base.seed", 0.5),
     _set("config.base.tree.max_depth", "3"),
@@ -676,8 +677,8 @@ def _set_linear(key, value):
         "string-threshold", "counts-one-short", "counts-sum-inf",
         "learners-5", "learners-empty", "m-3", "n-classes-1", "class-names-one-short", "standardizer-list",
         "mean-one-short", "std-0", "std-negative", "mean-nan", "mean-string",
-        "low-inf", "high-huge-int", "master-seed-string", "seed-float",
-        "max-depth-string", "min-samples-split-float",
+        "low-inf", "high-huge-int", "low-above-high", "master-seed-string",
+        "seed-float", "max-depth-string", "min-samples-split-float",
         "feature-subsample-most", "max-iters-bool", "tolerance-nan",
         "l2-string", "posterior-mode-list", "log-base-10",
         "weights-one-short", "weights-inf", "bias-string", "bias-nan",

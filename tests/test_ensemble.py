@@ -14,10 +14,10 @@ from voteguard.ensemble import (EnsembleConfig, EnsembleModel, Prediction,
                                 Standardizer, SupportBox, Verdict,
                                 bootstrap_indices, child_seeds, entropy_of,
                                 fit, gate, predict, rejected)
-from voteguard.learners import (LEAF, LEVEL_WALK_ROWS, GradientParams,
-                                LearnerConfig, LinearLearner, TreeLearner,
-                                TreeNode, TreeParams, hinge_loss,
-                                logistic_gradient, train)
+from voteguard.learners import (LEAF, GradientParams, LearnerConfig,
+                                LinearLearner, TreeLearner, TreeNode,
+                                TreeParams, hinge_loss, logistic_gradient,
+                                train)
 from voteguard.persist import load_model, save_model
 from conftest import make_binary_dataset
 from test_learners import leaf_of
@@ -391,7 +391,7 @@ def fitted_models(tmp_path_factory):
                                   "tree-and-logistic"])
 @settings(max_examples=40, deadline=None)
 @given(rows=arrays(np.float64,
-                   st.tuples(st.integers(1, 9) | st.just(LEVEL_WALK_ROWS),
+                   st.tuples(st.integers(1, 9) | st.just(64),
                              st.just(3)),
                    elements=st.floats(-12, 12) | st.sampled_from(
                        [1e300, -1e300, 1.79e308, -1.79e308, 7e153, -7e153])))

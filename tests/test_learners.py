@@ -10,9 +10,9 @@ from hypothesis.extra.numpy import arrays
 from voteguard.core import Dataset
 from voteguard.data import SyntheticSpec, generate_synthetic
 from voteguard.ensemble import Standardizer, bootstrap_indices
-from voteguard.learners import (_OBJECTIVES, LEAF, LEVEL_WALK_ROWS,
-                                GradientParams, LearnerConfig, LinearLearner,
-                                TreeNode, TreeParams,
+from voteguard.learners import (_OBJECTIVES, LEAF, GradientParams,
+                                LearnerConfig, LinearLearner, TreeNode,
+                                TreeParams,
                                 _gini_gains, _gradient, _penalized, _sigmoid,
                                 best_split, hinge_gradient, hinge_loss,
                                 logistic_gradient, logistic_loss, train)
@@ -250,7 +250,9 @@ class TestLinearModels:
         z = np.where(member.y == 1, 1.0, -1.0)
         loss = hinge_loss(learner.weights, learner.bias, member.x, z, g.l2)
         best = hinge_loss(tight.weights, tight.bias, member.x, z, g.l2)
-        assert 0.0 <= loss - best <= g.tolerance
+        # both fits reach the squared hinge's exact optimum, so the sign of
+        # loss - best is rounding: allow a few ulps below zero
+        assert -8 * np.finfo(float).eps * best <= loss - best <= g.tolerance
 
     def test_linear_svm_unregularized_separable_neither_raises_nor_warns(self):
         data = make_binary_dataset(n=5, d=8, separation=10.0, seed=0)
@@ -708,10 +710,9 @@ def test_train_refuses_bad_seed(small_dataset, seed):
 
 
 def assert_walks_agree(learner, rows):
-    """Both tree walks send every row to the leaf a node-by-node walk
+    """The level walk sends every row to the leaf a node-by-node walk
     reaches, and a batch votes as its rows do one at a time."""
     leaves = [leaf_of(learner, r) for r in rows]
-    assert learner._leaves(rows) == leaves
     assert learner._level_walk(rows).tolist() == leaves
     assert learner.predict_label(rows).tolist() == \
         [learner.predict_label(r) for r in rows]
@@ -729,8 +730,7 @@ def on_every_threshold(learner, x, n_rows):
     return rows
 
 
-@pytest.mark.parametrize("n_rows", [LEVEL_WALK_ROWS - 1, LEVEL_WALK_ROWS],
-                         ids=["below-cutover", "at-cutover"])
+@pytest.mark.parametrize("n_rows", [63, 64], ids=["63-rows", "64-rows"])
 @settings(max_examples=50)
 @given(case=st.data())
 def test_level_walk_equals_row_walk(n_rows, case):
@@ -749,14 +749,14 @@ def test_level_walk_of_deep_tree():
 def test_level_walk_of_single_leaf():
     learner = train(LearnerConfig(kind="tree"), one_d([0.0, 1.0], [1, 1]))
     assert len(learner.nodes) == 1 and learner._levels[5] == 0
-    rows = np.linspace(-1, 2, LEVEL_WALK_ROWS).reshape(-1, 1)
+    rows = np.linspace(-1, 2, 64).reshape(-1, 1)
     assert_walks_agree(learner, rows)
-    assert learner.predict_label(rows).tolist() == [1] * LEVEL_WALK_ROWS
+    assert learner.predict_label(rows).tolist() == [1] * 64
 
 
 class TestOneSampleTreeWalk:
     """A tree member's one-sample ``predict_label``: the base class's
-    one-row batch, which checks the row and walks it in Python."""
+    one-row batch, which checks the row and walks it by levels."""
 
     @pytest.fixture
     def learner(self):
@@ -767,7 +767,7 @@ class TestOneSampleTreeWalk:
     def assert_alone_equals_batches(self, learner, rows):
         alone = [learner.predict_label(r) for r in rows]
         assert alone == [learner._walk[4][leaf_of(learner, r)] for r in rows]
-        for n_rows in (LEVEL_WALK_ROWS - 1, 2 * LEVEL_WALK_ROWS):
+        for n_rows in (63, 128):
             batch = np.resize(rows, (n_rows, rows.shape[1]))
             assert learner.predict_label(batch).tolist() == \
                 np.resize(alone, n_rows).tolist()
@@ -779,7 +779,7 @@ class TestOneSampleTreeWalk:
     def test_rows_on_every_threshold(self, learner):
         learner, x = learner
         n_splits = sum(node.feature >= 0 for node in learner.nodes)
-        assert 1 < n_splits < LEVEL_WALK_ROWS
+        assert 1 < n_splits < 64
         self.assert_alone_equals_batches(
             learner, on_every_threshold(learner, x, n_splits))
 

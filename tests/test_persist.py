@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from voteguard.core import Dataset
 from voteguard.ensemble import EnsembleConfig, fit, gate, predict
-from voteguard.learners import (LEVEL_WALK_ROWS, GradientParams,
-                                LearnerConfig, LinearLearner, TreeParams)
+from voteguard.learners import (GradientParams, LearnerConfig,
+                                LinearLearner, TreeParams)
 from voteguard.persist import ModelFormatError, load_model, save_model
 from conftest import TRICKY, make_binary_dataset
 
@@ -59,6 +59,22 @@ def test_support_box_of_wrong_width_rejected(tmp_path):
     doc["support"]["high"] = doc["support"]["high"][:2]
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError, match="support box"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("feature,low", [(0, [1e308] * 3),
+                                         (2, [-9.0, -9.0, 9.5])])
+def test_inverted_support_box_rejected(tmp_path, feature, low):
+    data = make_binary_dataset(n=30, d=3, seed=1)
+    model = fit(EnsembleConfig(base=LearnerConfig(kind="tree"), m=2), data)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    doc["support"]["low"] = low
+    doc["support"]["high"] = [9.0] * 3
+    path.write_text(json.dumps(doc))
+    message = f"{path}: support box low exceeds high at feature {feature}"
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
         load_model(path)
 
 
@@ -438,8 +454,7 @@ def test_mutated_model_fails_cleanly_or_predicts(saved_docs, kind, data,
     else:
         block[key] = value
     path.write_text(json.dumps(doc))
-    rows = np.random.default_rng(0).normal(0.0, 2.0,
-                                           size=(LEVEL_WALK_ROWS + 6, 3))
+    rows = np.random.default_rng(0).normal(0.0, 2.0, size=(70, 3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
