@@ -8,6 +8,7 @@ produces byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -198,7 +199,11 @@ def _cmd_sweep_size(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on first use and kept: a parse
+    leaves no state in it, since every default is an immutable value and
+    each ``parse_args`` fills a new namespace."""
     parser = argparse.ArgumentParser(
         prog="voteguard",
         description="Bagging ensembles with vote-entropy rejection of "

@@ -166,13 +166,20 @@ def compute_metrics(predicted: Sequence[int], truth: Sequence[int],
     tp = int(np.sum(pred_pos & true_pos))
     fp = int(np.sum(pred_pos & ~true_pos))
     fn = int(np.sum(~pred_pos & true_pos))
-    tn = int(np.sum(~pred_pos & ~true_pos))
+    return metrics_from_counts(tp, fp, fn, pred.size,
+                               int(np.sum(pred == true)))
 
+
+def metrics_from_counts(tp: int, fp: int, fn: int, n: int,
+                        correct: int) -> ClassificationMetrics:
+    """The metrics of ``n`` > 0 predictions with the given one-vs-rest
+    counts, ``correct`` of them equal to the truth; tn is the rest. A
+    ratio of Python ints is the correctly rounded float, bit for bit what
+    ``np.mean`` of a bool array gives."""
     precision = tp / (tp + fp) if tp + fp > 0 else 0.0
     recall = tp / (tp + fn) if tp + fn > 0 else 0.0
     f1 = (2 * precision * recall / (precision + recall)
           if precision + recall > 0 else 0.0)
-    accuracy = float(np.mean(pred == true))
-    return ClassificationMetrics(tp=tp, fp=fp, tn=tn, fn=fn,
+    return ClassificationMetrics(tp=tp, fp=fp, tn=n - tp - fp - fn, fn=fn,
                                  precision=precision, recall=recall,
-                                 f1=f1, accuracy=accuracy)
+                                 f1=f1, accuracy=correct / n)

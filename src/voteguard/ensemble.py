@@ -338,12 +338,17 @@ def predict(model: EnsembleModel, x) -> Prediction:
                                                finite=False))
 
 
+def check_threshold(threshold: float) -> None:
+    """Raise ValueError unless ``threshold`` is a finite number >= 0."""
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"threshold must be a finite number >= 0, got {threshold}")
+
+
 def rejected(pred: Prediction, threshold: float):
     """The gating rule, for one prediction (a bool) or a batch (a bool
     array): reject iff the entropy strictly exceeds ``threshold``, a finite
     number >= 0, or the input lies outside the training box."""
-    if not (math.isfinite(threshold) and threshold >= 0):
-        raise ValueError(f"threshold must be a finite number >= 0, got {threshold}")
+    check_threshold(threshold)
     if isinstance(pred.entropy, np.ndarray):
         return (pred.entropy > threshold) | np.logical_not(pred.support)
     # one prediction: a Python bool, with no numpy call for a float

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import voteguard
-from voteguard.cli import cli_main
+from voteguard.cli import build_parser, cli_main
 from voteguard.data import load_csv, load_manifest
 from voteguard.ensemble import EnsembleConfig, fit
 from voteguard.learners import (LEARNER_KINDS, GradientParams, LearnerConfig,
@@ -167,6 +167,41 @@ def test_bad_threshold_exits_1(pipeline_dir, capsys):
                              f"--threshold={threshold}")
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_kept_parser_carries_nothing_between_commands(pipeline_dir,
+                                                      tmp_path, capsys):
+    # one parser serves every command of a process: a flag, an argparse
+    # error or --help leaves nothing behind for the next command
+    assert build_parser() is build_parser()
+    data = pipeline_dir / "data"
+    train = ["train", "--data", str(data / "train.csv"),
+             "--manifest", str(data / "manifest.json"), "--m", "5"]
+    models = [tmp_path / f"{name}.json" for name in ("depth3", "same", "new")]
+    assert run(capsys, *train, "--out", str(models[0]),
+               "--max-depth", "3")[0] == 0
+    assert run(capsys, *train, "--out", str(models[1]))[0] == 0
+    done = subprocess.run(
+        [sys.executable, "-m", "voteguard.cli", *train, "--out",
+         str(models[2])], capture_output=True, text=True, timeout=60,
+        env={**os.environ,
+             "PYTHONPATH": str(Path(voteguard.__file__).parents[1])})
+    assert done.returncode == 0, done.stderr
+    assert models[1].read_bytes() == models[2].read_bytes()
+    assert models[0].read_bytes() != models[1].read_bytes()
+
+    predict = ["predict", "--model", str(models[1]),
+               "--data", str(data / "test_known.csv"),
+               "--manifest", str(data / "manifest.json"),
+               "--threshold", "0.5"]
+    build_parser.cache_clear()
+    alone = run(capsys, *predict)
+    assert alone[0] == 0 and alone[1]
+    for before, code in ((["predict", "--threshold", "x"], 2),
+                         (["predict", "--help"], 0),
+                         (["--help"], 0)):
+        assert run(capsys, *before)[0] == code
+        assert run(capsys, *predict) == alone
 
 
 def test_missing_required_flag_exits_2(capsys):

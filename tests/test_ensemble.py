@@ -69,8 +69,9 @@ class TestEntropyOf:
 # K = 5 adds count vectors whose entropy needs the upper clamp in base e
 @pytest.mark.parametrize("k,max_m", [(2, 40), (3, 40), (4, 20), (5, 10)])
 def test_hard_vote_posterior_matches_every_count_vector(k, max_m, log_base):
-    # each count vector's memoized one-sample result against its row in a
-    # batch, where numpy sums every row's entropy terms
+    # each count vector's memoized one-sample result, which gate's loop
+    # over the trees reaches, against its row in a batch, where numpy sums
+    # every row's entropy terms
     for m in range(1, max_m + 1):
         counts = np.array([c + (m - sum(c),) for c in
                            itertools.product(range(m + 1), repeat=k - 1)
@@ -82,7 +83,7 @@ def test_hard_vote_posterior_matches_every_count_vector(k, max_m, log_base):
         assert batch.vote_distribution.tobytes() == (counts / m).tobytes()
         for row, dist, h in zip(votes, batch.vote_distribution,
                                 batch.entropy):
-            one = predict(model, row)
+            one = gate(model, row, 0.5).prediction
             assert one.vote_distribution.tobytes() == dist.tobytes()
             assert np.float64(one.entropy).tobytes() == h.tobytes()
 

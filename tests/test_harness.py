@@ -1,15 +1,22 @@
 import csv
 import math
 from dataclasses import replace
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from voteguard import harness
+from voteguard.core import UNLABELED, Dataset, compute_metrics
 from voteguard.data import DatasetTaxonomy, SyntheticSpec, generate_synthetic
-from voteguard.ensemble import EnsembleConfig, fit, predict
+from voteguard.ensemble import (EnsembleConfig, Prediction, fit, predict,
+                                rejected)
 from voteguard.harness import (MAX_GRID_POINTS, StabilityPoint,
-                               StabilityReport, default_threshold_grid,
-                               emit_report, report_to_dict, run_stability_sweep,
+                               StabilityReport, SweepPoint,
+                               default_threshold_grid, emit_report,
+                               report_to_dict, run_stability_sweep,
                                run_threshold_sweep)
 from voteguard.learners import LearnerConfig
 from voteguard.persist import log_base_from_tag
@@ -94,6 +101,116 @@ class TestThresholdSweep:
         for positive_class in (-1, model.n_classes):
             with pytest.raises(ValueError, match="positive_class"):
                 run_threshold_sweep(model, tax, positive_class=positive_class)
+
+
+def per_point_sweep(known, truth, unknown, grid, positive_class):
+    """The sweep's points by the rule at each threshold in turn: ``rejected``
+    on both buckets, then ``compute_metrics`` on the accepted known rows."""
+    points = []
+    for tau in grid:
+        accepted = ~rejected(known, tau)
+        unknown_rej = (float(np.mean(rejected(unknown, tau)))
+                       if unknown is not None else None)
+        if not np.any(accepted):
+            metrics, degenerate = None, True
+        else:
+            metrics = compute_metrics(known.label[accepted], truth[accepted],
+                                      positive_class)
+            degenerate = (metrics.tp + metrics.fp == 0
+                          or metrics.tp + metrics.fn == 0)
+        points.append(SweepPoint(
+            threshold=float(tau),
+            known_rejection_rate=float(np.mean(~accepted)),
+            unknown_rejection_rate=unknown_rej, metrics=metrics,
+            metrics_degenerate=degenerate))
+    return tuple(points)
+
+
+# few distinct entropies, so that ties occur and grid values meet them
+ENTROPIES = (0.0, 0.1, 0.5, 0.5 + 2 ** -40, 1.0, 1.5)
+
+
+@st.composite
+def drawn_predictions(draw, n, k, all_outside):
+    """A batch ``Prediction`` of ``n`` rows whose entropies, labels and
+    supports are drawn directly; none is in the box if ``all_outside``."""
+    entropy = np.array(draw(st.lists(st.sampled_from(ENTROPIES),
+                                     min_size=n, max_size=n)))
+    label = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n,
+                                   max_size=n)), dtype=np.int64)
+    support = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))
+                       if not all_outside else [False] * n, dtype=bool)
+    return Prediction(vote_distribution=np.full((n, k), 1 / k),
+                      per_learner_labels=label[:, None], entropy=entropy,
+                      label=label, support=support)
+
+
+@settings(max_examples=300)
+@given(data=st.data(), k=st.integers(2, 4), n_known=st.integers(1, 25),
+       n_unknown=st.one_of(st.none(), st.integers(0, 25)),
+       grid=st.lists(st.sampled_from(ENTROPIES + (0.2, 2.0)), min_size=1,
+                     max_size=12).map(sorted))
+def test_sorted_sweep_equals_the_rule_at_each_point(data, k, n_known,
+                                                    n_unknown, grid):
+    positive_class = data.draw(st.integers(0, k - 1))
+    known = data.draw(drawn_predictions(n_known, k, data.draw(st.booleans())))
+    truth = np.array(data.draw(st.lists(st.integers(0, k - 1),
+                                        min_size=n_known,
+                                        max_size=n_known)), dtype=np.int64)
+    test = Dataset(x=np.arange(float(n_known))[:, None], y=truth,
+                   app_ids=("known",) * n_known, n_classes=k)
+    unknown, unknown_data = None, None
+    if n_unknown is not None:
+        unknown_data = Dataset(x=-1 - np.arange(float(n_unknown))[:, None],
+                               y=np.full(n_unknown, UNLABELED),
+                               app_ids=("unknown",) * n_unknown, n_classes=k)
+        if n_unknown:
+            unknown = data.draw(drawn_predictions(n_unknown, k,
+                                                  data.draw(st.booleans())))
+
+    def stub_predict(model, x):
+        # known row i holds i, and unknown row i holds -1 - i
+        col = x[:, 0].astype(int)
+        pred, rows = (known, col) if col[0] >= 0 else (unknown, -1 - col)
+        return Prediction(*(getattr(pred, f)[rows] for f in (
+            "vote_distribution", "per_learner_labels", "entropy", "label",
+            "support")))
+
+    model = SimpleNamespace(n_classes=k,
+                            config=SimpleNamespace(entropy_log_base=2.0))
+    taxonomy = DatasetTaxonomy(test_known=test, unknown=unknown_data)
+    with mock.patch.object(harness, "predict", stub_predict):
+        report = run_threshold_sweep(model, taxonomy, grid, positive_class)
+    expected = per_point_sweep(known, truth, unknown, grid, positive_class)
+    assert report.points == expected
+    # repr tells apart every two floats that differ in a bit, and a numpy
+    # int from a Python one
+    assert repr(report.points) == repr(expected)
+    if not known.support.any():
+        assert all(p.metrics is None and p.metrics_degenerate
+                   for p in report.points)
+
+
+class TestSweepGridValues:
+    @pytest.mark.parametrize("grid", [[0.0, math.nan], [-1.0, 0.5],
+                                      [0.5, math.inf]])
+    def test_bad_value_rejected(self, overlap_sweep, grid):
+        model, tax, _ = overlap_sweep
+        bad = next(v for v in grid if not (math.isfinite(v) and v >= 0))
+        with pytest.raises(ValueError) as info:
+            run_threshold_sweep(model, tax, grid=grid)
+        assert str(info.value) == \
+            f"threshold must be a finite number >= 0, got {bad}"
+
+    def test_bucket_checks_come_first(self, overlap_sweep):
+        model, _, _ = overlap_sweep
+        for n, message in ((0, "test_known bucket is empty"),
+                           (3, "test_known samples must be labeled")):
+            test = Dataset(x=np.zeros((n, 4)), y=np.full(n, UNLABELED),
+                           app_ids=("app",) * n, n_classes=2)
+            with pytest.raises(ValueError, match=message):
+                run_threshold_sweep(model, DatasetTaxonomy(
+                    test_known=test, unknown=None), grid=[math.nan])
 
 
 class TestDefaultGrid:
