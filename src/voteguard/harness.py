@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -209,16 +209,17 @@ def run_stability_sweep(config: EnsembleConfig, data: Dataset,
 # Report serialization (schemas documented in README)
 # ---------------------------------------------------------------------------
 
-def _rounded(value):
-    """``value`` with every float in it, through dicts, lists and tuples,
-    rounded to 6 significant digits, stable across runs; tuples become
-    lists."""
+def _plain(value):
+    """``value`` as JSON data in one walk: a dataclass as the dict of its
+    fields in order, a tuple or list as a list, and every float rounded
+    to 6 significant digits, stable across runs."""
     if isinstance(value, float):
         return float(f"{value:.6g}")
-    if isinstance(value, dict):
-        return {k: _rounded(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_rounded(v) for v in value]
+        return [_plain(v) for v in value]
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name))
+                for f in fields(value)}
     return value
 
 
@@ -233,7 +234,7 @@ def report_to_dict(report) -> dict:
     if schema is None:
         raise TypeError(f"unknown report type {type(report).__name__}")
     return {"schema": schema, "version": SCHEMA_VERSION,
-            **_rounded(asdict(report)),
+            **_plain(report),
             "log_base": log_base_tag(report.log_base)}
 
 

@@ -393,79 +393,59 @@ def _sigmoid(s):
     return np.where(s >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _softplus(s):
-    # log(1 + exp(s)), overflow-safe
-    return np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))
+# Each linear kind's objective before the L2 penalty, as a function of the
+# scores s = x @ w + b on +-1 targets z, each row weighted by c: the
+# c-weighted sum of the row losses, and each row's slope d loss/ds and
+# (generalized) curvature d2 loss/ds2, times its weight. With weights of
+# 1/n the loss is the mean over the rows.
+
+def _logistic(s, z, c):
+    m = z * s
+    e = np.exp(-np.abs(m))               # overflow-safe on both sides
+    q = 1.0 + e
+    # softplus(-m) = log(1 + exp(-m)); its slope in s is -z * sigmoid(-m)
+    loss = c @ (np.maximum(-m, 0.0) + np.log1p(e))
+    slope = -(c * z) * np.where(m > 0.0, e, 1.0) / q
+    return loss, slope, c * e / (q * q)
 
 
-# Each linear kind's objective before the L2 penalty, as functions of the
-# scores s = x @ w + b on +-1 targets z: the mean loss, and per sample n
-# times its slope d loss/ds and its (generalized) curvature d2 loss/ds2.
-
-def _log_loss(s, z):
-    return np.mean(_softplus(-(z * s)))
+def _squared_hinge(s, z, c):
+    r = np.maximum(0.0, 1.0 - z * s)
+    # the curvature is 2 inside the margin, 0 outside
+    return c @ (r * r), -2.0 * (c * z * r), 2.0 * c * (r > 0.0)
 
 
-def _log_slope(s, z):
-    return -(z * _sigmoid(-(z * s)))
+_OBJECTIVES = {"logistic": _logistic, "linear_svm": _squared_hinge}
 
 
-def _log_curvature(s, z):
-    p = _sigmoid(s)
-    return p * (1.0 - p)
-
-
-def _squared_hinge(s, z):
-    return np.mean(np.maximum(0.0, 1.0 - z * s) ** 2)
-
-
-def _squared_hinge_slope(s, z):
-    return -2.0 * (z * np.maximum(0.0, 1.0 - z * s))
-
-
-def _squared_hinge_curvature(s, z):
-    # 2 inside the margin, 0 outside
-    return 2.0 * (z * s < 1.0)
-
-
-# (loss, slope, curvature) minimized for each linear kind
-_OBJECTIVES = {
-    "logistic": (_log_loss, _log_slope, _log_curvature),
-    "linear_svm": (_squared_hinge, _squared_hinge_slope,
-                   _squared_hinge_curvature),
-}
-
-
-def _penalized(loss, w, s, z, l2):
-    """``loss`` at scores ``s`` plus the L2 penalty on the weights ``w``."""
-    return float(loss(s, z) + 0.5 * l2 * (w @ w))
-
-
-def _gradient(slope, w, x, l2):
-    """(d/dw, d/db) of a penalized objective whose slopes at ``x`` are
-    ``slope``."""
-    return (x.T @ slope) / x.shape[0] + l2 * w, float(np.mean(slope))
+def _penalized(kind, w, b, x, z, l2):
+    """``kind``'s objective at (w, b) on the rows ``x``, each weighted
+    1/n, plus the L2 penalty on ``w``: the loss, and (d/dw, d/db)."""
+    n = x.shape[0]
+    loss, slope, _ = _OBJECTIVES[kind](x @ w + b, z, np.full(n, 1.0 / n))
+    return (float(loss + 0.5 * l2 * (w @ w)),
+            (x.T @ slope + l2 * w, float(slope.sum())))
 
 
 def logistic_loss(w, b, x, z, l2):
     """Mean log loss on +-1 targets ``z`` plus an L2 penalty on the weights."""
-    return _penalized(_log_loss, w, x @ w + b, z, l2)
+    return _penalized("logistic", w, b, x, z, l2)[0]
 
 
 def logistic_gradient(w, b, x, z, l2):
-    return _gradient(_log_slope(x @ w + b, z), w, x, l2)
+    return _penalized("logistic", w, b, x, z, l2)[1]
 
 
 def hinge_loss(w, b, x, z, l2):
     """Mean squared hinge ``max(0, 1 - m)^2`` over the margins
     ``m = z * (x @ w + b)`` on +-1 targets ``z``, plus an L2 penalty on the
     weights: the L2-loss SVM objective."""
-    return _penalized(_squared_hinge, w, x @ w + b, z, l2)
+    return _penalized("linear_svm", w, b, x, z, l2)[0]
 
 
 def hinge_gradient(w, b, x, z, l2):
     """Gradient of the squared hinge ``hinge_loss``."""
-    return _gradient(_squared_hinge_slope(x @ w + b, z), w, x, l2)
+    return _penalized("linear_svm", w, b, x, z, l2)[1]
 
 
 @dataclass(frozen=True)
@@ -496,14 +476,15 @@ class LinearLearner(TrainedLearner):
         return np.column_stack([1.0 - p1, p1])
 
 
-def _newton(g: GradientParams, x, z, loss, slope, curvature, *,
-            start=None):
-    """Minimize the penalized ``loss`` by damped Newton: each step solves the
-    (generalized) Hessian system and backtracks from step 1 until the Armijo
-    test holds. Stops once the Newton decrement lambda^2 / 2 is below the
-    tolerance, after taking that last step. The squared hinge is piecewise
-    quadratic, so full steps reach its optimum in finitely many iterations.
-    Each step starts from the scores of the trial it accepted.
+def _newton(g: GradientParams, x, z, c, objective, *, start=None):
+    """Minimize ``objective`` on the rows ``x`` weighted by ``c``, plus the
+    L2 penalty, by damped Newton: each step solves the (generalized)
+    Hessian system and backtracks from step 1 until the Armijo test holds.
+    Stops once the Newton decrement lambda^2 / 2 is below the tolerance,
+    after taking that last step. The squared hinge is piecewise quadratic,
+    so full steps reach its optimum in finitely many iterations. Each trial
+    evaluates the objective once, and a step starts from the slopes and
+    curvatures of the trial it accepted.
 
     The loop starts from zero weights and bias, or from a copy of those of
     the :class:`LinearLearner` ``start``: :func:`voteguard.ensemble.fit`
@@ -519,28 +500,27 @@ def _newton(g: GradientParams, x, z, loss, slope, curvature, *,
         w, b = np.zeros(d), 0.0
     else:
         w, b = np.array(start.weights, dtype=np.float64), float(start.bias)
-    s = x @ w + b
-    prev = _penalized(loss, w, s, z, g.l2)
+    loss, slope, curvature = objective(x @ w + b, z, c)
+    prev = float(loss + 0.5 * g.l2 * (w @ w))
     losses = [prev]
     for _ in range(g.max_iters):
-        gw, gb = _gradient(slope(s, z), w, x, g.l2)
-        grad = np.append(gw, gb)
-        hessian = (xb.T * curvature(s, z)) @ xb / n + penalty
+        grad = np.append(x.T @ slope + g.l2 * w, slope.sum())
+        hessian = (xb.T * curvature) @ xb + penalty
         step = -np.linalg.solve(hessian, grad)
         slope_along = float(grad @ step)     # -lambda^2
         done = -slope_along / 2.0 < g.tolerance
         rate = 1.0
         for _ in range(50):
             tw, tb = w + rate * step[:d], b + rate * float(step[d])
-            ts = x @ tw + tb
-            cur = _penalized(loss, tw, ts, z, g.l2)
+            loss, t_slope, t_curvature = objective(x @ tw + tb, z, c)
+            cur = float(loss + 0.5 * g.l2 * (tw @ tw))
             if cur <= prev + 1e-4 * rate * slope_along:
                 break
             rate *= 0.5
         else:
             # no step lowers the loss beyond rounding: optimal if done
             return w, b, done, losses
-        w, b, s = tw, tb, ts
+        w, b, slope, curvature = tw, tb, t_slope, t_curvature
         losses.append(cur)
         prev = cur
         if done:
@@ -552,19 +532,23 @@ def _train_linear(config: LearnerConfig, data: Dataset, rows, seed: int, *,
                   start=None) -> LinearLearner:
     if data.n_classes != 2:
         raise ValueError(f"{config.kind} supports binary problems only")
-    x, y = data.x[rows], data.y[rows]
-    classes = np.unique(y)
-    if classes.size == 1:
+    # each distinct row once, weighted by its share of the draws: the same
+    # objective as the copied rows data.x[rows], duplicates included
+    draws = np.bincount(rows)
+    keep = np.flatnonzero(draws)
+    y = data.y[keep]
+    if (y == y[0]).all():
         # the limit logistic regression tends to on one class: zero
         # weights, and a bias whose sigmoid is exactly 1.0 or 0.0, so
         # every sample gets that class with certainty
         return LinearLearner(weights=np.zeros(data.d),
-                             bias=1e300 if classes[0] == 1 else -1e300,
+                             bias=1e300 if y[0] == 1 else -1e300,
                              converged=True, seed_used=seed)
 
     z = np.where(y == 1, 1.0, -1.0)
-    w, b, converged, losses = _newton(config.gradient, x, z,
-                                      *_OBJECTIVES[config.kind], start=start)
+    w, b, converged, losses = _newton(
+        config.gradient, data.x[keep], z, draws[keep] / rows.size,
+        _OBJECTIVES[config.kind], start=start)
     return LinearLearner(weights=w, bias=b, converged=converged,
                          seed_used=seed, loss_curve=tuple(losses))
 

@@ -2,23 +2,29 @@
 
 A model file is a single self-describing JSON document: header (format
 version, class/feature counts, posterior mode, log base, standardizer,
-training support box) followed by per-learner parameters. Floats are
-written with full repr precision so a save/load round trip reproduces
-predictions bit-exactly.
+training support box) followed by per-learner parameters, the header on
+one line and each member on a line of its own. Floats are written with
+full repr precision so a save/load round trip reproduces predictions
+bit-exactly.
 Tree nodes are stored as a flat list with child indices, so arbitrarily
 deep trees serialize without recursion. The loader checks that each
-split's children come after it, so every walk of a loaded tree ends.
+split's children come after it, so every walk of a loaded tree ends; it
+checks the node lists of all members at once.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
 from .core import check_names, is_finite_number, is_int
-from .data import read_json, write_json
+from .data import read_json
 from .ensemble import (_Z_MAX, EnsembleConfig, EnsembleModel, Standardizer,
                        SupportBox)
 from .learners import LEAF, LinearLearner, TreeLearner, TreeNode
@@ -109,30 +115,71 @@ def _vector(raw, name: str, n_features: int) -> np.ndarray:
     return np.array(raw, dtype=np.float64)
 
 
-def _tree_nodes(raw, n_classes: int, n_features: int) -> tuple[TreeNode, ...]:
-    """A saved node list, checked to be a tree whose every walk ends: each
-    split's children lie after it, as in the preorder ``train`` writes."""
-    if not (isinstance(raw, list) and raw
-            and all(type(node) is list and len(node) == 5 for node in raw)):
-        raise ModelFormatError("tree nodes must be a non-empty list of "
-                               "[feature, threshold, left, right, counts]")
-    feature, threshold, left, right, counts = zip(*raw)
-    if not all(type(row) is list and len(row) == n_classes for row in counts):
-        raise ModelFormatError(
-            f"tree node counts must be lists of {n_classes} numbers")
-    if not (all(is_int(v) for column in (feature, left, right)
-                for v in column)
-            and all(type(v) in (int, float) for v in threshold)
-            and all(type(v) in (int, float) for row in counts for v in row)):
-        raise ModelFormatError("tree node features and children must be "
-                               "integers, thresholds and counts numbers")
+_NODES_ERROR = ("tree nodes must be a non-empty list of "
+                "[feature, threshold, left, right, counts]")
+
+
+def _in_range(node) -> bool:
+    """Whether a saved node's integers fit int64 and its numbers float64."""
+    try:
+        np.array(node[:1] + node[2:4], dtype=np.int64)
+        np.array(node[1:2] + node[4], dtype=np.float64)
+    except OverflowError:
+        return False
+    return True
+
+
+class _TreeFault(Exception):
+    """The first fault :func:`_checked_trees` found: the member at fault,
+    and the text load_model gives after "learner i: "."""
+
+
+def _checked_trees(raws, n_classes: int, n_features: int) -> list:
+    """Every saved node list in ``raws``, each checked to be a tree whose
+    every walk ends: each split's children lie after it, as in the preorder
+    ``train`` writes. The lists are checked together, one check at a time;
+    the first check that fails raises _TreeFault for the first member that
+    fails it."""
+    offsets = [0, *itertools.accumulate(map(len, raws))]
+    nodes = list(itertools.chain.from_iterable(raws))
+
+    def fault(k, text):
+        """Raise ``text`` for the member of node ``k`` of ``nodes``."""
+        raise _TreeFault(bisect.bisect_right(offsets, k) - 1, text)
+
+    if not nodes:
+        return []
+    if not (set(map(type, nodes)) == {list} and set(map(len, nodes)) == {5}):
+        fault(next(k for k, node in enumerate(nodes)
+                   if not (type(node) is list and len(node) == 5)),
+              _NODES_ERROR)
+    feature, threshold, left, right, counts = zip(*nodes)
+    if not (set(map(type, counts)) == {list}
+            and set(map(len, counts)) == {n_classes}):
+        fault(next(k for k, row in enumerate(counts)
+                   if not (type(row) is list and len(row) == n_classes)),
+              f"tree node counts must be lists of {n_classes} numbers")
+    values = list(itertools.chain.from_iterable(counts))
+    if not (set(map(type, feature + left + right)) == {int}
+            and set(map(type, threshold)) <= {int, float}
+            and set(map(type, values)) <= {int, float}):
+        fault(next(k for k, node in enumerate(nodes) if not (
+                  all(map(is_int, node[:1] + node[2:4]))
+                  and all(type(v) in (int, float)
+                          for v in (node[1], *node[4])))),
+              "tree node features and children must be integers, "
+              "thresholds and counts numbers")
     try:
         f, lo, hi = (np.array(c, dtype=np.int64) for c in (feature, left, right))
         t = np.array(threshold, dtype=np.float64)
-        c = np.array(counts, dtype=np.float64)
+        c = np.array(values, dtype=np.float64).reshape(-1, n_classes)
     except OverflowError:
-        raise ModelFormatError("tree node value out of range") from None
-    i, n = np.arange(len(raw)), len(raw)
+        fault(next(k for k, node in enumerate(nodes) if not _in_range(node)),
+              "tree node value out of range")
+    # each node's index in its tree, and the tree's node count
+    sizes = np.diff(offsets)
+    start = np.repeat(offsets[:-1], sizes)
+    i, n = np.arange(len(nodes)) - start, np.repeat(sizes, sizes)
     leaf = f == LEAF
     with np.errstate(over="ignore"):         # a sum past float max is inf
         total = c.sum(axis=1)
@@ -143,7 +190,8 @@ def _tree_nodes(raw, n_classes: int, n_features: int) -> tuple[TreeNode, ...]:
         (leaf & ((lo != LEAF) | (hi != LEAF)),
          f"a leaf's children must be {LEAF}"),
         (~leaf & ((lo <= i) | (hi <= i) | (lo >= n) | (hi >= n)),
-         f"children must be node indices above the node's own and below {n}"),
+         # {n}: the member's node count, filled in below
+         "children must be node indices above the node's own and below {n}"),
         (~np.isfinite(c).all(axis=1) | (c < 0).any(axis=1)
          | ~((0 < total) & (total < np.inf)),
          "counts must be finite, >= 0, not all 0 and sum to a finite "
@@ -151,21 +199,50 @@ def _tree_nodes(raw, n_classes: int, n_features: int) -> tuple[TreeNode, ...]:
     )
     for bad, what in problems:
         if bad.any():
-            j = int(np.argmax(bad))
-            raise ModelFormatError(f"tree node {j} {raw[j]!r}: {what}")
+            k = int(np.argmax(bad))
+            fault(k, f"tree node {i[k]} {nodes[k]!r}: {what.format(n=n[k])}")
     # a node reached through two splits may lie at two depths, and the
     # level walk, which runs to the deepest, would stop short of it
-    parents = np.bincount(np.concatenate((lo[~leaf], hi[~leaf])), minlength=n)
-    if (parents[1:] != 1).any():
-        j = 1 + int(np.argmax(parents[1:] != 1))
-        raise ModelFormatError(f"tree node {j} is the child of {parents[j]} "
-                               "splits, not of exactly 1")
-    return tuple(map(TreeNode._make, zip(feature, t.tolist(), left, right,
+    split = ~leaf
+    parents = np.bincount(np.concatenate((lo[split] + start[split],
+                                          hi[split] + start[split])),
+                          minlength=len(nodes))
+    bad = (parents != 1) & (i != 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        fault(k, f"tree node {i[k]} is the child of {parents[k]} splits, "
+                 "not of exactly 1")
+    built = list(map(TreeNode._make, zip(feature, t.tolist(), left, right,
                                          map(tuple, c.tolist()))))
+    return [tuple(built[a:b]) for a, b in itertools.pairwise(offsets)]
+
+
+def _trees(members, n_classes: int, n_features: int) -> list[TreeLearner]:
+    """The tree members that _learner_from_dict read, as TreeLearners, with
+    every node list checked at once. A fault raises ModelFormatError for
+    the first member at fault, and its first fault in check order: the
+    members before the first that fails one check are checked again for
+    the later ones."""
+    raws, fault = [nodes for nodes, _ in members], None
+    while True:
+        try:
+            trees = _checked_trees(raws, n_classes, n_features)
+        except _TreeFault as exc:
+            member, text = exc.args
+            fault = ModelFormatError(f"learner {member}: {text}")
+            raws = raws[:member]
+            continue
+        if fault is not None:
+            raise fault
+        return [TreeLearner(nodes=nodes, n_features=n_features, **common)
+                for nodes, (_, common) in zip(trees, members)]
 
 
 def _learner_from_dict(raw: dict, n_classes: int, n_features: int,
                        base_kind: str):
+    """The member ``raw``. A tree member is its node list, checked only to
+    be a non-empty list, and its TreeLearner's other fields by name:
+    :func:`_trees` checks every tree's nodes at once."""
     # train fits a tree under kind "tree" and a linear member under the
     # other kinds, so config.base.kind says which keys a member holds
     tree = base_kind == "tree"
@@ -180,8 +257,10 @@ def _learner_from_dict(raw: dict, n_classes: int, n_features: int,
                                f"[0, 2**64), got {seed_used!r}")
     common = {"converged": converged, "seed_used": seed_used}
     if tree:
-        return TreeLearner(nodes=_tree_nodes(*params, n_classes, n_features),
-                           n_features=n_features, **common)
+        nodes, = params
+        if not (isinstance(nodes, list) and nodes):
+            raise ModelFormatError(_NODES_ERROR)
+        return nodes, common
     weights, bias = params
     if n_classes != 2:
         raise ModelFormatError(
@@ -226,24 +305,39 @@ def _read_config(cls, raw, name: str):
         raise ModelFormatError(f"{name}.{exc}") from None
 
 
+def _line(value, what: str) -> str:
+    """``value`` as one line of compact JSON; a non-finite float, which
+    load_model refuses, raises ValueError naming ``what`` holds it."""
+    try:
+        return json.dumps(value, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        raise ValueError(f"{what} holds a non-finite value, which "
+                         "load_model refuses") from None
+
+
 def save_model(model: EnsembleModel, path) -> None:
-    """Write ``model`` to ``path``. Raises ValueError, before the file is
-    opened, if ``config.m`` is not the member count or a member is not of
-    the type ``config.base.kind`` trains: load_model refuses either file."""
+    """Write ``model`` to ``path`` as one JSON document of M + 2 lines: the
+    header keys, then each of the M members, then the closing brackets.
+    Raises ValueError, before the file is opened, if ``config.m`` is not the
+    member count, a member is not of the type ``config.base.kind`` trains,
+    or the model holds a non-finite value: load_model refuses each file."""
     if model.config.m != len(model.learners):
         raise ValueError(f"config.m is {model.config.m} but the model holds "
                          f"{len(model.learners)} learners")
     std, box = model.standardizer, model.support
-    doc = _to_dict(
+    header = _line(_to_dict(
         "model file", FORMAT_NAME, FORMAT_VERSION, model.n_classes,
         model.n_features,
         list(model.class_names) if model.class_names else None,
         _config_to_dict(model.config),
         _to_dict("standardizer", std.mean.tolist(), std.std.tolist()),
         _to_dict("support box", box.low.tolist(), box.high.tolist()),
-        [_learner_to_dict(i, l, model.config.base.kind)
-         for i, l in enumerate(model.learners)])
-    write_json(path, doc, sort_keys=False)   # keys in _KEYS' order
+        []), "the standardizer or support box")    # keys in _KEYS' order
+    members = [_line(_learner_to_dict(i, l, model.config.base.kind),
+                     f"learner {i}") for i, l in enumerate(model.learners)]
+    # the header ends in the empty list of members: "[]}"
+    text = "\n".join((header[:-2], ",\n".join(members), "]}\n"))
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_model(path) -> EnsembleModel:
@@ -298,13 +392,20 @@ def _model_from_dict(doc: dict) -> EnsembleModel:
     if inverted.size:
         raise ModelFormatError(f"support box low exceeds high at feature "
                                f"{inverted[0]}")
-    learners = []
+    learners, fault = [], None
     for i, raw in enumerate(raw_learners):
         try:
             learners.append(_learner_from_dict(raw, n_classes, n_features,
                                                config.base.kind))
         except ModelFormatError as exc:
-            raise ModelFormatError(f"learner {i}: {exc}") from None
+            fault = ModelFormatError(f"learner {i}: {exc}")
+            break
+    if config.base.kind == "tree":
+        # the trees read before any fault: a fault in their nodes lies in
+        # an earlier member
+        learners = _trees(learners, n_classes, n_features)
+    if fault is not None:
+        raise fault
     return EnsembleModel(learners=tuple(learners), standardizer=standardizer,
                          config=config, n_classes=n_classes,
                          class_names=tuple(names) if names else None,

@@ -13,7 +13,7 @@ from voteguard.ensemble import Standardizer, bootstrap_indices
 from voteguard.learners import (_OBJECTIVES, LEAF, GradientParams,
                                 LearnerConfig, LinearLearner, TreeNode,
                                 TreeParams,
-                                _gini_gains, _gradient, _penalized, _sigmoid,
+                                _gini_gains, _sigmoid,
                                 best_split, hinge_gradient, hinge_loss,
                                 logistic_gradient, logistic_loss, train)
 from conftest import make_binary_dataset
@@ -311,9 +311,10 @@ def test_gradients_match_finite_differences(loss_fn, grad_fn):
     ("linear_svm", hinge_loss, hinge_gradient),
 ])
 def test_score_objective_matches_public_functions(kind, loss_fn, grad_fn):
-    # Newton works from the scores s = x @ w + b; the public functions
-    # that criterion 07 checks must give the same bits
-    loss, slope, curvature = _OBJECTIVES[kind]
+    # Newton works from the scores s = x @ w + b, each row weighted; at
+    # weights of 1/n the public functions that criterion 07 checks must
+    # give the same bits
+    objective = _OBJECTIVES[kind]
     rng = np.random.default_rng(11)
     h = 1e-6
     for trial in range(20):
@@ -324,19 +325,50 @@ def test_score_objective_matches_public_functions(kind, loss_fn, grad_fn):
         w, b = rng.standard_normal(d), float(rng.standard_normal())
         l2 = float(rng.choice([0.0, 1e-4, 1.0]))
         s = x @ w + b
-        assert _penalized(loss, w, s, z, l2) == loss_fn(w, b, x, z, l2)
-        gw, gb = _gradient(slope(s, z), w, x, l2)
+        loss, slope, _ = objective(s, z, np.full(n, 1.0 / n))
+        assert float(loss + 0.5 * l2 * (w @ w)) == loss_fn(w, b, x, z, l2)
+        gw, gb = x.T @ slope + l2 * w, float(slope.sum())
         pw, pb = grad_fn(w, b, x, z, l2)
         assert gw.tobytes() == pw.tobytes() and gb == pb
-        # slope and curvature are the per-sample derivatives of the loss
-        one = [loss(s[i:i + 1] + e, z[i:i + 1]) for i in range(n)
-               for e in (h, -h)]
+        # at unit weights, slope and curvature are the per-sample
+        # derivatives of the loss
+        ones = np.ones(n)
+        _, slope, curvature = objective(s, z, ones)
+        one = [objective(s[i:i + 1] + e, z[i:i + 1], ones[:1])[0]
+               for i in range(n) for e in (h, -h)]
         fd = (np.array(one[::2]) - np.array(one[1::2])) / (2 * h)
-        np.testing.assert_allclose(slope(s, z), fd, rtol=1e-5, atol=1e-6)
-        fd2 = (slope(s + h, z) - slope(s - h, z)) / (2 * h)
+        np.testing.assert_allclose(slope, fd, rtol=1e-5, atol=1e-6)
+        fd2 = (objective(s + h, z, ones)[1]
+               - objective(s - h, z, ones)[1]) / (2 * h)
         kink = np.abs(z * s - 1.0) < 2 * h    # the hinge's curvature jumps
-        np.testing.assert_allclose(curvature(s, z)[~kink], fd2[~kink],
+        np.testing.assert_allclose(curvature[~kink], fd2[~kink],
                                    rtol=1e-4, atol=1e-6)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "linear_svm"])
+@settings(max_examples=100)
+@given(data=st.data(), n=st.integers(1, 30))
+def test_weighted_objective_equals_repeated_rows(kind, data, n):
+    # a distinct row weighted by its draw count over the draws is that row
+    # repeated as often, each copy weighted 1 over the draws
+    objective = _OBJECTIVES[kind]
+    s = data.draw(arrays(np.float64, n, elements=st.floats(-40, 40)))
+    z = data.draw(arrays(np.float64, n, elements=st.sampled_from([-1.0,
+                                                                 1.0])))
+    draws = data.draw(arrays(np.int64, n, elements=st.integers(1, 6)))
+    repeated = np.repeat(np.arange(n), draws)
+    size = repeated.size
+    loss, slope, curvature = objective(s, z, draws / size)
+    r_loss, r_slope, r_curvature = objective(
+        s[repeated], z[repeated], np.full(size, 1.0 / size))
+    # each row's slope and curvature, summed over its copies
+    ends = np.cumsum(draws) - draws
+    np.testing.assert_allclose(loss, r_loss, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(slope, np.add.reduceat(r_slope, ends),
+                               rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(curvature,
+                               np.add.reduceat(r_curvature, ends),
+                               rtol=1e-12, atol=0.0)
 
 
 def test_sigmoid_matches_masked_formula_bit_for_bit():
@@ -467,14 +499,28 @@ def test_rows_equal_subset(kind, case):
     learner = train(config, data, rows, seed)
     copied = Dataset(x=data.x[rows], y=data.y[rows],
                      app_ids=("a",) * len(rows), n_classes=data.n_classes)
-    assert_same_learner(learner, train(config, copied, seed=seed))
     if config.kind == "tree":
+        assert_same_learner(learner, train(config, copied, seed=seed))
         # each leaf counts exactly the drawn rows that prediction routes to it
         routed = np.array([leaf_of(learner, data.x[r]) for r in rows])
         for i, node in enumerate(learner.nodes):
             if node.feature < 0:
                 assert np.array_equal(node.counts, np.bincount(
                     data.y[rows[routed == i]], minlength=data.n_classes))
+        return
+    # a linear member fits each distinct row once, weighted by its draw
+    # count: the order of the draws moves no bit. The copies sum in another
+    # order, so their fit reaches the same optimum within the tolerance.
+    shuffled = np.random.default_rng(seed).permutation(rows)
+    assert_same_learner(learner, train(config, data, shuffled, seed))
+    fitted = train(config, copied, seed=seed)
+    assert learner.converged and fitted.converged
+    loss_fn = logistic_loss if kind == "logistic" else hinge_loss
+    z = np.where(copied.y == 1, 1.0, -1.0)
+    l2 = config.gradient.l2
+    assert abs(loss_fn(learner.weights, learner.bias, copied.x, z, l2)
+               - loss_fn(fitted.weights, fitted.bias, copied.x, z, l2)) \
+        <= config.gradient.tolerance
 
 
 @settings(max_examples=100)

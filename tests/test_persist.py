@@ -208,6 +208,133 @@ def test_member_count_other_than_config_m_is_not_saved(tmp_path):
     assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize("kind", ["tree", "logistic", "linear_svm"])
+def test_saved_model_has_one_line_per_member(tmp_path, kind):
+    # the header keys on one line, each member on its own, then "]}"
+    data = make_binary_dataset(n=80, d=3, separation=1.0, seed=4)
+    model = fit(EnsembleConfig(base=LearnerConfig(kind=kind), m=7), data)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 7 + 2
+    assert lines[0].endswith('"learners":[') and lines[-1] == "]}"
+    for i, line in enumerate(lines[1:-1]):
+        member = json.loads(line.removesuffix(","))
+        assert member["seed_used"] == model.learners[i].seed_used
+    x = np.random.default_rng(0).uniform(-5, 5, size=(60, 3))
+    a, b = predict(model, x), predict(load_model(path), x)
+    assert a.vote_distribution.tobytes() == b.vote_distribution.tobytes()
+    assert a.entropy.tobytes() == b.entropy.tobytes()
+    assert np.array_equal(a.per_learner_labels, b.per_learner_labels)
+
+
+def _with_nan(model, where):
+    """``model`` with a NaN or an infinity at ``where``."""
+    std, box = model.standardizer, model.support
+    if where == "std":
+        return replace(model, standardizer=replace(
+            std, std=np.append(std.std[:-1], math.inf)))
+    if where == "box":
+        return replace(model, support=replace(
+            box, low=np.append(-math.inf, box.low[1:])))
+    learners = list(model.learners)
+    member = learners[1]
+    if where == "threshold":
+        nodes = list(member.nodes)
+        nodes[0] = nodes[0]._replace(threshold=math.nan)
+        learners[1] = replace(member, nodes=tuple(nodes))
+    elif where == "count":
+        nodes = list(member.nodes)
+        nodes[-1] = nodes[-1]._replace(counts=(math.inf, 1.0))
+        learners[1] = replace(member, nodes=tuple(nodes))
+    elif where == "weight":
+        learners[1] = replace(member, weights=np.append(math.nan,
+                                                        member.weights[1:]))
+    else:
+        learners[1] = replace(member, bias=-math.inf)
+    return replace(model, learners=tuple(learners))
+
+
+@pytest.mark.parametrize("kind, where, problem", [
+    ("tree", "threshold", "learner 1"),
+    ("tree", "count", "learner 1"),
+    ("tree", "std", "the standardizer or support box"),
+    ("logistic", "weight", "learner 1"),
+    ("logistic", "bias", "learner 1"),
+    ("logistic", "box", "the standardizer or support box"),
+])
+def test_non_finite_value_is_not_saved(tmp_path, kind, where, problem):
+    # such a file was written with NaN or Infinity in it, and then
+    # load_model refused it; the save now fails first and writes nothing
+    data = make_binary_dataset(n=40, d=3, seed=1)
+    model = fit(EnsembleConfig(base=LearnerConfig(kind=kind), m=3), data)
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError) as info:
+        save_model(_with_nan(model, where), path)
+    assert str(info.value) == (f"{problem} holds a non-finite value, which "
+                               "load_model refuses")
+    assert not path.exists()
+
+
+@pytest.fixture(scope="module")
+def tree_doc(tmp_path_factory):
+    """A saved ten-member tree model, as its JSON document."""
+    data = make_binary_dataset(n=80, d=3, separation=1.0, seed=4)
+    path = tmp_path_factory.mktemp("trees") / "model.json"
+    save_model(fit(EnsembleConfig(base=LearnerConfig(kind="tree"), m=10),
+                   data), path)
+    doc = json.loads(path.read_text())
+    assert all(len(member["nodes"]) > 3 for member in doc["learners"])
+    return doc
+
+
+def _first_split(nodes):
+    return next(j for j, node in enumerate(nodes) if node[0] >= 0)
+
+
+@pytest.mark.parametrize("first", ["converged", "child"])
+def test_fault_in_the_earliest_member_is_named(tree_doc, tmp_path, first):
+    # the node lists are checked together, but a member's fault is named
+    # before any fault of a later member, whichever check finds it
+    doc = json.loads(json.dumps(tree_doc))
+    members = doc["learners"]
+    bad_converged, bad_child = (1, 4) if first == "converged" else (4, 1)
+    members[bad_converged]["converged"] = "yes"
+    nodes = members[bad_child]["nodes"]
+    j = _first_split(nodes)
+    nodes[j][2] = j
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError) as info:
+        load_model(path)
+    if first == "converged":
+        message = "learner 1: converged must be true or false, got 'yes'"
+    else:
+        message = (f"learner 1: tree node {j} {nodes[j]!r}: children must be "
+                   f"node indices above the node's own and below "
+                   f"{len(nodes)}")
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_first_faulty_member_named_before_an_earlier_check(tree_doc,
+                                                           tmp_path):
+    # learner 9's fault is one that an earlier check finds (a feature that
+    # is not an integer), and learner 7's a later one (a negative count):
+    # learner 7 is named, with the message a tree-by-tree check gave
+    doc = json.loads(json.dumps(tree_doc))
+    members = doc["learners"]
+    members[9]["nodes"][0][0] = "x"
+    node = members[7]["nodes"][3]
+    node[4][0] = -1.0
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError) as info:
+        load_model(path)
+    assert str(info.value) == (
+        f"{path}: learner 7: tree node 3 {node!r}: counts must be finite, "
+        ">= 0, not all 0 and sum to a finite number")
+
+
 def test_class_names_survive(tmp_path):
     data = make_binary_dataset(n=30, seed=1)
     model = fit(EnsembleConfig(base=LearnerConfig(kind="tree"), m=2), data)
