@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import UNLABELED, Dataset, is_finite_number, is_int
+from .core import UNLABELED, Dataset, is_finite_number, is_int, presort
 
 LEARNER_KINDS = ("tree", "logistic", "linear_svm")
 FEATURE_SUBSAMPLES = ("all", "sqrt")
@@ -135,10 +135,10 @@ def best_split(x, y, feature_indices, n_classes, orders=None,
 
     ``orders`` is ``(d, m)``: ``orders[f]`` holds the m sample indices to
     search, the same m for every f, sorted stably by ``x[:, f]``. By
-    default every sample of ``x`` is searched once and each column is
-    sorted here. Ties break toward lower feature index, then lower
-    threshold. Returns None when fewer than two samples are searched or no
-    candidate yields positive gain.
+    default every sample of ``x`` is searched once, in the order and with
+    the tie flags of :func:`voteguard.core.presort`. Ties break toward
+    lower feature index, then lower threshold. Returns None when fewer
+    than two samples are searched or no candidate yields positive gain.
 
     A caller that searches many subsets of one sample may pass
     ``class_weights`` instead of ``y``: a ``(K, n)`` array of whole numbers,
@@ -151,9 +151,15 @@ def best_split(x, y, feature_indices, n_classes, orders=None,
     ``tie_free[f]`` is true, no two of the searched samples share a value
     of feature f (as :attr:`Dataset.tie_free` finds), and the search skips
     comparing them.
+
+    Each boundary is first scored by its children's weighted impurity Q
+    (see :func:`_child_impurity`), which is cheaper than the gain and
+    ranks the boundaries the other way round. Only the boundaries whose Q
+    lies within a rounding margin of the feature's least Q go on to
+    :func:`_gini_gain`, and the split is chosen by that exact gain.
     """
     if orders is None:
-        orders = np.argsort(x, axis=0, kind="stable").T
+        orders, tie_free = presort(x)
     if class_weights is None:
         class_weights = np.zeros((n_classes, y.shape[0]))
         class_weights[y, np.arange(y.shape[0])] = 1.0
@@ -164,14 +170,30 @@ def best_split(x, y, feature_indices, n_classes, orders=None,
     if total is None:
         total = class_weights.take(orders[0], axis=1).sum(axis=1,
                                                           dtype=np.float64)
-    n = total.sum()
+    n = float(total.sum())
     parent = _gini(total, n)
+    k = len(class_weights)
+    # Why a boundary outside the margin never has the greatest gain. Let
+    # u = 2**-53 and g(j) = j*u / (1 - j*u). Counts are whole numbers below
+    # 2**53, so their sums and differences are exact. Q sums non-negative
+    # terms, each rounded at most K + 1 times, so the computed Q is within
+    # g(K+1)*Q <= g(K+1)*n/2 of the true one (Q <= n/2). The exact gain
+    # rounds values of magnitude at most 2 at most K + 10 times; it is
+    # within g(K+10) of p - 2Q/n, where p is the computed parent impurity,
+    # the same at every boundary. So if boundary i's computed gain is at
+    # least boundary j's, then Q_i <= Q_j + n*g(K+10), and the computed Q_i
+    # is at most the computed Q_j plus n*(g(K+10) + g(K+1)), about
+    # n*(2K + 11)*u. The margin n*(K+2)**2*2**-44 = n*(K+2)**2*512*u is
+    # more than 100 times that for every K >= 2, which also covers the
+    # rounding of the test itself.
+    margin = n * (k + 2) ** 2 * 2.0 ** -44
+    totals = total.tolist()
 
     best = None
     best_gain = 0.0
     # work space that every feature reuses: the running class counts, then
-    # four arrays of one value per boundary for _gini_gains
-    sums = np.empty((len(class_weights), m))
+    # four arrays of one value per boundary for _child_impurity
+    sums = np.empty((k, m))
     work = np.empty((4, m - 1))
     for f in feature_indices:
         order = orders[f]
@@ -194,11 +216,14 @@ def best_split(x, y, feature_indices, n_classes, orders=None,
         left_counts = [np.cumsum(w.take(order), dtype=np.float64,
                                  out=s)[boundaries]
                        for w, s in zip(class_weights, sums)]
-        gains = _gini_gains(parent, n, total, left_counts,
-                            work[:, :n_edges])
-        i = int(np.argmax(gains))          # first max -> lowest threshold
-        if gains[i] > best_gain:
-            best_gain = float(gains[i])
+        q = _child_impurity(totals, left_counts, work[:, :n_edges])
+        near = np.flatnonzero(q <= q.min() + margin).tolist()
+        gains = [_gini_gain(parent, n, totals,
+                            [float(c[j]) for c in left_counts]) for j in near]
+        gain = max(gains)
+        if gain > best_gain:
+            best_gain = gain
+            i = near[gains.index(gain)]    # first max -> lowest threshold
             b = i if n_edges == m - 1 else int(boundaries[i])
             lo, hi = x[:, f].take(order[b:b + 2]).tolist()
             # the midpoint of two neighbouring floats may round up to hi,
@@ -213,44 +238,51 @@ def best_split(x, y, feature_indices, n_classes, orders=None,
     return best
 
 
-def _gini_gains(parent, n, total, left_counts, work):
-    """The Gini gain at each boundary whose class counts on the left are
-    ``left_counts``, out of ``total`` (n in all) at a node of impurity
-    ``parent``, written into ``work``, four rows of one value per boundary.
+def _child_impurity(total, left_counts, work):
+    """Q = sum over class pairs a < b of ``l_a * l_b / n_left + r_a * r_b /
+    n_right`` at each boundary whose class counts on the left are
+    ``left_counts`` (l), out of ``total`` (t), with r = t - l on the right;
+    written into ``work``, four rows of one value per boundary.
 
-    The gain is ``parent - (n_left / n) * gini_left - (n_right / n) *
-    gini_right``, each impurity ``1 - sum((count / size) ** 2)`` summed in
-    class order: the same operations on the same values, so every gain
-    keeps its bits."""
-    gains, n_right, gini, share = work
-    n_left = np.add(left_counts[0], left_counts[1], out=gains)
+    Q is n/2 times the children's weighted Gini impurity, so it is
+    parent - gain scaled by n/2: the least Q has the greatest gain. Each
+    side sums ``l_b * (l_0 + ... + l_(b-1))`` over b, non-negative terms
+    only, so Q keeps a small relative error; two classes take nine
+    passes over the boundaries."""
+    q, prefix, count, product = work
+    # left: the running sum of the classes so far ends as n_left
+    np.multiply(left_counts[1], left_counts[0], out=q)
+    np.add(left_counts[0], left_counts[1], out=prefix)
     for c in left_counts[2:]:
-        n_left += c
-    np.subtract(n, n_left, out=n_right)
-    # the first class's square is also 0 plus it, where Python's sum starts
-    np.divide(left_counts[0], n_left, out=gini)
-    gini *= gini
-    for c in left_counts[1:]:
-        np.divide(c, n_left, out=share)
-        share *= share
-        gini += share
-    np.subtract(1.0, gini, out=gini)
-    np.divide(n_left, n, out=gains)
-    gains *= gini
-    np.subtract(parent, gains, out=gains)
-    np.subtract(total[0], left_counts[0], out=gini)
-    gini /= n_right
-    gini *= gini
-    for t, c in zip(total[1:], left_counts[1:]):
-        np.subtract(t, c, out=share)
-        share /= n_right
-        share *= share
-        gini += share
-    np.subtract(1.0, gini, out=gini)
-    n_right /= n
-    n_right *= gini
-    gains -= n_right
-    return gains
+        q += np.multiply(c, prefix, out=product)
+        prefix += c
+    q /= prefix
+    # right: each class's count is its total less the left's
+    np.subtract(total[0], left_counts[0], out=prefix)
+    np.subtract(total[1], left_counts[1], out=count)
+    np.multiply(count, prefix, out=product)
+    for t, c in zip(total[2:], left_counts[2:]):
+        prefix += count
+        np.subtract(t, c, out=count)
+        product += count * prefix
+    prefix += count
+    product /= prefix
+    q += product
+    return q
+
+
+def _gini_gain(parent, n, total, left):
+    """The Gini gain of the boundary whose class counts on the left are
+    ``left``, out of ``total`` (n in all) at a node of impurity ``parent``:
+    ``parent - (n_left / n) * gini_left - (n_right / n) * gini_right``,
+    each impurity ``1 - sum((count / size) ** 2)`` summed in class order.
+    All arguments are Python floats."""
+    n_left = sum(left)
+    n_right = n - n_left
+    gini_left = 1.0 - sum((c / n_left) * (c / n_left) for c in left)
+    gini_right = 1.0 - sum(((t - c) / n_right) * ((t - c) / n_right)
+                           for t, c in zip(total, left))
+    return parent - (n_left / n) * gini_left - (n_right / n) * gini_right
 
 
 @dataclass(frozen=True)

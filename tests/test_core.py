@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import voteguard
+from voteguard import core
 from voteguard.core import (Dataset, compute_metrics, is_finite_number,
-                            is_int)
+                            is_int, presort)
 
 
 class TestComputeMetrics:
@@ -165,6 +166,42 @@ class TestDataset:
         assert np.array_equal(c.column_order, f.column_order)
         assert c.tie_free.tolist() == f.tie_free.tolist() == \
             [False, False, False, True]
+
+
+COLUMNS = {
+    # ties, -0.0 among them next to 0.0
+    "grid": lambda n: st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0]),
+                               min_size=n, max_size=n),
+    # every value the same
+    "constant": lambda n: st.floats(-2, 2).map(lambda v: [v] * n),
+    "untied": lambda n: st.permutations(range(n)).map(
+        lambda p: [v / 7.0 for v in p]),
+}
+
+
+@given(data=st.data(), n=st.integers(1, 40), fortran=st.booleans())
+def test_presort_is_the_stable_sort(data, n, fortran):
+    kinds = data.draw(st.lists(st.sampled_from(sorted(COLUMNS)), min_size=1,
+                               max_size=5))
+    x = np.array([data.draw(COLUMNS[k](n)) for k in kinds]).T
+    x = np.asfortranarray(x) if fortran else np.ascontiguousarray(x)
+    ds = Dataset(x=x, y=np.zeros(n, dtype=int), app_ids=("a",) * n,
+                 n_classes=2)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "presort", lambda x: calls.append(1) or presort(x))
+        order, tie_free = ds.column_order, ds.tie_free
+        assert ds.column_order is order and ds.tie_free is tie_free
+    assert np.array_equal(order, np.argsort(x.T, axis=1, kind="stable"))
+    # no pair of samples equal: -0.0 == 0.0 is a tie
+    assert tie_free.tolist() == [
+        not any(c[i] == c[j] for i in range(n) for j in range(i))
+        for c in x.T]
+    assert tie_free[[k == "untied" for k in kinds]].all()
+    assert calls == [1]                        # computed once
+    for a in (order, tie_free):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
 
 
 def test_every_exported_name_resolves():

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from voteguard.core import Dataset
+from voteguard import learners
+from voteguard.core import Dataset, presort
 from voteguard.data import SyntheticSpec, generate_synthetic
 from voteguard.ensemble import Standardizer, bootstrap_indices
 from voteguard.learners import (_OBJECTIVES, LEAF, GradientParams,
                                 LearnerConfig, LinearLearner, TreeNode,
                                 TreeParams,
-                                _gini_gains, _sigmoid,
+                                _gini_gain, _sigmoid,
                                 best_split, hinge_gradient, hinge_loss,
                                 logistic_gradient, logistic_loss, train)
 from conftest import make_binary_dataset
@@ -539,6 +540,91 @@ def test_weighted_split_equals_repeated_rows(data, n, n_classes):
         == best_split(x[repeated], y[repeated], feats, n_classes)
 
 
+def exhaustive_split(x, class_weights, orders, feats):
+    """What ``best_split`` should return, found by taking ``_gini_gain`` at
+    every boundary between distinct values: the first greatest gain of
+    each feature, and across features only a strictly greater one. Also
+    the left side it finds: the count of samples and their class counts."""
+    total = class_weights.take(orders[0], axis=1).sum(axis=1, dtype=float)
+    n = float(total.sum())
+    p = total / n
+    parent = 1.0 - float(np.sum(p * p))
+    best, best_gain, best_left = None, 0.0, None
+    for f in feats:
+        order = orders[f]
+        values = x[order, f]
+        left = np.zeros(len(total))
+        top = None
+        for b in range(len(order) - 1):
+            left += class_weights[:, order[b]]
+            if values[b] == values[b + 1]:
+                continue
+            gain = _gini_gain(parent, n, total.tolist(), left.tolist())
+            if top is None or gain > top[0]:
+                top = gain, b, left.tolist()
+        if top is not None and top[0] > best_gain:
+            best_gain, b, counts = top
+            lo, hi = values[b], values[b + 1]
+            mid = (lo + hi) / 2.0
+            best = (int(f), mid if lo <= mid < hi else lo, best_gain)
+            best_left = [b + 1, counts]
+    return best, best_left
+
+
+@settings(max_examples=300)
+@given(data=st.data(), n=st.integers(2, 30), n_classes=st.integers(2, 4))
+def test_split_equals_exhaustive_search(data, n, n_classes):
+    # columns on a coarse grid, whose values tie, and columns without ties;
+    # draw counts as class weights, rows drawn 0 times left out of the
+    # orders, and a subset of the features searched
+    d = 4
+    columns = [data.draw(arrays(np.float64, n, elements=st.integers(-2, 2)))
+               if data.draw(st.booleans())
+               else np.array(data.draw(st.permutations(range(n)))) / 7.0
+               for _ in range(d)]
+    x = np.column_stack(columns)
+    y = data.draw(arrays(np.int64, n, elements=st.integers(0, n_classes - 1)))
+    draws = data.draw(arrays(np.int64, n, elements=st.integers(0, 3)))
+    assume(np.count_nonzero(draws) >= 2)
+    feats = np.array(sorted(data.draw(st.sets(st.integers(0, d - 1),
+                                              min_size=1))))
+    class_weights = np.zeros((n_classes, n), dtype=np.uint8)
+    class_weights[y, np.arange(n)] = draws
+    presorted, tie_free = presort(x)
+    orders = np.array([o[draws[o] > 0] for o in presorted])
+    found = []
+    expected, left = exhaustive_split(x, class_weights, orders, feats)
+    assert best_split(x, None, feats, n_classes, orders=orders,
+                      class_weights=class_weights, found=found,
+                      tie_free=tie_free) == expected
+    assert found == ([] if expected is None else left)
+
+
+def test_split_confirms_every_boundary_tied_in_impurity(monkeypatch):
+    # the boundaries at 7.5 and 18 leave children of equal weighted
+    # impurity, 10/7 + 18/9 = 48/14, but rounding ranks them one way by that
+    # score and the other way by the exact gain: both must reach the exact
+    # gain, which picks 7.5
+    x = np.array([7.0, 21.0, 8.0, 12.0, 3.0, 15.0, 15.0, 1.0, 0.0])[:, None]
+    y = np.array([1, 0, 0, 0, 1, 1, 0, 0, 1])
+    draws = np.array([3, 2, 1, 2, 1, 3, 1, 2, 1])
+    class_weights = np.zeros((2, 9))
+    class_weights[y, np.arange(9)] = draws
+    orders = presort(x)[0]
+    confirmed = []
+
+    def gini_gain(parent, n, total, left):
+        confirmed.append(left)
+        return _gini_gain(parent, n, total, left)
+
+    monkeypatch.setattr(learners, "_gini_gain", gini_gain)
+    got = best_split(x, None, [0], 2, orders=orders,
+                     class_weights=class_weights)
+    assert confirmed == [[2.0, 5.0], [6.0, 8.0]]
+    assert got == exhaustive_split(x, class_weights, orders, [0])[0]
+    assert got[1] == 7.5
+
+
 def reference_tree(config, data, rows, seed):
     """The tree ``train(config, data, rows, seed)`` should grow, grown by plain
     recursion on the copied rows: each node draws its features as train
@@ -653,8 +739,8 @@ def test_draw_counts_past_narrow_dtypes(heavy):
 @settings(max_examples=200)
 @given(data=st.data(), b=st.integers(1, 30), n_classes=st.integers(2, 4))
 def test_gini_gains_keep_their_bits(data, b, n_classes):
-    # the gains written into reused arrays equal, bit for bit, the formula
-    # evaluated with new arrays at every step
+    # the gain of each boundary, on Python floats, equals bit for bit the
+    # formula evaluated on arrays of every boundary
     total = np.array(data.draw(st.lists(st.integers(1, 10 ** 6),
                                         min_size=n_classes,
                                         max_size=n_classes)), dtype=float)
@@ -668,8 +754,9 @@ def test_gini_gains_keep_their_bits(data, b, n_classes):
     gini_left = 1.0 - sum((c / n_left) ** 2 for c in left)
     gini_right = 1.0 - sum(((t - c) / n_right) ** 2 for t, c in zip(total, left))
     expected = parent - (n_left / n) * gini_left - (n_right / n) * gini_right
-    got = _gini_gains(parent, n, total, left, np.empty((4, b)))
-    assert got.tobytes() == expected.tobytes()
+    got = [_gini_gain(parent, float(n), total.tolist(),
+                      [float(c[i]) for c in left]) for i in range(b)]
+    assert np.array(got).tobytes() == expected.tobytes()
 
 
 def test_split_between_neighbouring_floats():
