@@ -8,13 +8,14 @@ full repr precision so a save/load round trip reproduces predictions
 bit-exactly.
 Tree nodes are stored as a flat list with child indices, so arbitrarily
 deep trees serialize without recursion. The loader checks that each
-split's children come after it, so every walk of a loaded tree ends; it
-checks the node lists of all members at once.
+split's children come after it, so every walk of a loaded tree ends. It
+checks the node lists of all members at once; a file whose members fail is
+read again member by member, so the error names the first member at fault
+and that member's first fault.
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import itertools
 import json
@@ -119,63 +120,33 @@ _NODES_ERROR = ("tree nodes must be a non-empty list of "
                 "[feature, threshold, left, right, counts]")
 
 
-def _in_range(node) -> bool:
-    """Whether a saved node's integers fit int64 and its numbers float64."""
-    try:
-        np.array(node[:1] + node[2:4], dtype=np.int64)
-        np.array(node[1:2] + node[4], dtype=np.float64)
-    except OverflowError:
-        return False
-    return True
-
-
-class _TreeFault(Exception):
-    """The first fault :func:`_checked_trees` found: the member at fault,
-    and the text load_model gives after "learner i: "."""
-
-
 def _checked_trees(raws, n_classes: int, n_features: int) -> list:
     """Every saved node list in ``raws``, each checked to be a tree whose
     every walk ends: each split's children lie after it, as in the preorder
-    ``train`` writes. The lists are checked together, one check at a time;
-    the first check that fails raises _TreeFault for the first member that
-    fails it."""
+    ``train`` writes. The lists are checked together, one check at a time,
+    and the first check that fails raises ModelFormatError; a message that
+    names a node gives its index within its tree."""
     offsets = [0, *itertools.accumulate(map(len, raws))]
     nodes = list(itertools.chain.from_iterable(raws))
-
-    def fault(k, text):
-        """Raise ``text`` for the member of node ``k`` of ``nodes``."""
-        raise _TreeFault(bisect.bisect_right(offsets, k) - 1, text)
-
-    if not nodes:
-        return []
     if not (set(map(type, nodes)) == {list} and set(map(len, nodes)) == {5}):
-        fault(next(k for k, node in enumerate(nodes)
-                   if not (type(node) is list and len(node) == 5)),
-              _NODES_ERROR)
+        raise ModelFormatError(_NODES_ERROR)
     feature, threshold, left, right, counts = zip(*nodes)
     if not (set(map(type, counts)) == {list}
             and set(map(len, counts)) == {n_classes}):
-        fault(next(k for k, row in enumerate(counts)
-                   if not (type(row) is list and len(row) == n_classes)),
-              f"tree node counts must be lists of {n_classes} numbers")
+        raise ModelFormatError(
+            f"tree node counts must be lists of {n_classes} numbers")
     values = list(itertools.chain.from_iterable(counts))
     if not (set(map(type, feature + left + right)) == {int}
             and set(map(type, threshold)) <= {int, float}
             and set(map(type, values)) <= {int, float}):
-        fault(next(k for k, node in enumerate(nodes) if not (
-                  all(map(is_int, node[:1] + node[2:4]))
-                  and all(type(v) in (int, float)
-                          for v in (node[1], *node[4])))),
-              "tree node features and children must be integers, "
-              "thresholds and counts numbers")
+        raise ModelFormatError("tree node features and children must be "
+                               "integers, thresholds and counts numbers")
     try:
         f, lo, hi = (np.array(c, dtype=np.int64) for c in (feature, left, right))
         t = np.array(threshold, dtype=np.float64)
         c = np.array(values, dtype=np.float64).reshape(-1, n_classes)
     except OverflowError:
-        fault(next(k for k, node in enumerate(nodes) if not _in_range(node)),
-              "tree node value out of range")
+        raise ModelFormatError("tree node value out of range") from None
     # each node's index in its tree, and the tree's node count
     sizes = np.diff(offsets)
     start = np.repeat(offsets[:-1], sizes)
@@ -190,7 +161,7 @@ def _checked_trees(raws, n_classes: int, n_features: int) -> list:
         (leaf & ((lo != LEAF) | (hi != LEAF)),
          f"a leaf's children must be {LEAF}"),
         (~leaf & ((lo <= i) | (hi <= i) | (lo >= n) | (hi >= n)),
-         # {n}: the member's node count, filled in below
+         # {n}: the tree's node count, filled in below
          "children must be node indices above the node's own and below {n}"),
         (~np.isfinite(c).all(axis=1) | (c < 0).any(axis=1)
          | ~((0 < total) & (total < np.inf)),
@@ -200,7 +171,8 @@ def _checked_trees(raws, n_classes: int, n_features: int) -> list:
     for bad, what in problems:
         if bad.any():
             k = int(np.argmax(bad))
-            fault(k, f"tree node {i[k]} {nodes[k]!r}: {what.format(n=n[k])}")
+            raise ModelFormatError(
+                f"tree node {i[k]} {nodes[k]!r}: {what.format(n=n[k])}")
     # a node reached through two splits may lie at two depths, and the
     # level walk, which runs to the deepest, would stop short of it
     split = ~leaf
@@ -210,39 +182,31 @@ def _checked_trees(raws, n_classes: int, n_features: int) -> list:
     bad = (parents != 1) & (i != 0)
     if bad.any():
         k = int(np.argmax(bad))
-        fault(k, f"tree node {i[k]} is the child of {parents[k]} splits, "
-                 "not of exactly 1")
+        raise ModelFormatError(f"tree node {i[k]} is the child of "
+                               f"{parents[k]} splits, not of exactly 1")
     built = list(map(TreeNode._make, zip(feature, t.tolist(), left, right,
                                          map(tuple, c.tolist()))))
     return [tuple(built[a:b]) for a, b in itertools.pairwise(offsets)]
 
 
-def _trees(members, n_classes: int, n_features: int) -> list[TreeLearner]:
-    """The tree members that _learner_from_dict read, as TreeLearners, with
-    every node list checked at once. A fault raises ModelFormatError for
-    the first member at fault, and its first fault in check order: the
-    members before the first that fails one check are checked again for
-    the later ones."""
-    raws, fault = [nodes for nodes, _ in members], None
-    while True:
-        try:
-            trees = _checked_trees(raws, n_classes, n_features)
-        except _TreeFault as exc:
-            member, text = exc.args
-            fault = ModelFormatError(f"learner {member}: {text}")
-            raws = raws[:member]
-            continue
-        if fault is not None:
-            raise fault
-        return [TreeLearner(nodes=nodes, n_features=n_features, **common)
-                for nodes, (_, common) in zip(trees, members)]
+def _learners(raws, n_classes: int, n_features: int, base_kind: str) -> list:
+    """The members ``raws``, each read by :func:`_learner_from_dict`, and
+    every tree's node list checked at once by :func:`_checked_trees`."""
+    learners = [_learner_from_dict(raw, n_classes, n_features, base_kind)
+                for raw in raws]
+    if base_kind != "tree":
+        return learners
+    trees = _checked_trees([nodes for nodes, _ in learners], n_classes,
+                           n_features)
+    return [TreeLearner(nodes=nodes, n_features=n_features, **common)
+            for nodes, (_, common) in zip(trees, learners)]
 
 
 def _learner_from_dict(raw: dict, n_classes: int, n_features: int,
                        base_kind: str):
     """The member ``raw``. A tree member is its node list, checked only to
     be a non-empty list, and its TreeLearner's other fields by name:
-    :func:`_trees` checks every tree's nodes at once."""
+    :func:`_learners` checks every tree's nodes at once."""
     # train fits a tree under kind "tree" and a linear member under the
     # other kinds, so config.base.kind says which keys a member holds
     tree = base_kind == "tree"
@@ -392,20 +356,18 @@ def _model_from_dict(doc: dict) -> EnsembleModel:
     if inverted.size:
         raise ModelFormatError(f"support box low exceeds high at feature "
                                f"{inverted[0]}")
-    learners, fault = [], None
-    for i, raw in enumerate(raw_learners):
-        try:
-            learners.append(_learner_from_dict(raw, n_classes, n_features,
-                                               config.base.kind))
-        except ModelFormatError as exc:
-            fault = ModelFormatError(f"learner {i}: {exc}")
-            break
-    if config.base.kind == "tree":
-        # the trees read before any fault: a fault in their nodes lies in
-        # an earlier member
-        learners = _trees(learners, n_classes, n_features)
-    if fault is not None:
-        raise fault
+    args = n_classes, n_features, config.base.kind
+    try:
+        learners = _learners(raw_learners, *args)
+    except ModelFormatError:
+        # read again member by member: the first member at fault, and its
+        # first fault in check order
+        for i, raw in enumerate(raw_learners):
+            try:
+                _learners([raw], *args)
+            except ModelFormatError as exc:
+                raise ModelFormatError(f"learner {i}: {exc}") from None
+        raise
     return EnsembleModel(learners=tuple(learners), standardizer=standardizer,
                          config=config, n_classes=n_classes,
                          class_names=tuple(names) if names else None,

@@ -16,6 +16,7 @@ from voteguard.core import Dataset
 from voteguard.ensemble import EnsembleConfig, fit, gate, predict
 from voteguard.learners import (GradientParams, LearnerConfig,
                                 LinearLearner, TreeParams)
+from voteguard import persist
 from voteguard.persist import ModelFormatError, load_model, save_model
 from conftest import TRICKY, make_binary_dataset
 
@@ -594,3 +595,99 @@ def test_mutated_model_fails_cleanly_or_predicts(saved_docs, kind, data,
     assert np.allclose(batch.vote_distribution.sum(axis=1), 1.0)
     assert batch.vote_distribution[0].tobytes() == \
         one.vote_distribution.tobytes()
+
+
+@pytest.fixture(scope="module")
+def five_trees(tmp_path_factory):
+    """A directory, and the JSON document of a five-member tree model."""
+    data = make_binary_dataset(n=60, d=3, separation=1.0, seed=4)
+    root = tmp_path_factory.mktemp("five")
+    save_model(fit(EnsembleConfig(base=LearnerConfig(kind="tree"), m=5),
+                   data), root / "model.json")
+    return root, json.loads((root / "model.json").read_text())
+
+
+# values a node's field, its first count or the node itself takes; some,
+# such as 0.5 for a threshold, leave the node valid
+_NODE_VALUES = [None, "x", True, 0.5, 0, -1.0, -2, 99, 2 ** 70, 10 ** 400,
+                math.inf, math.nan, [], [0], {}]
+# values a member's converged or seed_used takes, _DELETE deleting it
+_RECORD_VALUES = [_DELETE, None, "yes", 1, 1.5, -1, 2 ** 64]
+
+
+def _error(path) -> str | None:
+    """load_model's message for ``path`` after the path, or None if the
+    file loads."""
+    try:
+        load_model(path)
+    except ModelFormatError as exc:
+        return str(exc).removeprefix(f"{path}: ")
+    return None
+
+
+@settings(max_examples=50)
+@given(data=st.data())
+def test_first_member_at_fault_is_named_with_its_own_message(five_trees,
+                                                             data):
+    # 1-3 faults in random members: the file fails as the first member
+    # that fails on its own, with the message its one-member file gives
+    root, doc = five_trees
+    doc = json.loads(json.dumps(doc))
+    members = doc["learners"]
+    for _ in range(data.draw(st.integers(1, 3), label="faults")):
+        member = members[data.draw(st.integers(0, 4), label="member")]
+        where = data.draw(st.sampled_from(
+            ["node", "count", 0, 1, 2, 3, "sibling", "converged", "seed_used",
+             "x"]), label="where")
+        if where in ("converged", "seed_used"):
+            value = data.draw(st.sampled_from(_RECORD_VALUES), label="value")
+            if value is _DELETE:
+                member.pop(where, None)
+            else:
+                member[where] = value
+            continue
+        if where == "x":                     # a key no member holds
+            member["x"] = 0
+            continue
+        nodes = member["nodes"]
+        k = data.draw(st.integers(0, len(nodes) - 1), label="node")
+        value = data.draw(st.sampled_from(_NODE_VALUES), label="value")
+        node = nodes[k]
+        if where == "node" or not (isinstance(node, list) and len(node) == 5):
+            nodes[k] = value
+        elif where == "sibling":       # the right child set to the left one
+            node[3] = node[2]
+        elif where == "count":
+            node[4] = ([value, *node[4][1:]] if isinstance(node[4], list)
+                       else value)
+        else:
+            node[where] = value
+    alone = []
+    for member in members:
+        path = root / "alone.json"
+        path.write_text(json.dumps({**doc, "config": {**doc["config"], "m": 1},
+                                    "learners": [member]}))
+        alone.append(_error(path))
+    expected = next((f"learner {i}: " + message.removeprefix("learner 0: ")
+                     for i, message in enumerate(alone) if message), None)
+    path = root / "all.json"
+    path.write_text(json.dumps(doc))
+    assert _error(path) == expected
+
+
+def test_valid_tree_file_checks_every_tree_at_once(tmp_path, monkeypatch):
+    # a valid file takes one check over all its trees: a check per member
+    # made a load slower
+    data = make_binary_dataset(n=80, d=3, separation=1.0, seed=4)
+    path = tmp_path / "model.json"
+    save_model(fit(EnsembleConfig(base=LearnerConfig(kind="tree"), m=25),
+                   data), path)
+    calls, checked = [], persist._checked_trees
+
+    def counted(raws, *args):
+        calls.append(len(raws))
+        return checked(raws, *args)
+
+    monkeypatch.setattr(persist, "_checked_trees", counted)
+    assert len(load_model(path).learners) == 25
+    assert calls == [25]
